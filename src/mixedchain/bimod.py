@@ -105,7 +105,8 @@ def semisimple_part(m: int, n: int) -> tuple[SemisimplePair, ...]:
                 pairs.append((((s, k), (1,) * (s + k)), bar("Z", s + k, s, 1 - k)))
     for lam, z in pairs:
         zp = bar_to_plain(z)
-        assert zp.r not in (0, zp.s), f"atypical label {z} in the semisimple part"
+        if zp.r in (0, zp.s):
+            raise AssertionError(f"atypical label {z} in the semisimple part")
     return tuple(sorted(pairs, key=lambda p: (p[1].t, p[1].r, p[0])))
 
 
@@ -393,7 +394,8 @@ def table_grid(m: int, n: int):
     cells: dict[tuple[int, int], Bipartition] = {}
     for lam, z in semisimple_part(m, n):
         key = (z.t, z.r)
-        assert key not in cells, f"duplicate table cell {key}"
+        if key in cells:
+            raise AssertionError(f"duplicate table cell {key}")
         cells[key] = lam
     if not cells:
         return cells, [], []

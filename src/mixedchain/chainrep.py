@@ -153,7 +153,7 @@ class ChainContext:
             left, op, right = m - 1, e9, n - 1
         else:
             raise ValueError(f"unknown chain operator {which!r}")
-        mat = embed_factor(op, 3 ** left, 3 ** right, ONE)
+        mat = embed_factor(op, 3 ** left, 3 ** right)
         self._cache[key] = mat
         return mat
 

@@ -21,7 +21,6 @@ from .bimod import (
     verify_identity_proj,
     verify_identity_tensor,
 )
-from .cache import Cache
 from .chainrep import ChainContext, check_centralizer, check_qwb_relations
 from .fusion import chain_decompose, label_str, sorted_labels
 from .partitions import bip_str
@@ -41,14 +40,9 @@ def parse_label(text: str):
     return fn(int(alpha), int(beta), int(s), int(r))
 
 
-def _decompose_payload(m: int, n: int, cache: Cache | None):
-    key = Cache.key("chain", m, n)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+def _decompose_payload(m: int, n: int):
     v = chain_decompose(m, n)
-    payload = {
+    return {
         "m": m,
         "n": n,
         "summands": [
@@ -57,9 +51,6 @@ def _decompose_payload(m: int, n: int, cache: Cache | None):
         ],
         "total_dim": v.total_dim(),
     }
-    if cache is not None:
-        cache.put(key, payload)
-    return payload
 
 
 def _bar_str(z) -> str:
@@ -176,15 +167,19 @@ def _run_verify(args) -> int:
         if args.suite == "all" else [args.suite]
     report = []
     for suite in suites:
-        max_mn = args.max_mn or _SUITE_DEFAULT_MAX[suite]
+        max_mn = _SUITE_DEFAULT_MAX[suite] if args.max_mn is None else args.max_mn
         if suite == "relations":
-            report += _verify_relations(max_mn, args.backend, args.seed, args.jobs)
+            rows = _verify_relations(max_mn, args.backend, args.seed, args.jobs)
         elif suite == "centralizer":
-            report += _verify_centralizer(max_mn, args.backend, args.seed, args.jobs)
+            rows = _verify_centralizer(max_mn, args.backend, args.seed, args.jobs)
         elif suite == "identities":
-            report += _verify_identities(max_mn)
-        elif suite == "dims":
-            report += _verify_dims(max_mn)
+            rows = _verify_identities(max_mn)
+        else:
+            rows = _verify_dims(max_mn)
+        if not rows:
+            # a bound that admits no context would otherwise pass with zero checks
+            raise ValueError(f"--max-mn {max_mn} admits no context for the {suite} suite")
+        report += rows
     failures = [r for r in report if not r["ok"]]
     if args.json:
         print(json.dumps(report, indent=None, sort_keys=True))
@@ -206,12 +201,10 @@ def _run_verify(args) -> int:
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="force JSON output")
-    common.add_argument("--csv", action="store_true", help="force CSV output")
     common.add_argument("--backend", choices=("symbolic", "eval"), default="symbolic")
     common.add_argument("--seed", type=int, default=20177)
     common.add_argument("--jobs", type=int, default=1,
                         help="worker processes for verification sweeps")
-    common.add_argument("--cache-dir", default=None)
     common.add_argument("--max-mn", type=int, default=None)
 
     parser = argparse.ArgumentParser(prog="mixedchain")
@@ -252,8 +245,7 @@ def main(argv=None) -> int:
         if args.command == "decompose":
             if args.m < 0 or args.n < 0 or args.m + args.n < 1:
                 raise ValueError("need m, n >= 0 with m + n >= 1")
-            cache = Cache(args.cache_dir) if args.cache_dir else None
-            print(json.dumps(_decompose_payload(args.m, args.n, cache), sort_keys=True))
+            print(json.dumps(_decompose_payload(args.m, args.n), sort_keys=True))
             return 0
         if args.command == "bimodule":
             print(json.dumps(_bimodule_payload(args.m, args.n), sort_keys=True))

@@ -34,12 +34,6 @@ def is_partition(mu) -> bool:
     )
 
 
-def check_partition(mu: Partition) -> Partition:
-    if not is_partition(mu):
-        raise ValueError(f"not a partition: {mu!r}")
-    return mu
-
-
 def size(mu: Partition) -> int:
     return sum(mu)
 
@@ -235,7 +229,8 @@ def atypical_set(m: int, n: int) -> dict[Bipartition, AtypicalLabel]:
     out = {}
     for lab in labels:
         bp = atypical_bipartition(lab)
-        assert bp not in out or out[bp] == lab
+        if out.get(bp, lab) != lab:
+            raise AssertionError(f"{out[bp]} and {lab} share the bipartition {bp!r}")
         out[bp] = lab
     return out
 

@@ -120,16 +120,6 @@ class SparseMatrix:
                 out.rows[r] = acc
         return out
 
-    def kron(self, other: "SparseMatrix") -> "SparseMatrix":
-        out = SparseMatrix(self.nrows * other.nrows, self.ncols * other.ncols)
-        for r1, row1 in self.rows.items():
-            for c1, v1 in row1.items():
-                for r2, row2 in other.rows.items():
-                    orow = out.rows.setdefault(r1 * other.nrows + r2, {})
-                    for c2, v2 in row2.items():
-                        orow[c1 * other.ncols + c2] = v1 * v2
-        return out
-
     def map_values(self, f) -> "SparseMatrix":
         out = SparseMatrix(self.nrows, self.ncols)
         for r, row in self.rows.items():
@@ -146,7 +136,7 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def embed_factor(op: SparseMatrix, left_dim: int, right_dim: int, one) -> SparseMatrix:
+def embed_factor(op: SparseMatrix, left_dim: int, right_dim: int) -> SparseMatrix:
     """1_left (x) op (x) 1_right as a Kronecker embedding."""
     n = op.nrows
     out = SparseMatrix(left_dim * n * right_dim, left_dim * op.ncols * right_dim)

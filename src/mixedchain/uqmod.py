@@ -100,12 +100,6 @@ def dim_label(x) -> int:
     return dim_z(x) if isinstance(x, ZLabel) else dim_r(x)
 
 
-def proj_cover(z: ZLabel) -> RLabel:
-    if not is_atypical(z):
-        raise ValueError(f"{z} is typical, hence its own projective cover")
-    return R(z.alpha, z.beta, z.s, z.r)
-
-
 def proj_subquotients(rl: RLabel) -> list[ZLabel]:
     """Loewy subquotients [top, left, right, bottom] of a projective cover."""
     a, b, s = rl.alpha, rl.beta, rl.s

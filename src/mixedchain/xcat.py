@@ -2,17 +2,18 @@
 
 Specht modules S, simple heads D and projective covers K are labelled by
 cross bipartitions; atypical labels additionally carry a Loewy structure.
-This module encodes the projective-structure case table, the restriction
-rules for S, D, K down one right strand (left strands via the swap
-involution), the flattening functor that replaces a projective by its
-simple subquotients, and the dimension ledger read off the chain.
+This module derives the projective structures from the column layout of
+the atypical locus, encodes the restriction rules for S, D, K down one
+right strand (left strands via the swap involution), the flattening functor
+that replaces a projective by its simple subquotients, and the dimension
+ledger read off the chain.
 
-Every case table is dispatched through explicit per-display guards with a
-unique-match assertion, so a transcription slip fails loudly instead of
-silently picking a neighbouring case.  A handful of displays extend the
-source tables to small contexts the original guards leave out; each such
-extension is pinned by the dimension-consistency and bimodule-projection
-tests.
+Every restriction case table is dispatched through explicit per-display
+guards with a unique-match assertion, so a transcription slip fails loudly
+instead of silently picking a neighbouring case.  A handful of displays
+extend the source tables to small contexts the original guards leave out;
+each such extension is pinned by the dimension-consistency and
+bimodule-projection tests.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ def _check_cross(lam: Bipartition, m: int, n: int) -> None:
     lambda_f(lam, m, n)
     if not is_cross21(lam):
         raise NotCross(f"{lam!r} is not a cross bipartition")
-
-
-def k_term(lam: Bipartition, m: int, n: int) -> XTerm:
-    """Projective label, demoted to its simple when lam is typical."""
-    if classify_atypical(lam, m, n) is None:
-        return ("D", lam)
-    return ("K", lam)
 
 
 # ---------------------------------------------------------------------------
@@ -127,103 +121,15 @@ def _graph_mids(lam: Bipartition, mids) -> LoewyGraph:
     return LoewyGraph(lam, tuple(vertices), edges)
 
 
-def _proj_cases(lab: AtypicalLabel, m: int, n: int):
-    """Matching displays of the projective-structure table, unbarred side."""
-    a, s = lab.a, lab.s
-    bip = atypical_bipartition
-    hits = []
-
-    def mids(name, *labels):
-        hits.append((name, [bip(x) for x in labels]))
-
-    if lab.family == "delta" and not lab.bar:
-        if m > n and 2 <= s <= n - 1 and a >= 1:
-            mids("diamond", atyp("delta", False, a, s - 1), atyp("delta", False, a, s + 1))
-        if m > n and s == 1 and a >= 2 and n >= 2:
-            mids("fork", atyp("delta", False, a, 2), atyp("delta", False, a, 0),
-                 atyp("delta1", False, a, 2))
-        if m > n and s == 1 and a == 1 and n >= 3:
-            mids("fork", atyp("delta", False, 1, 2), atyp("delta", False, 1, 0),
-                 atyp("delta2", False, 1, 1))
-        if m > n and s == 1 and a == 1 and n == 2:
-            # small-context diamond: the third fork middle does not exist yet
-            mids("diamond", atyp("delta", False, 1, 2), atyp("delta", False, 1, 0))
-        if m > n and s == n and n >= 1 and a >= 1:
-            mids("chain3", atyp("delta", False, a, n - 1))
-        if s == 0 and a >= 1 and n >= 1:
-            hits.append(("chain2", [bip(atyp("delta", False, a, 1))]))
-        if s == 0 and a >= 1 and n == 0:
-            hits.append(("single", []))
-        if m == n and (a, s) == (0, 0):
-            if n >= 2:
-                hits.append(("chain2", [bip(atyp("delta2", False, 0, 0))]))
-            else:
-                hits.append(("single", []))
-    elif lab.family == "delta1" and not lab.bar:
-        if 2 <= s <= min(a, n) - 1:
-            mids("diamond", atyp("delta1", False, a, s - 1), atyp("delta1", False, a, s + 1))
-        if s == a and 2 <= a <= n - 2:
-            mids("diamond", atyp("delta1", False, a, a - 1), atyp("delta2", False, a, a))
-        if s == a == n - 1 and n >= 3:
-            mids("chain3", atyp("delta1", False, a, a - 1))
-        if s == n and 2 <= n <= a:
-            mids("chain3", atyp("delta1", False, a, n - 1))
-    elif lab.family == "delta2" and not lab.bar:
-        if m > n:
-            if a + 1 <= s <= n - 3 and a >= 1:
-                mids("diamond", atyp("delta2", False, a, s - 1), atyp("delta2", False, a, s + 1))
-            if s == a and 2 <= a <= n - 3:
-                mids("diamond", atyp("delta1", False, a, a), atyp("delta2", False, a, a + 1))
-            if s == a == 1 and n >= 4:
-                mids("diamond", atyp("delta", False, 1, 1), atyp("delta2", False, 1, 2))
-            if s == n - 2 and 1 <= a <= n - 3:
-                mids("chain3", atyp("delta2", False, a, n - 3))
-            if s == a == n - 2 and n >= 3:
-                mids("chain3", atyp("delta1", False, n - 2, n - 2))
-        else:  # m == n, a == 0
-            if s == 0 and n >= 3:
-                mids("fork", atyp("delta2", True, 0, 1), atyp("delta", False, 0, 0),
-                     atyp("delta2", False, 0, 1))
-            if s == 0 and n == 2:
-                # small context: only the extra vertex remains in the middle
-                mids("chain3", atyp("delta", False, 0, 0))
-            if 1 <= s <= n - 3:
-                mids("diamond", atyp("delta2", False, 0, s - 1), atyp("delta2", False, 0, s + 1))
-            if s == n - 2 and n >= 3:
-                mids("chain3", atyp("delta2", False, 0, n - 3))
-    return hits
-
-
 def proj_structure(lam: Bipartition, m: int, n: int) -> LoewyGraph:
-    """Loewy graph of the projective cover K(lam) in the (m,n) context."""
-    _check_cross(lam, m, n)
-    lab = classify_atypical(lam, m, n)
-    if lab is None:
-        return _graph_single(lam)
-    if lab.bar and not (m < n or (m == n and lab.family == "delta2")):
-        raise AssertionError(f"unexpected barred label {lab} at ({m},{n})")
-    if m < n:
-        mirror = proj_structure(gswap(lam), n, m)
-        return LoewyGraph(lam, tuple((layer, gswap(v)) for layer, v in mirror.vertices),
-                          mirror.edges)
-    if m == n and lab.bar:
-        mirror = _proj_cases(gswap_label(lab), m, n)
-        hits = [(name, [gswap(v) for v in vs]) for name, vs in mirror]
-    else:
-        hits = _proj_cases(lab, m, n)
-    if len(hits) != 1:
-        raise AssertionError(f"projective structure of {lab} at ({m},{n}): "
-                             f"{len(hits)} displays matched: {[h[0] for h in hits]}")
-    name, mids = hits[0]
-    if name == "single":
-        return _graph_single(lam)
-    if name == "chain2":
-        return _graph_chain2(lam, mids[0])
-    return _graph_mids(lam, mids)
+    """Loewy graph of the projective cover K(lam) in the (m,n) context.
 
-
-def proj_structure_from_columns(lam: Bipartition, m: int, n: int) -> LoewyGraph:
-    """The same graphs, derived uniformly from the column layout."""
+    Read off the column layout: the cover of the extra vertex is a two-step
+    chain over its host column's label (a single vertex when there are no
+    columns); the cover of a column label has its neighbouring columns, and
+    the extra vertex when the column hosts it, as middle layer between two
+    copies of its head.
+    """
     _check_cross(lam, m, n)
     lab = classify_atypical(lam, m, n)
     if lab is None:
@@ -370,7 +276,8 @@ class _Rows:
                     raise AssertionError(f"display {name}: projective output invalid {lam!r}")
                 continue
             if kind == "K":
-                assert classify_atypical(lam, self.m, self.n) is not None, (name, lam)
+                if classify_atypical(lam, self.m, self.n) is None:
+                    raise AssertionError((name, lam))
                 out.add(("K", lam), mult)
             else:
                 out.add(("D", lam), mult)
@@ -786,32 +693,3 @@ def dim_term(term: XTerm, m: int, n: int) -> int:
         return dim_simple_x(lam, m, n)
     graph = proj_structure(lam, m, n)
     return sum(dim_simple_x(v, m, n) for _, v in graph.vertices)
-
-
-# ---------------------------------------------------------------------------
-# wire formats
-# ---------------------------------------------------------------------------
-
-def loewy_json(graph: LoewyGraph) -> dict:
-    from .partitions import bip_str
-
-    return {
-        "label": bip_str(graph.label),
-        "vertices": [{"layer": layer, "label": bip_str(v)}
-                     for layer, v in graph.vertices],
-        "edges": [{"from": a, "to": b} for a, b in graph.edges],
-    }
-
-
-def restriction_json(lam: Bipartition, kind: str, m: int, n: int) -> dict:
-    from .partitions import bip_str
-
-    fn = {"S": res_right_s, "D": res_right_d, "K": res_right_k}[kind]
-    out = fn(lam, m, n)
-    if kind == "S":
-        summands = [{"label": bip_str(mu), "mult": c} for mu, c in sorted(out.items())]
-    else:
-        summands = [{"kind": k, "label": bip_str(mu), "mult": c}
-                    for (k, mu), c in sorted(out.items())]
-    return {"kind": kind, "label": bip_str(lam), "m": m, "n": n,
-            "restricted": summands}

@@ -86,24 +86,25 @@ def test_verify_relations_eval_backend(capsys):
     assert code == 0
 
 
-def test_cache_cold_vs_warm(tmp_path, capsys):
-    code, cold, _ = run(capsys, "decompose", "4", "2", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert (tmp_path / "cache.jsonl").exists()
-    code, warm, _ = run(capsys, "decompose", "4", "2", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert cold == warm
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max-mn", "0"),
+    ("verify", "identities", "--max-mn", "0"),
+    ("verify", "dims", "--max-mn", "-3"),
+    ("verify", "relations", "--max-mn", "1"),
+    ("verify", "centralizer", "--max-mn", "-3", "--json"),
+])
+def test_verify_bound_without_contexts_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "admits no context" in json.loads(err)["error"]
 
 
-def test_cache_version_invalidation(tmp_path, capsys):
-    _, cold, _ = run(capsys, "decompose", "2", "2", "--cache-dir", str(tmp_path))
-    path = tmp_path / "cache.jsonl"
-    entry = json.loads(path.read_text().splitlines()[0])
-    entry["version"] = "something-older"
-    entry["payload"] = {"tampered": True}
-    path.write_text(json.dumps(entry) + "\n")
-    _, again, _ = run(capsys, "decompose", "2", "2", "--cache-dir", str(tmp_path))
-    assert again == cold  # stale version ignored, recomputed
+def test_verify_smallest_bounds_run_checks(capsys):
+    for suite, bound in (("relations", "2"), ("identities", "1"), ("dims", "1")):
+        code, out, _ = run(capsys, "verify", suite, "--max-mn", bound, "--json")
+        assert code == 0
+        assert json.loads(out), suite
 
 
 def test_unknown_label_errors(capsys):

@@ -5,8 +5,10 @@ from mixedchain.partitions import (
     atyp,
     atypical_bipartition,
     atypical_set,
+    classify_atypical,
     cross_set,
     gswap,
+    gswap_label,
 )
 from mixedchain.xcat import (
     NIsZero,
@@ -16,7 +18,6 @@ from mixedchain.xcat import (
     dim_term,
     dims_for,
     proj_structure,
-    proj_structure_from_columns,
     q_expand,
     q_functor,
     res_left,
@@ -67,14 +68,126 @@ def test_proj_structure_small_contexts():
                            bip(atyp("delta", False, 1, 0))])
 
 
+# ---------------------------------------------------------------------------
+# transcription oracle: the per-display projective-structure table
+# ---------------------------------------------------------------------------
+
+def _proj_cases(lab, m, n):
+    """Matching displays of the projective-structure table, unbarred side."""
+    a, s = lab.a, lab.s
+    hits = []
+
+    def mids(name, *labels):
+        hits.append((name, [bip(x) for x in labels]))
+
+    if lab.family == "delta" and not lab.bar:
+        if m > n and 2 <= s <= n - 1 and a >= 1:
+            mids("diamond", atyp("delta", False, a, s - 1), atyp("delta", False, a, s + 1))
+        if m > n and s == 1 and a >= 2 and n >= 2:
+            mids("fork", atyp("delta", False, a, 2), atyp("delta", False, a, 0),
+                 atyp("delta1", False, a, 2))
+        if m > n and s == 1 and a == 1 and n >= 3:
+            mids("fork", atyp("delta", False, 1, 2), atyp("delta", False, 1, 0),
+                 atyp("delta2", False, 1, 1))
+        if m > n and s == 1 and a == 1 and n == 2:
+            # small-context diamond: the third fork middle does not exist yet
+            mids("diamond", atyp("delta", False, 1, 2), atyp("delta", False, 1, 0))
+        if m > n and s == n and n >= 1 and a >= 1:
+            mids("chain3", atyp("delta", False, a, n - 1))
+        if s == 0 and a >= 1 and n >= 1:
+            hits.append(("chain2", [bip(atyp("delta", False, a, 1))]))
+        if s == 0 and a >= 1 and n == 0:
+            hits.append(("single", []))
+        if m == n and (a, s) == (0, 0):
+            if n >= 2:
+                hits.append(("chain2", [bip(atyp("delta2", False, 0, 0))]))
+            else:
+                hits.append(("single", []))
+    elif lab.family == "delta1" and not lab.bar:
+        if 2 <= s <= min(a, n) - 1:
+            mids("diamond", atyp("delta1", False, a, s - 1), atyp("delta1", False, a, s + 1))
+        if s == a and 2 <= a <= n - 2:
+            mids("diamond", atyp("delta1", False, a, a - 1), atyp("delta2", False, a, a))
+        if s == a == n - 1 and n >= 3:
+            mids("chain3", atyp("delta1", False, a, a - 1))
+        if s == n and 2 <= n <= a:
+            mids("chain3", atyp("delta1", False, a, n - 1))
+    elif lab.family == "delta2" and not lab.bar:
+        if m > n:
+            if a + 1 <= s <= n - 3 and a >= 1:
+                mids("diamond", atyp("delta2", False, a, s - 1), atyp("delta2", False, a, s + 1))
+            if s == a and 2 <= a <= n - 3:
+                mids("diamond", atyp("delta1", False, a, a), atyp("delta2", False, a, a + 1))
+            if s == a == 1 and n >= 4:
+                mids("diamond", atyp("delta", False, 1, 1), atyp("delta2", False, 1, 2))
+            if s == n - 2 and 1 <= a <= n - 3:
+                mids("chain3", atyp("delta2", False, a, n - 3))
+            if s == a == n - 2 and n >= 3:
+                mids("chain3", atyp("delta1", False, n - 2, n - 2))
+        else:  # m == n, a == 0
+            if s == 0 and n >= 3:
+                mids("fork", atyp("delta2", True, 0, 1), atyp("delta", False, 0, 0),
+                     atyp("delta2", False, 0, 1))
+            if s == 0 and n == 2:
+                # small context: only the extra vertex remains in the middle
+                mids("chain3", atyp("delta", False, 0, 0))
+            if 1 <= s <= n - 3:
+                mids("diamond", atyp("delta2", False, 0, s - 1), atyp("delta2", False, 0, s + 1))
+            if s == n - 2 and n >= 3:
+                mids("chain3", atyp("delta2", False, 0, n - 3))
+    return hits
+
+
+def oracle_graph(lam, m, n):
+    """Labelled Loewy graph of atypical K(lam) from the table: (vertices, edges).
+
+    Vertices are (layer, label) pairs; an edge joins two such pairs, so the
+    comparison does not depend on the order in which vertices are listed.
+    """
+    lab = classify_atypical(lam, m, n)
+    if lab.bar and not (m < n or (m == n and lab.family == "delta2")):
+        raise AssertionError(f"unexpected barred label {lab} at ({m},{n})")
+    if m < n:
+        vertices, edges = oracle_graph(gswap(lam), n, m)
+
+        def swap(v):
+            return v[0], gswap(v[1])
+
+        return sorted(map(swap, vertices)), {(swap(u), swap(v)) for u, v in edges}
+    if m == n and lab.bar:
+        hits = [(name, [gswap(v) for v in vs])
+                for name, vs in _proj_cases(gswap_label(lab), m, n)]
+    else:
+        hits = _proj_cases(lab, m, n)
+    if len(hits) != 1:
+        raise AssertionError(f"projective structure of {lab} at ({m},{n}): "
+                             f"{len(hits)} displays matched: {[h[0] for h in hits]}")
+    name, mids = hits[0]
+    top = ("top", lam)
+    if name == "single":
+        return [top], set()
+    if name == "chain2":
+        bot = ("bot", mids[0])
+        return sorted([top, bot]), {(top, bot)}
+    bot = ("bot", lam)
+    middle = [("mid", mu) for mu in mids]
+    return (sorted([top, bot] + middle),
+            {(top, v) for v in middle} | {(v, bot) for v in middle})
+
+
+def labelled(graph):
+    vertices = graph.vertices
+    return sorted(vertices), {(vertices[a], vertices[b]) for a, b in graph.edges}
+
+
 def test_proj_structure_matches_column_layout():
-    for total in range(1, 11):
+    # the column-layout derivation against the independently transcribed
+    # table, for every atypical label with m+n <= 40
+    for total in range(1, 41):
         for m in range(0, total + 1):
             n = total - m
             for lam in atypical_set(m, n):
-                g1 = proj_structure(lam, m, n)
-                g2 = proj_structure_from_columns(lam, m, n)
-                assert factors(g1) == factors(g2), (m, n, lam)
+                assert labelled(proj_structure(lam, m, n)) == oracle_graph(lam, m, n), (m, n, lam)
 
 
 def test_proj_structure_gswap_symmetry():
@@ -268,23 +381,6 @@ def classify_is_none(lam, m, n):
     from mixedchain.partitions import classify_atypical
 
     return classify_atypical(lam, m, n) is None
-
-
-def test_json_wire_formats():
-    import json
-
-    from mixedchain.xcat import loewy_json, restriction_json
-
-    g = proj_structure(bip(atyp("delta", False, 2, 2)), 5, 3)
-    payload = loewy_json(g)
-    assert payload["label"] == "[2,1^2 | 2]"
-    assert [v["layer"] for v in payload["vertices"]] == ["top", "mid", "mid", "bot"]
-    assert json.dumps(payload)  # serializable
-    rj = restriction_json(((2,), ()), "D", 3, 1)
-    assert rj == {"kind": "D", "label": "[2 | -]", "m": 3, "n": 1,
-                  "restricted": [{"kind": "D", "label": "[3 | -]", "mult": 1}]}
-    rs = restriction_json(((2,), (1,)), "S", 2, 1)
-    assert rs["restricted"] == [{"label": "[2 | -]", "mult": 1}]
 
 
 def test_atypical_columns_shapes():
