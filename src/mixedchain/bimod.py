@@ -20,6 +20,7 @@ from .partitions import (
     Bipartition,
     atyp,
     atypical_bipartition,
+    atypical_columns,
     bip_str,
     gswap,
 )
@@ -31,12 +32,13 @@ from .uqmod import (
     bar_to_plain,
     dim_bar,
     gbar,
+    is_atypical,
     simple_subquotients,
 )
 from .xcat import (
-    atypical_columns,
     column_top_label,
     dim_simple_x,
+    dim_term,
     extra_vertex_label,
     q_expand,
     res_right_d,
@@ -104,8 +106,7 @@ def semisimple_part(m: int, n: int) -> tuple[SemisimplePair, ...]:
             for k in range(2, min(s, m - s) + 1):
                 pairs.append((((s, k), (1,) * (s + k)), bar("Z", s + k, s, 1 - k)))
     for lam, z in pairs:
-        zp = bar_to_plain(z)
-        if zp.r in (0, zp.s):
+        if is_atypical(bar_to_plain(z)):
             raise AssertionError(f"atypical label {z} in the semisimple part")
     return tuple(sorted(pairs, key=lambda p: (p[1].t, p[1].r, p[0])))
 
@@ -369,8 +370,6 @@ def dimension_audit(m: int, n: int) -> bool:
 def p_weighted_against_chain(m: int, n: int) -> bool:
     """p-flattened bimodule, weighted by X-dimensions, against the
     subquotient content of the chain."""
-    from .xcat import dim_term
-
     lhs = GrothVector()
     for (term, z), mult in p_flattened(m, n).items():
         lhs.add(bar_to_plain(z), mult * dim_term(term, m, n))

@@ -98,25 +98,22 @@ def _rep_payload(label):
 
 
 def _chain_check_task(task):
-    """One (context, point) verification unit; runs in a worker process."""
-    kind, m, n, seed, point_index = task
+    """Every check of one (m,n) context, all against one ChainContext, so
+    its symbolic operators and coproduct are built once; runs in a worker
+    process."""
+    kind, m, n, backend, seed = task
     ctx = ChainContext(m, n)
     if not ctx.operators():
         return []
-    point = None if point_index is None else eval_points(seed)[point_index]
+    points = [None] if backend == "symbolic" else eval_points(seed)
     checker = check_qwb_relations if kind == "relations" else check_centralizer
-    results = checker(ctx, point=point)
     return [{"relation": r.relation, "m": m, "n": n, "backend": r.backend,
-             "ok": r.ok} for r in results]
+             "ok": r.ok} for point in points for r in checker(ctx, point=point)]
 
 
 def _chain_sweep(kind: str, max_mn: int, backend: str, seed: int, jobs: int):
-    point_indices = [None] if backend == "symbolic" else [0, 1, 2]
-    tasks = []
-    for total in range(2, max_mn + 1):
-        for m in range(0, total + 1):
-            for pi in point_indices:
-                tasks.append((kind, m, total - m, seed, pi))
+    tasks = [(kind, m, total - m, backend, seed)
+             for total in range(2, max_mn + 1) for m in range(0, total + 1)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -125,14 +122,6 @@ def _chain_sweep(kind: str, max_mn: int, backend: str, seed: int, jobs: int):
     else:
         chunks = [_chain_check_task(t) for t in tasks]
     return [item for chunk in chunks for item in chunk]
-
-
-def _verify_relations(max_mn: int, backend: str, seed: int, jobs: int = 1):
-    return _chain_sweep("relations", max_mn, backend, seed, jobs)
-
-
-def _verify_centralizer(max_mn: int, backend: str, seed: int, jobs: int = 1):
-    return _chain_sweep("centralizer", max_mn, backend, seed, jobs)
 
 
 def _verify_identities(max_mn: int):
@@ -168,10 +157,8 @@ def _run_verify(args) -> int:
     report = []
     for suite in suites:
         max_mn = _SUITE_DEFAULT_MAX[suite] if args.max_mn is None else args.max_mn
-        if suite == "relations":
-            rows = _verify_relations(max_mn, args.backend, args.seed, args.jobs)
-        elif suite == "centralizer":
-            rows = _verify_centralizer(max_mn, args.backend, args.seed, args.jobs)
+        if suite in ("relations", "centralizer"):
+            rows = _chain_sweep(suite, max_mn, args.backend, args.seed, args.jobs)
         elif suite == "identities":
             rows = _verify_identities(max_mn)
         else:
@@ -242,9 +229,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.command in ("decompose", "bimodule", "table") and (
+                args.m < 0 or args.n < 0 or args.m + args.n < 1):
+            raise ValueError("need m, n >= 0 with m + n >= 1")
         if args.command == "decompose":
-            if args.m < 0 or args.n < 0 or args.m + args.n < 1:
-                raise ValueError("need m, n >= 0 with m + n >= 1")
             print(json.dumps(_decompose_payload(args.m, args.n), sort_keys=True))
             return 0
         if args.command == "bimodule":

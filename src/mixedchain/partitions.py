@@ -4,7 +4,10 @@ Partitions are tuples of weakly decreasing positive integers; a bipartition
 is a pair (left, right) of partitions.  This module owns the index sets
 Lambda_{m,n}(f), the hook/cross tests, the three atypical label families
 with their mirror images, and the swap involution that exchanges the two
-sides of every bipartition.
+sides of every bipartition.  It also owns the column layout of the atypical
+locus: the order in which the atypical labels of a context chain into the
+zig-zag, plus the extra vertex.  The atypical set of a context is read off
+that layout, so the locus is enumerated in one place.
 """
 
 from __future__ import annotations
@@ -209,25 +212,42 @@ def atypical_bipartition(label: AtypicalLabel) -> Bipartition:
     return pair
 
 
+@lru_cache(maxsize=None)
+def atypical_columns(m: int, n: int):
+    """Ordered column labels of the atypical part, plus the extra vertex.
+
+    Returns (columns, extra, host): `columns` is the ordered list of
+    atypical labels whose projective covers chain into the zig-zag,
+    `extra` is the lone label glued into column `host` (None when there
+    are no columns; then `extra` stands alone).
+    """
+    if m < 0 or n < 0:
+        raise ValueError("need m, n >= 0")
+    if m < n:
+        cols, extra, host = atypical_columns(n, m)
+        return [gswap_label(c) for c in cols], gswap_label(extra), host
+    a = m - n
+    if n == 0:
+        return [], atyp("delta", False, m, 0), None
+    if m == n:
+        if m == 1:
+            return [], atyp("delta", False, 0, 0), None
+        cols = [atyp("delta2", True, 0, s) for s in range(m - 2, 0, -1)]
+        cols += [atyp("delta2", False, 0, s) for s in range(0, m - 1)]
+        return cols, atyp("delta", False, 0, 0), m - 2
+    cols = [atyp("delta", False, a, s) for s in range(n, 0, -1)]
+    cols += [atyp("delta1", False, a, s) for s in range(2, min(a, n) + 1)]
+    cols += [atyp("delta2", False, a, s) for s in range(a, n - 1)]
+    return cols, atyp("delta", False, a, 0), n - 1
+
+
+@lru_cache(maxsize=None)
 def atypical_set(m: int, n: int) -> dict[Bipartition, AtypicalLabel]:
-    """The atypical bipartitions of the (m,n) context, keyed by bipartition."""
-    labels: list[AtypicalLabel] = []
-    if m > n:
-        a = m - n
-        labels += [atyp("delta", False, a, s) for s in range(0, n + 1)]
-        labels += [atyp("delta1", False, a, s) for s in range(2, min(a, n) + 1)]
-        labels += [atyp("delta2", False, a, s) for s in range(a, n - 1)]
-    elif m == n:
-        labels += [atyp("delta", False, 0, 0)]
-        labels += [atyp("delta2", False, 0, s) for s in range(0, n - 1)]
-        labels += [atyp("delta2", True, 0, s) for s in range(1, n - 1)]
-    else:
-        a = n - m
-        labels += [atyp("delta", True, a, s) for s in range(0, m + 1)]
-        labels += [atyp("delta1", True, a, s) for s in range(2, min(a, m) + 1)]
-        labels += [atyp("delta2", True, a, s) for s in range(a, m - 1)]
+    """The atypical bipartitions of the (m,n) context, keyed by bipartition:
+    the column labels of the zig-zag and its extra vertex.  Shared; read only."""
+    cols, extra, _host = atypical_columns(m, n)
     out = {}
-    for lab in labels:
+    for lab in cols + [extra]:
         bp = atypical_bipartition(lab)
         if out.get(bp, lab) != lab:
             raise AssertionError(f"{out[bp]} and {lab} share the bipartition {bp!r}")

@@ -3,10 +3,10 @@
 Specht modules S, simple heads D and projective covers K are labelled by
 cross bipartitions; atypical labels additionally carry a Loewy structure.
 This module derives the projective structures from the column layout of
-the atypical locus, encodes the restriction rules for S, D, K down one
-right strand (left strands via the swap involution), the flattening functor
-that replaces a projective by its simple subquotients, and the dimension
-ledger read off the chain.
+the atypical locus, which `partitions.atypical_columns` owns.  It encodes
+the restriction rules for S, D, K down one right strand (left strands via
+the swap involution), the flattening functor that replaces a projective by
+its simple subquotients, and the dimension ledger read off the chain.
 
 Every restriction case table is dispatched through explicit per-display
 guards with a unique-match assertion, so a transcription slip fails loudly
@@ -25,9 +25,11 @@ from .fusion import GrothVector, chain_decompose
 from .partitions import (
     AtypicalLabel,
     Bipartition,
+    NotInLambda,
     add_boxes,
     atyp,
     atypical_bipartition,
+    atypical_columns,
     classify_atypical,
     gswap,
     gswap_label,
@@ -60,39 +62,6 @@ def _check_cross(lam: Bipartition, m: int, n: int) -> None:
     lambda_f(lam, m, n)
     if not is_cross21(lam):
         raise NotCross(f"{lam!r} is not a cross bipartition")
-
-
-# ---------------------------------------------------------------------------
-# column layout of the atypical locus
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def atypical_columns(m: int, n: int):
-    """Ordered column labels of the atypical part, plus the extra vertex.
-
-    Returns (columns, extra, host): `columns` is the ordered list of
-    atypical labels whose projective covers chain into the zig-zag,
-    `extra` is the lone label glued into column `host` (None when there
-    are no columns; then `extra` stands alone).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("need m, n >= 0")
-    if m < n:
-        cols, extra, host = atypical_columns(n, m)
-        return [gswap_label(c) for c in cols], gswap_label(extra), host
-    a = m - n
-    if n == 0:
-        return [], atyp("delta", False, m, 0), None
-    if m == n:
-        if m == 1:
-            return [], atyp("delta", False, 0, 0), None
-        cols = [atyp("delta2", True, 0, s) for s in range(m - 2, 0, -1)]
-        cols += [atyp("delta2", False, 0, s) for s in range(0, m - 1)]
-        return cols, atyp("delta", False, 0, 0), m - 2
-    cols = [atyp("delta", False, a, s) for s in range(n, 0, -1)]
-    cols += [atyp("delta1", False, a, s) for s in range(2, min(a, n) + 1)]
-    cols += [atyp("delta2", False, a, s) for s in range(a, n - 1)]
-    return cols, atyp("delta", False, a, 0), n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +145,25 @@ def q_expand(v: GrothVector, m: int, n: int) -> GrothVector:
 # restriction functors
 # ---------------------------------------------------------------------------
 
+def _generic_restriction(lam: Bipartition, m: int, n: int) -> list[Bipartition]:
+    """Remove a box on the right or, when the defect is positive, add one on
+    the left; the caller has already checked that lam is a cross label."""
+    f = lambda_f(lam, m, n)
+    left, right = lam
+    out = [(left, mu) for mu in rem_boxes(right)]
+    if f > 0:
+        out += [(nu, right) for nu in add_boxes(left) if is_cross21((nu, right))]
+    return out
+
+
 def res_right_s(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a Specht label one step down on the right side."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
     _check_cross(lam, m, n)
-    f = lambda_f(lam, m, n)
-    left, right = lam
     out = GrothVector()
-    for mu in rem_boxes(right):
-        out.add((left, mu))
-    if f > 0:
-        for nu in add_boxes(left):
-            if is_cross21((nu, right)):
-                out.add((nu, right))
+    for mu in _generic_restriction(lam, m, n):
+        out.add(mu)
     return out
 
 
@@ -255,7 +229,7 @@ def _in_lambda(lam: Bipartition | None, m: int, n: int) -> bool:
         return False
     try:
         lambda_f(lam, m, n)
-    except Exception:
+    except NotInLambda:
         return False
     return True
 
@@ -417,15 +391,9 @@ def res_right_d(lam: Bipartition, m: int, n: int) -> GrothVector:
     special = _match_exceptional_d(lam, m, n)
     if special is not None:
         return special
-    f = lambda_f(lam, m, n)
-    left, right = lam
     out = GrothVector()
-    for mu in rem_boxes(right):
-        out.add(("D", (left, mu)))
-    if f > 0:
-        for nu in add_boxes(left):
-            if is_cross21((nu, right)):
-                out.add(("D", (nu, right)))
+    for mu in _generic_restriction(lam, m, n):
+        out.add(("D", mu))
     return out
 
 

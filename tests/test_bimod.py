@@ -14,9 +14,8 @@ from mixedchain.bimod import (
     verify_identity_proj,
     verify_identity_tensor,
 )
-from mixedchain.partitions import atyp, atypical_bipartition, cross_set, gswap
+from mixedchain.partitions import atyp, atypical_bipartition, atypical_columns, cross_set, gswap
 from mixedchain.uqmod import bar, gbar
-from mixedchain.xcat import atypical_columns
 
 bip = atypical_bipartition
 

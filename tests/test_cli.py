@@ -100,6 +100,29 @@ def test_verify_bound_without_contexts_is_usage_error(capsys, argv):
     assert "admits no context" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "identities", "--max-mn", "2", "--jobs", "0"),
+    ("decompose", "2", "1", "--jobs", "-1"),
+    ("bimodule", "0", "0"),
+    ("table", "0", "0"),
+    ("table", "0", "0", "--json"),
+])
+def test_invalid_jobs_or_context_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("backend", ["symbolic", "eval"])
+def test_verify_worker_pool_matches_serial(capsys, backend):
+    argv = ("verify", "relations", "--max-mn", "3", "--json", "--backend", backend)
+    code1, out1, _ = run(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2 and json.loads(out1)
+
+
 def test_verify_smallest_bounds_run_checks(capsys):
     for suite, bound in (("relations", "2"), ("identities", "1"), ("dims", "1")):
         code, out, _ = run(capsys, "verify", suite, "--max-mn", bound, "--json")

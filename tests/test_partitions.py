@@ -109,6 +109,38 @@ def test_atypical_subset_of_cross():
                 assert classify_atypical(lam, m, n) == lab
 
 
+def _atypical_set_by_family(m, n):
+    """The atypical set enumerated family by family in each regime: the
+    oracle for the derivation from the column layout."""
+    labels = []
+    if m > n:
+        a = m - n
+        labels += [atyp("delta", False, a, s) for s in range(0, n + 1)]
+        labels += [atyp("delta1", False, a, s) for s in range(2, min(a, n) + 1)]
+        labels += [atyp("delta2", False, a, s) for s in range(a, n - 1)]
+    elif m == n:
+        labels += [atyp("delta", False, 0, 0)]
+        labels += [atyp("delta2", False, 0, s) for s in range(0, n - 1)]
+        labels += [atyp("delta2", True, 0, s) for s in range(1, n - 1)]
+    else:
+        a = n - m
+        labels += [atyp("delta", True, a, s) for s in range(0, m + 1)]
+        labels += [atyp("delta1", True, a, s) for s in range(2, min(a, m) + 1)]
+        labels += [atyp("delta2", True, a, s) for s in range(a, m - 1)]
+    out = {}
+    for lab in labels:
+        bp = atypical_bipartition(lab)
+        assert out.setdefault(bp, lab) == lab, (m, n, lab)
+    return out
+
+
+def test_atypical_set_matches_family_enumeration():
+    for total in range(1, 41):
+        for m in range(total + 1):
+            n = total - m
+            assert atypical_set(m, n) == _atypical_set_by_family(m, n), (m, n)
+
+
 def test_classify_respects_gswap():
     for m in range(0, 9):
         for n in range(0, 9 - m):

@@ -4,6 +4,7 @@ from mixedchain.fusion import GrothVector
 from mixedchain.partitions import (
     atyp,
     atypical_bipartition,
+    atypical_columns,
     atypical_set,
     classify_atypical,
     cross_set,
@@ -13,7 +14,6 @@ from mixedchain.partitions import (
 from mixedchain.xcat import (
     NIsZero,
     NotCross,
-    atypical_columns,
     dim_simple_x,
     dim_term,
     dims_for,
