@@ -218,9 +218,18 @@ class CheckResult:
 
 
 def _as_backend(mat: SparseMatrix, point: EvalPoint | None) -> SparseMatrix:
+    """The symbolic matrix at q = point; each distinct entry is evaluated once."""
     if point is None:
         return mat
-    return mat.map_values(lambda v: v.eval_at(point))
+    memo: dict[QScalar, Fraction] = {}
+
+    def value(v: QScalar) -> Fraction:
+        x = memo.get(v)
+        if x is None:
+            x = memo[v] = v.eval_at(point)
+        return x
+
+    return mat.map_values(value)
 
 
 def _scalar(value: QScalar, point: EvalPoint | None):

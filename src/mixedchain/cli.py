@@ -1,7 +1,9 @@
 """Command-line front end: decompositions, tables, verification sweeps.
 
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 usage
-error.  All output is deterministic for a fixed seed.
+error, 3 internal error (any other exception; a JSON record with its type
+and detail goes to stderr, nothing to stdout).  All output is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -259,6 +261,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(json.dumps({"error": "internal error", "type": type(exc).__name__,
+                          "detail": str(exc)}), file=sys.stderr)
+        return 3
     return 2
 
 

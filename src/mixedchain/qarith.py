@@ -1,6 +1,10 @@
 """Exact arithmetic in the field Q(q) of rational functions in one variable q.
 
-Scalars are ratios of Laurent polynomials with rational coefficients.  Two
+Scalars are ratios of Laurent polynomials with rational coefficients.  A
+coefficient is stored as an ``int`` when it is integral and as a
+``Fraction`` otherwise; a ``float`` coefficient is refused with
+``TypeError``.  Sums and products may leave an integral ``Fraction`` in place,
+which is harmless because ``2 == Fraction(2)`` and both hash alike.  Two
 backends share this module: the exact one (QScalar everywhere) and a fast
 probabilistic one that evaluates scalars at fixed rational points q = p
 (see :func:`eval_points`).  No floating point is used anywhere.
@@ -19,6 +23,21 @@ class PoleAtPoint(ArithmeticError):
     """Raised when a scalar is evaluated at a zero of its denominator."""
 
 
+def _norm(v):
+    """An exact coefficient: ``int`` if integral, else ``Fraction``."""
+    if type(v) is int:
+        return v
+    if isinstance(v, float):
+        raise TypeError(f"inexact coefficient {v!r}: use an int or a Fraction")
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _div(a, b):
+    """The exact quotient of two coefficients (a bare ``/`` of ints is a float)."""
+    return _norm(Fraction(a, b))
+
+
 class LaurentPoly:
     """A Laurent polynomial sum(c_k * q^k) stored as {k: c_k}, no zero c_k.
 
@@ -32,18 +51,18 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
+                v = _norm(v)
                 if v:
                     c[k] = v
         self.c = c
 
     @staticmethod
     def const(v) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(v)})
+        return LaurentPoly({0: v})
 
     @staticmethod
     def q_power(k: int, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({k: Fraction(coeff)})
+        return LaurentPoly({k: coeff})
 
     def is_zero(self) -> bool:
         return not self.c
@@ -94,11 +113,11 @@ class LaurentPoly:
         return out
 
     def scale(self, v) -> "LaurentPoly":
-        v = Fraction(v)
+        v = _norm(v)
         if not v:
             return LaurentPoly()
         out = LaurentPoly.__new__(LaurentPoly)
-        out.c = {k: cv * v for k, cv in self.c.items()}
+        out.c = {k: _norm(cv * v) for k, cv in self.c.items()}
         return out
 
     def shift(self, d: int) -> "LaurentPoly":
@@ -152,7 +171,7 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
         dr = max(r)
         if dr < db:
             break
-        f = r[dr] / lb
+        f = _div(r[dr], lb)
         quo[dr - db] = f
         for k, v in b.c.items():
             kk = k + dr - db
@@ -173,7 +192,7 @@ def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         a, b = b, (r.shift(-r.min_exp()) if r else r)
     if not a:
         return LaurentPoly.const(1)
-    return a.scale(1 / a.c[a.max_exp()])
+    return a.scale(_div(1, a.c[a.max_exp()]))
 
 
 _ONE_LP = LaurentPoly.const(1)
@@ -202,7 +221,7 @@ class QScalar:
         d0 = den.min_exp()
         if len(den.c) == 1:
             # unit denominator c*q^d0
-            self.num = num.shift(-d0).scale(1 / den.c[d0])
+            self.num = num.shift(-d0).scale(_div(1, den.c[d0]))
             self.den = _ONE_LP
             return
         n0 = num.min_exp()
@@ -216,8 +235,9 @@ class QScalar:
         den = b
         lo = den.c[den.min_exp()]
         if lo != 1:
-            num = num.scale(1 / lo)
-            den = den.scale(1 / lo)
+            inv = _div(1, lo)
+            num = num.scale(inv)
+            den = den.scale(inv)
         if den.c == _ONE_LP.c:
             den = _ONE_LP
         self.num, self.den = num, den
@@ -324,6 +344,8 @@ class EvalPoint:
     __slots__ = ("value",)
 
     def __init__(self, value):
+        if isinstance(value, float):
+            raise TypeError(f"inexact evaluation point {value!r}: use a Fraction")
         value = Fraction(value)
         if value == 0 or value == 1 or value == -1:
             raise ValueError("evaluation point must avoid 0 and |value| = 1")

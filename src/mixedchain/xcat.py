@@ -4,9 +4,10 @@ Specht modules S, simple heads D and projective covers K are labelled by
 cross bipartitions; atypical labels additionally carry a Loewy structure.
 This module derives the projective structures from the column layout of
 the atypical locus, which `partitions.atypical_columns` owns.  It encodes
-the restriction rules for S, D, K down one right strand (left strands via
-the swap involution), the flattening functor that replaces a projective by
-its simple subquotients, and the dimension ledger read off the chain.
+the restriction rules for S, D, K down one right strand (the left strand is
+its mirror under the swap involution), the flattening functor that replaces
+a projective by its simple subquotients, and the dimension ledger read off
+the chain.
 
 Every restriction case table is dispatched through explicit per-display
 guards with a unique-match assertion, so a transcription slip fails loudly
@@ -31,7 +32,6 @@ from .partitions import (
     atypical_bipartition,
     atypical_columns,
     classify_atypical,
-    gswap,
     gswap_label,
     is_cross21,
     is_partition,
@@ -165,29 +165,6 @@ def res_right_s(lam: Bipartition, m: int, n: int) -> GrothVector:
     for mu in _generic_restriction(lam, m, n):
         out.add(mu)
     return out
-
-
-def specht_atypical_factors(lam: Bipartition, m: int, n: int) -> list[Bipartition]:
-    """Simple factors (head first) of a Specht label, where known.
-
-    Typical Specht labels are simple.  For the hook-shaped atypical family
-    (and its mirror) the two-step gluing along the column ladder is encoded;
-    the Specht structure of the remaining atypical families is not needed
-    anywhere and is not modelled.
-    """
-    lab = classify_atypical(lam, m, n)
-    if lab is None:
-        return [lam]
-    if lab.family != "delta":
-        raise ValueError(f"Specht factors of {lab} are not modelled")
-    cols, extra, host = atypical_columns(m, n)
-    bip = atypical_bipartition
-    if lab == extra:
-        return [lam] if host is None else [lam, bip(cols[host])]
-    i = cols.index(lab)
-    if i == 0:
-        return [lam]
-    return [lam, bip(cols[i - 1])]
 
 
 def _row(k: int):
@@ -581,21 +558,6 @@ def res_right_k(lam: Bipartition, m: int, n: int) -> GrothVector:
     if lab is None:
         return res_right_d(lam, m, n)
     return _res_k_atypical(lab, m, n)
-
-
-def res_left(lam: Bipartition, kind: str, m: int, n: int) -> GrothVector:
-    """Restriction one step down on the left side, via the swap involution."""
-    if m < 1:
-        raise NIsZero("left restriction needs m >= 1")
-    fn = {"S": res_right_s, "D": res_right_d, "K": res_right_k}[kind]
-    mirrored = fn(gswap(lam), n, m)
-    out = GrothVector()
-    for term, mult in mirrored.items():
-        if kind == "S":
-            out.add(gswap(term), mult)
-        else:
-            out.add((term[0], gswap(term[1])), mult)
-    return out
 
 
 # ---------------------------------------------------------------------------

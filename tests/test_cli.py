@@ -147,3 +147,17 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert json.loads(err)["error"] == "verification failed"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import mixedchain.cli as cli
+
+    def broken(m, n):
+        raise AssertionError("library guard tripped")
+
+    monkeypatch.setattr(cli, "chain_decompose", broken)
+    code, out, err = run(capsys, "decompose", "2", "1")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "internal error", "type": "AssertionError",
+                               "detail": "library guard tripped"}

@@ -16,6 +16,7 @@ from mixedchain.qarith import (
     PoleAtPoint,
     QScalar,
     eval_points,
+    lp_gcd,
     qint,
     qpow,
 )
@@ -142,3 +143,65 @@ def test_rendering():
 
 def test_minus_one_constant():
     assert MINUS_ONE * MINUS_ONE == ONE
+
+
+def _coefficients(*values):
+    for v in values:
+        polys = (v.num, v.den) if isinstance(v, QScalar) else (v,)
+        for p in polys:
+            yield from p.c.values()
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.1})
+    with pytest.raises(TypeError):
+        QScalar.const(0.1)
+    with pytest.raises(TypeError):
+        qpow(2, 0.5)
+    with pytest.raises(TypeError):
+        EvalPoint(0.5)
+
+
+def test_integral_coefficients_are_ints():
+    assert type(LaurentPoly({0: Fraction(4, 2)}).c[0]) is int
+    assert type(QScalar.const(Fraction(-6, 3)).num.c[0]) is int
+    x = QScalar(LaurentPoly({1: 2, 0: 4}), LaurentPoly({0: 2}))
+    assert all(type(c) is int for c in _coefficients(x))
+
+
+def test_int_and_integral_fraction_coefficients_agree():
+    # sums and products may leave an integral Fraction in place of an int
+    half = LaurentPoly({0: Fraction(1, 2), 3: Fraction(-5, 2)})
+    made = half + half
+    assert made.c == {0: 1, 3: -5} and type(made.c[0]) is Fraction
+    for k in (-4, -1, 1, 2, 5):
+        for e in (-2, 0, 3):
+            as_int = LaurentPoly({e: k, e + 1: 1})
+            as_frac = LaurentPoly.__new__(LaurentPoly)
+            as_frac.c = {e: Fraction(k), e + 1: Fraction(1)}
+            assert as_int == as_frac and hash(as_int) == hash(as_frac)
+            assert str(as_int) == str(as_frac)
+            a, b = QScalar.from_poly(as_int), QScalar.from_poly(as_frac)
+            assert a == b and hash(a) == hash(b) and str(a) == str(b)
+            den = LaurentPoly({0: 1, 1: 1})
+            a, b = QScalar(as_int, den), QScalar(as_frac, den)
+            assert a == b and hash(a) == hash(b) and str(a) == str(b)
+
+
+exact_coeffs = st.one_of(st.integers(min_value=-6, max_value=6),
+                         st.fractions(min_value=-5, max_value=5, max_denominator=7))
+polys = st.dictionaries(st.integers(min_value=-4, max_value=4), exact_coeffs,
+                        min_size=1, max_size=4).map(LaurentPoly).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, polys)
+def test_coefficients_stay_exact(a, b, c):
+    # QScalar(num, den) canonicalises through lp_gcd whenever den is not a unit
+    x = QScalar(a, b)
+    y = QScalar(c, b + c) if b + c else QScalar.from_poly(c)
+    values = [x, y, x + y, x - y, x * y, -x, x / y, y.invert(),
+              lp_gcd(b, c), lp_gcd(a, b * c)]
+    for v in _coefficients(*values):
+        assert type(v) in (int, Fraction), v

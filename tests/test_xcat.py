@@ -20,11 +20,9 @@ from mixedchain.xcat import (
     proj_structure,
     q_expand,
     q_functor,
-    res_left,
     res_right_d,
     res_right_k,
     res_right_s,
-    specht_atypical_factors,
 )
 
 bip = atypical_bipartition
@@ -279,6 +277,42 @@ def test_q_functor():
     out = q_functor(("K", bip(atyp("delta", False, 2, 0))), 5, 3)
     assert dict(out) == {("D", bip(atyp("delta", False, 2, 0))): 1,
                          ("D", bip(atyp("delta", False, 2, 1))): 1}
+
+
+def res_left(lam, kind, m, n):
+    """Restriction one step down on the left side, via the swap involution."""
+    if m < 1:
+        raise NIsZero("left restriction needs m >= 1")
+    fn = {"S": res_right_s, "D": res_right_d, "K": res_right_k}[kind]
+    mirrored = fn(gswap(lam), n, m)
+    out = GrothVector()
+    for term, mult in mirrored.items():
+        if kind == "S":
+            out.add(gswap(term), mult)
+        else:
+            out.add((term[0], gswap(term[1])), mult)
+    return out
+
+
+def specht_atypical_factors(lam, m, n):
+    """Simple factors (head first) of a Specht label, where known.
+
+    Typical Specht labels are simple.  For the hook-shaped atypical family
+    (and its mirror) the two-step gluing along the column ladder is encoded;
+    the Specht structure of the remaining atypical families is not modelled.
+    """
+    lab = classify_atypical(lam, m, n)
+    if lab is None:
+        return [lam]
+    if lab.family != "delta":
+        raise ValueError(f"Specht factors of {lab} are not modelled")
+    cols, extra, host = atypical_columns(m, n)
+    if lab == extra:
+        return [lam] if host is None else [lam, bip(cols[host])]
+    i = cols.index(lab)
+    if i == 0:
+        return [lam]
+    return [lam, bip(cols[i - 1])]
 
 
 def test_res_left_via_swap():
