@@ -63,48 +63,36 @@ def semisimple_part(m: int, n: int) -> tuple[SemisimplePair, ...]:
         return tuple((gswap(lam), gbar(z)) for lam, z in semisimple_part(n, m))
     pairs: list[SemisimplePair] = []
     a = m - n
-    if m > n:
-        for s in range(1, n + 1):
-            for k in range(1, a + s + 1):
-                if k == a:
-                    continue
-                pairs.append(((_hook(k, s - k + a), (s,)),
-                              bar("Z", s + k + a + 1, k - a, s + a)))
-        for s in range(a + 2, m + 1):
-            for k in range(1, s - a):
-                pairs.append((((s,), _hook(k, s - k - a)),
-                              bar("Z", s + k + a + 1, s - a, k + a)))
-        for s in range(1, n):
-            for k in range(1, min(s, n - s) + 1):
-                pairs.append((((1,) * (s + k + a), (s, k)),
-                              bar("Z", s + k + a, 1 - k - a, s + a)))
-        for s in range(a + 1, m):
-            for k in range(1, min(s, m - s) + 1):
-                if k == a + 1:
-                    continue
-                pairs.append((((s, k), (1,) * (s + k - a)),
-                              bar("Z", s + k + a, s - a, 1 - k + a)))
-        for k in range(1, a // 2 + 1):
-            for s in range(k, a - k + 1):
-                pairs.append((((s, k) + (1,) * (a - s - k), ()),
-                              bar("Z", s + k + a, s - a, 1 - k + a)))
-        for s in range(a // 2 + 1, a):
-            for k in range(1 - s + a, min(s, m - s) + 1):
-                pairs.append((((s, k), (1,) * (s + k - a)),
-                              bar("Z", s + k + a, s - a, 1 - k + a)))
-    else:
-        for s in range(1, m + 1):
-            for k in range(1, s + 1):
-                pairs.append(((_hook(k, s - k), (s,)), bar("Z", s + k + 1, k, s)))
-        for s in range(2, m + 1):
-            for k in range(1, s):
-                pairs.append((((s,), _hook(k, s - k)), bar("Z", s + k + 1, s, k)))
-        for s in range(2, m):
-            for k in range(2, min(s, m - s) + 1):
-                pairs.append((((1,) * (s + k), (s, k)), bar("Z", s + k, 1 - k, s)))
-        for s in range(1, m):
-            for k in range(2, min(s, m - s) + 1):
-                pairs.append((((s, k), (1,) * (s + k)), bar("Z", s + k, s, 1 - k)))
+    for s in range(1, n + 1):
+        for k in range(1, a + s + 1):
+            if k == a:
+                continue
+            pairs.append(((_hook(k, s - k + a), (s,)),
+                          bar("Z", s + k + a + 1, k - a, s + a)))
+    for s in range(a + 2, m + 1):
+        for k in range(1, s - a):
+            pairs.append((((s,), _hook(k, s - k - a)),
+                          bar("Z", s + k + a + 1, s - a, k + a)))
+    for s in range(1, n):
+        for k in range(1, min(s, n - s) + 1):
+            if k == 1 - a:  # t = 0 is atypical; happens only at m == n
+                continue
+            pairs.append((((1,) * (s + k + a), (s, k)),
+                          bar("Z", s + k + a, 1 - k - a, s + a)))
+    for s in range(a + 1, m):
+        for k in range(1, min(s, m - s) + 1):
+            if k == a + 1:
+                continue
+            pairs.append((((s, k), (1,) * (s + k - a)),
+                          bar("Z", s + k + a, s - a, 1 - k + a)))
+    for k in range(1, a // 2 + 1):
+        for s in range(k, a - k + 1):
+            pairs.append((((s, k) + (1,) * (a - s - k), ()),
+                          bar("Z", s + k + a, s - a, 1 - k + a)))
+    for s in range(a // 2 + 1, a):
+        for k in range(1 - s + a, min(s, m - s) + 1):
+            pairs.append((((s, k), (1,) * (s + k - a)),
+                          bar("Z", s + k + a, s - a, 1 - k + a)))
     for lam, z in pairs:
         if is_atypical(bar_to_plain(z)):
             raise AssertionError(f"atypical label {z} in the semisimple part")

@@ -1,8 +1,9 @@
 """Command-line front end: decompositions, tables, verification sweeps.
 
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 usage
-error, 3 internal error (any other exception; a JSON record with its type
-and detail goes to stderr, nothing to stdout).  All output is
+error (a bad command line or input value; a JSON `{"error": ...}` record
+goes to stderr), 3 internal error (any other exception; a JSON record with
+its type and detail goes to stderr, nothing to stdout).  All output is
 deterministic for a fixed seed.
 """
 
@@ -187,52 +188,48 @@ def _run_verify(args) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="force JSON output")
-    common.add_argument("--backend", choices=("symbolic", "eval"), default="symbolic")
-    common.add_argument("--seed", type=int, default=20177)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for verification sweeps")
-    common.add_argument("--max-mn", type=int, default=None)
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a usage error for `main`, not by exiting."""
 
-    parser = argparse.ArgumentParser(prog="mixedchain")
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def make_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="mixedchain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="indecomposable content of the chain")
+    p = sub.add_parser("decompose", help="indecomposable content of the chain")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("bimodule", parents=[common],
-                       help="full bimodule decomposition with audits")
+    p = sub.add_parser("bimodule", help="full bimodule decomposition with audits")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("table", parents=[common],
-                       help="(t,r) table of the semisimple part")
+    p = sub.add_parser("table", help="(t,r) table of the semisimple part")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
+    p.add_argument("--json", action="store_true", help="JSON instead of CSV")
 
-    p = sub.add_parser("dump-rep", parents=[common],
-                       help="generator matrices of a module")
+    p = sub.add_parser("dump-rep", help="generator matrices of a module")
     p.add_argument("label")
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", nargs="?", default="all",
                    choices=("relations", "centralizer", "identities", "dims", "all"))
+    p.add_argument("--json", action="store_true", help="JSON report")
+    p.add_argument("--backend", choices=("symbolic", "eval"), default="symbolic")
+    p.add_argument("--seed", type=int, default=20177)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for verification sweeps")
+    p.add_argument("--max-mn", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        args = make_parser().parse_args(argv)
         if args.command in ("decompose", "bimodule", "table") and (
                 args.m < 0 or args.n < 0 or args.m + args.n < 1):
             raise ValueError("need m, n >= 0 with m + n >= 1")
@@ -257,7 +254,11 @@ def main(argv=None) -> int:
             print(json.dumps(_rep_payload(parse_label(args.label)), sort_keys=True))
             return 0
         if args.command == "verify":
+            if args.jobs < 1:
+                raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
             return _run_verify(args)
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     except (ValueError, KeyError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -1,17 +1,21 @@
 """Label-level fusion with the two fundamental three-dimensional modules.
 
 The complete rule table for tensoring any simple module or projective cover
-with the fundamental module (s,r) = (1,1) or its dual (2,0), and the
-iterated decomposition of the chain built from m copies of the first and n
-of the second.  The dispatcher tries the exceptional low-spin cases first,
-then the regular families, and insists that exactly one rule fires.
+with the dual fundamental module (s,r) = (2,0), and the iterated
+decomposition of the chain built from m copies of the fundamental module
+(s,r) = (1,1) and n of its dual.  The dispatcher tries the exceptional
+low-spin cases first, then the regular families, and insists that exactly
+one rule fires.  Tensoring with (1,1) needs no table of its own:
+Z^{a,b}_{1,1} is the contragredient of Z^{a,-b}_{2,0}, so x (x) Z^{a,b}_{1,1}
+is the dual of x* (x) Z^{a,-b}_{2,0}, read through `uqmod.dual`; likewise
+the chain 3^m is the dual of 3bar^m.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .uqmod import R, RLabel, Z, ZLabel, dim_label
+from .uqmod import R, RLabel, Z, ZLabel, dim_label, dual
 
 Label = ZLabel | RLabel
 
@@ -50,47 +54,6 @@ def gv(*pairs) -> GrothVector:
 
 def dim_of_groth(v: GrothVector) -> int:
     return v.total_dim()
-
-
-def _rules_with_f(x: Label, a: int, b: int):
-    """Candidate decompositions of x (x) Z^{a2,b2}_{1,1}, with a = a1*a2 etc."""
-    s, r = x.s, x.r
-    out = []
-    if isinstance(x, ZLabel):
-        # exceptional cases
-        if (s, r) == (1, 0):
-            out.append(("x:Z10", gv((Z(a, b, 1, 1), 1))))
-        if (s, r) == (1, -1):
-            out.append(("x:Z1-1", gv((R(a, -b, 2, 0), 1))))
-        if s == 1 and r not in (-1, 0, 1):
-            out.append(("x:Z1r", gv((Z(a, b, 1, r + 1), 1), (Z(a, -b, 2, r + 1), 1))))
-        # regular families
-        if r == 0 and s >= 2:
-            out.append(("Zs0", gv((Z(a, -b, s - 1, 0), 1), (Z(a, b, s, 1), 1))))
-        if r == s and s >= 1:
-            out.append(("Zss", gv((Z(a, -b, s + 1, s + 1), 1), (Z(a, b, s, s + 1), 1))))
-        if r not in (0, s) and s >= 2:
-            if r == -1:
-                out.append(("Zt-1", gv((R(a, -b, s + 1, 0), 1), (Z(a, -b, s - 1, -1), 1))))
-            elif r == s - 1:
-                out.append(("Zts-1", gv((R(a, -b, s - 1, s - 1), 1), (Z(a, -b, s + 1, s), 1))))
-            else:
-                out.append(("Zt", gv((Z(a, b, s, r + 1), 1), (Z(a, -b, s + 1, r + 1), 1),
-                                     (Z(a, -b, s - 1, r), 1))))
-    else:
-        if (s, r) == (2, 0):
-            out.append(("x:R20", gv((R(a, -b, 1, 0), 1), (Z(a, b, 2, 1), 2), (Z(a, -b, 3, 1), 1))))
-        if (s, r) == (1, 0):
-            out.append(("x:R10", gv((R(a, b, 1, 1), 1), (Z(a, b, 1, 2), 1), (Z(a, -b, 2, 1), 1))))
-        if (s, r) == (1, 1):
-            out.append(("x:R11", gv((R(a, -b, 2, 2), 1), (Z(a, b, 1, 2), 2), (Z(a, -b, 2, 3), 1))))
-        if r == 0 and s >= 3:
-            out.append(("Rs0", gv((R(a, -b, s - 1, 0), 1), (Z(a, b, s, 1), 2),
-                                  (Z(a, -b, s - 1, 1), 1), (Z(a, -b, s + 1, 1), 1))))
-        if r == s and s >= 2:
-            out.append(("Rss", gv((R(a, -b, s + 1, s + 1), 1), (Z(a, b, s, s + 1), 2),
-                                  (Z(a, -b, s - 1, s), 1), (Z(a, -b, s + 1, s + 2), 1))))
-    return out
 
 
 def _rules_with_v(x: Label, a: int, b: int):
@@ -143,16 +106,21 @@ def _dispatch(x: Label, rules) -> GrothVector:
     return hits[0]
 
 
-def fuse_with_f(x: Label, alpha2: int = 1, beta2: int = -1) -> GrothVector:
-    """Tensor with the fundamental module Z^{alpha2,beta2}_{1,1}."""
-    a, b = x.alpha * alpha2, x.beta * beta2
-    return _dispatch(x, _rules_with_f(x, a, b))
-
-
 def fuse_with_v(x: Label, alpha2: int = 1, beta2: int = 1) -> GrothVector:
     """Tensor with the dual fundamental module Z^{alpha2,beta2}_{2,0}."""
     a, b = x.alpha * alpha2, x.beta * beta2
     return _dispatch(x, _rules_with_v(x, a, b))
+
+
+def _dual_vector(v: GrothVector) -> GrothVector:
+    """The contragredient of every summand; dual is a bijection on labels."""
+    return GrothVector({dual(x): mult for x, mult in v.items()})
+
+
+def fuse_with_f(x: Label, alpha2: int = 1, beta2: int = -1) -> GrothVector:
+    """Tensor with the fundamental module Z^{alpha2,beta2}_{1,1}: the dual of
+    x* (x) Z^{alpha2,-beta2}_{2,0}."""
+    return _dual_vector(fuse_with_v(dual(x), alpha2, -beta2))
 
 
 def fuse_vector(v: GrothVector, fuse) -> GrothVector:
@@ -170,12 +138,8 @@ def _chain(m: int, n: int) -> tuple:
         # empty chain: the trivial one-dimensional module
         v = gv((Z(1, 1, 1, 0), 1))
     elif n == 0:
-        if m == 1:
-            v = gv((Z(1, -1, 1, 1), 1))
-        else:
-            v = fuse_vector(GrothVector(dict(_chain(m - 1, 0))), fuse_with_f)
-    elif m == 0 and n == 1:
-        v = gv((Z(1, 1, 2, 0), 1))
+        # 3^m is the dual of 3bar^m
+        v = _dual_vector(GrothVector(dict(_chain(0, m))))
     else:
         v = fuse_vector(GrothVector(dict(_chain(m, n - 1))), fuse_with_v)
     return tuple(sorted(v.items(), key=lambda kv: _label_sort_key(kv[0])))

@@ -2,7 +2,7 @@
 
 Partitions are tuples of weakly decreasing positive integers; a bipartition
 is a pair (left, right) of partitions.  This module owns the index sets
-Lambda_{m,n}(f), the hook/cross tests, the three atypical label families
+Lambda_{m,n}(f), the cross test, the three atypical label families
 with their mirror images, and the swap involution that exchanges the two
 sides of every bipartition.  It also owns the column layout of the atypical
 locus: the order in which the atypical labels of a context chain into the
@@ -119,28 +119,20 @@ def rem_boxes(mu: Partition) -> list[Partition]:
     return out
 
 
-def is_hook(mu: Partition, p: int, q: int) -> bool:
-    """True iff mu has no box at position (p+1, q+1), i.e. mu_{p+1} < q+1."""
-    row = mu[p] if p < len(mu) else 0
-    return row < q + 1
-
-
-def is_cross(lam: Bipartition, p: int, q: int) -> bool:
-    """(p,q)-cross test: the two halves are (p_i,q_i)-hooks with p1+p2 <= p, q1+q2 <= q."""
-    left, right = lam
-    for p1 in range(p + 1):
-        for q1 in range(q + 1):
-            if not is_hook(left, p1, q1):
-                continue
-            for p2 in range(p + 1 - p1):
-                for q2 in range(q + 1 - q1):
-                    if is_hook(right, p2, q2):
-                        return True
-    return False
+def _wide(mu: Partition) -> int:
+    """Number of parts >= 2."""
+    return len(mu) - mu.count(1)
 
 
 def is_cross21(lam: Bipartition) -> bool:
-    return is_cross(lam, 2, 1)
+    """(2,1)-cross test: the two halves are (p_i,q_i)-hooks, with no box at
+    (p_i+1, q_i+1), for some p1+p2 <= 2 and q1+q2 <= 1.
+
+    A (p,0)-hook has at most p parts and a (p,1)-hook at most p parts >= 2,
+    so the test is the closed form below.
+    """
+    left, right = lam
+    return len(left) + _wide(right) <= 2 or _wide(left) + len(right) <= 2
 
 
 def cross_set(m: int, n: int) -> list[Bipartition]:

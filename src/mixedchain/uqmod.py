@@ -9,9 +9,15 @@ Loewy graph; the gluing maps and edge constants are hard data below, and
 `relation_residuals` checks every defining relation as an exact matrix
 identity.
 
+`dual` maps a label to the label of its contragredient module; the fusion
+layer derives tensoring with the fundamental module from tensoring with its
+dual through it.
+
 The alternate label alphabet (barred labels, indexed by parity p and a pair
 (t, r) with t*r = 0 on the atypical locus) used by the bimodule layer is
-also translated here.
+also translated here.  Its mirror `gbar`, which swaps t and r, is the
+duality read in that alphabet, and the barred cover subquotients are the
+plain ones translated.
 """
 
 from __future__ import annotations
@@ -110,6 +116,24 @@ def proj_subquotients(rl: RLabel) -> list[ZLabel]:
     return [Z(a, b, s, s), Z(a, -b, s + 1, s + 1), Z(a, -b, s - 1, s - 1), Z(a, b, s, s)]
 
 
+def dual(x):
+    """Label of the contragredient module x*.
+
+    Typicals keep (s, r) up to r -> s - r; the two atypical families trade
+    places, (s, s) <-> (s + 1, 0) with the sign b flipped, so the trivial
+    module Z^{a,b}_{1,0} is self-dual.  A cover goes to the cover of the
+    dual of its top.
+    """
+    a, b, s, r = x.alpha, x.beta, x.s, x.r
+    if r == s:
+        z = Z(a, -b, s + 1, 0)
+    elif r == 0:
+        z = Z(a, -b, s - 1, s - 1)
+    else:
+        z = Z(a, b, s, s - r)
+    return z if isinstance(x, ZLabel) else R(z.alpha, z.beta, z.s, z.r)
+
+
 def simple_subquotients(x) -> list[ZLabel]:
     """Composition factors of an indecomposable label (identity on simples)."""
     return [x] if isinstance(x, ZLabel) else proj_subquotients(x)
@@ -176,15 +200,7 @@ def bar_subquotients(b: BarLabel) -> list[BarLabel]:
     """[top, left, right, bottom] of a barred projective cover."""
     if b.kind != "R":
         return [b]
-    p, t, r = b.p, b.t, b.r
-    top = bar("Z", p, t, r)
-    if t == 0 and r == 0:
-        mids = [bar("Z", p + 1, 1, 0), bar("Z", p - 1, 0, 1)]
-    elif r == 0:
-        mids = [bar("Z", p + 1, t + 1, 0), bar("Z", p - 1, t - 1, 0)]
-    else:
-        mids = [bar("Z", p + 1, 0, r + 1), bar("Z", p - 1, 0, r - 1)]
-    return [top, mids[0], mids[1], top]
+    return [plain_to_bar(z) for z in proj_subquotients(bar_to_plain(b))]
 
 
 def dim_bar(b: BarLabel) -> int:

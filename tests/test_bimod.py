@@ -25,6 +25,33 @@ def test_semisimple_smallest():
     assert semisimple_part(2, 1) == ((((2,), (1,)), bar("Z", 5, 1, 2)),)
 
 
+def _semisimple_balanced(m):
+    """The four families of the m == n semisimple part as once transcribed:
+    the oracle for running the m > n families at m == n."""
+    def hook(k, ones):
+        return (k,) + (1,) * ones
+
+    pairs = []
+    for s in range(1, m + 1):
+        for k in range(1, s + 1):
+            pairs.append(((hook(k, s - k), (s,)), bar("Z", s + k + 1, k, s)))
+    for s in range(2, m + 1):
+        for k in range(1, s):
+            pairs.append((((s,), hook(k, s - k)), bar("Z", s + k + 1, s, k)))
+    for s in range(2, m):
+        for k in range(2, min(s, m - s) + 1):
+            pairs.append((((1,) * (s + k), (s, k)), bar("Z", s + k, 1 - k, s)))
+    for s in range(1, m):
+        for k in range(2, min(s, m - s) + 1):
+            pairs.append((((s, k), (1,) * (s + k)), bar("Z", s + k, s, 1 - k)))
+    return tuple(sorted(pairs, key=lambda p: (p[1].t, p[1].r, p[0])))
+
+
+def test_semisimple_balanced_matches_transcription():
+    for m in range(1, 41):
+        assert semisimple_part(m, m) == _semisimple_balanced(m), m
+
+
 def test_semisimple_table_spot_values():
     cells = {(z.t, z.r): lam for lam, z in semisimple_part(5, 3)}
     assert cells[(3, 5)] == ((5,), (3,))

@@ -106,12 +106,21 @@ def test_verify_bound_without_contexts_is_usage_error(capsys, argv):
     ("bimodule", "0", "0"),
     ("table", "0", "0"),
     ("table", "0", "0", "--json"),
+    ("decompose", "x", "1"),
+    ("verify", "bogus"),
 ])
 def test_invalid_jobs_or_context_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+def test_help_exits_zero(capsys):
+    for argv in (("--help",), ("verify", "--help")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: mixedchain")
 
 
 @pytest.mark.parametrize("backend", ["symbolic", "eval"])

@@ -16,7 +16,6 @@ from mixedchain.partitions import (
     gswap,
     gswap_label,
     is_cross21,
-    is_hook,
     lambda_all,
     lambda_set,
     part_str,
@@ -59,6 +58,36 @@ def test_add_rem_duality(k, data):
         assert mu in rem_boxes(nu)
     for nu in rem_boxes(mu):
         assert mu in add_boxes(nu)
+
+
+def is_hook(mu, p, q):
+    """True iff mu has no box at position (p+1, q+1), i.e. mu_{p+1} < q+1."""
+    row = mu[p] if p < len(mu) else 0
+    return row < q + 1
+
+
+def is_cross(lam, p, q):
+    """(p,q)-cross test by brute force: the two halves are (p_i,q_i)-hooks
+    with p1+p2 <= p, q1+q2 <= q.  The oracle for the closed form."""
+    left, right = lam
+    for p1 in range(p + 1):
+        for q1 in range(q + 1):
+            if not is_hook(left, p1, q1):
+                continue
+            for p2 in range(p + 1 - p1):
+                for q2 in range(q + 1 - q1):
+                    if is_hook(right, p2, q2):
+                        return True
+    return False
+
+
+def test_cross_closed_form_matches_brute_force():
+    halves = [mu for k in range(15) for mu in partitions_of(k)]
+    assert len(halves) ** 2 == 258064
+    for left in halves:
+        for right in halves:
+            lam = (left, right)
+            assert is_cross21(lam) == is_cross(lam, 2, 1), lam
 
 
 def test_hooks():

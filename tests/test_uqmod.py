@@ -14,12 +14,15 @@ from mixedchain.uqmod import (
     bar_subquotients,
     bar_to_plain,
     build_projective,
+    build_rep,
     build_simple,
     check_relations,
     dim_bar,
     dim_label,
     dim_r,
     dim_z,
+    dual,
+    gbar,
     gl2_decomposition,
     plain_to_bar,
     proj_subquotients,
@@ -182,6 +185,74 @@ def test_bar_subquotients_match_plain_projectives():
             cov = bar_cover(bar("Z", p, t, r))
             bar_subs = [bar_to_plain(x) for x in bar_subquotients(cov)]
             assert bar_subs == proj_subquotients(bar_to_plain(cov))
+
+
+def _bar_subquotients_table(b):
+    """[top, left, right, bottom] transcribed in bar coordinates: the oracle
+    for the derivation from the plain covers, whose order fixes the vertex
+    order of the bimodule graph."""
+    if b.kind != "R":
+        return [b]
+    p, t, r = b.p, b.t, b.r
+    top = bar("Z", p, t, r)
+    if t == 0 and r == 0:
+        mids = [bar("Z", p + 1, 1, 0), bar("Z", p - 1, 0, 1)]
+    elif r == 0:
+        mids = [bar("Z", p + 1, t + 1, 0), bar("Z", p - 1, t - 1, 0)]
+    else:
+        mids = [bar("Z", p + 1, 0, r + 1), bar("Z", p - 1, 0, r - 1)]
+    return [top, mids[0], mids[1], top]
+
+
+def _bar_labels(bound=30):
+    """Every bar simple with t, r <= bound and its cover on the atypical locus."""
+    out = []
+    for p in (0, 1):
+        for t in range(bound + 1):
+            for r in range(bound + 1):
+                out.append(bar("Z", p, t, r))
+                if t == 0 or r == 0:
+                    out.append(bar("R", p, t, r))
+    return out
+
+
+def test_bar_subquotients_match_transcription():
+    for b in _bar_labels():
+        assert bar_subquotients(b) == _bar_subquotients_table(b), b
+
+
+def _small_labels():
+    """Acceptance criterion 3's simples (s <= 5, r in [-3, s+3]) and the
+    covers with s <= 5, all signs."""
+    out = []
+    for a, b in itertools.product(SIGNS, SIGNS):
+        for s in range(1, 6):
+            out += [Z(a, b, s, r) for r in range(-3, s + 4)]
+            out += [R(a, b, s, r) for r in (0, s)]
+    return out
+
+
+def test_dual_inverts_weights():
+    labels = _small_labels()
+    assert len(labels) == 240
+    for x in labels:
+        inverted = {(K.invert(), k.invert()): c
+                    for (K, k), c in weight_multiset(build_rep(x)).items()}
+        assert weight_multiset(build_rep(dual(x))) == inverted, x
+
+
+def test_dual_is_an_involution():
+    for a, b in itertools.product(SIGNS, SIGNS):
+        for s in range(1, 61):
+            for x in [Z(a, b, s, r) for r in range(-8, s + 9)] + [R(a, b, s, 0), R(a, b, s, s)]:
+                assert dual(dual(x)) == x, x
+    assert dual(Z(1, -1, 1, 0)) == Z(1, -1, 1, 0)  # the trivial module
+    assert dual(THREE) == THREE_BAR
+
+
+def test_bar_mirror_is_dual():
+    for b in _bar_labels():
+        assert bar_to_plain(gbar(b)) == dual(bar_to_plain(b)), b
 
 
 def test_hopf_axioms_on_fundamental():
