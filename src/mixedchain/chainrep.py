@@ -6,7 +6,10 @@ and the wall contraction e.  Embedded along the chain they generate the
 walled Brauer algebra at the specialized parameters (-1, 1/q^2, -1/q^2),
 and they commute with the full coproduct action of the quantum supergroup.
 Both statements are verified here as exact matrix identities, symbolically
-or at rational evaluation points.
+or at rational evaluation points.  Each walled-Brauer relation is checked on
+its window, the at most four sites its operators touch, which is exact for
+every (m, n) (see `qwb_relation_residuals`); the centralizer check uses the
+full-chain operators and coproduct.
 """
 
 from __future__ import annotations
@@ -238,7 +241,22 @@ def _scalar(value: QScalar, point: EvalPoint | None):
 
 def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
                            point: EvalPoint | None = None):
-    """Yield (name, residual) for every walled-Brauer relation on the chain."""
+    """Yield (name, residual) for every walled-Brauer relation on the chain.
+
+    Each residual is computed on its window, not on all 3^(m+n) sites.  The
+    window is the sorted union of the two-site supports of the relation's
+    operators (g_j on sites (m-j-1, m-j), h_i on (m+i-1, m+i), e on
+    (m-1, m)), at most four sites; an operator whose first site is at
+    position pos of a w-site window is 1_(3^pos) (x) X (x) 1_(3^(w-pos-2)),
+    with X its 9x9 matrix.  This is exact: the two sites of each operator
+    are consecutive integers, so they stay adjacent in the sorted union, and
+    with sigma the site permutation that moves the window to the front (in
+    order) every operator of the relation is sigma (X_window (x) 1) sigma^-1
+    on the chain.  Conjugation and tensoring with an identity are algebra
+    homomorphisms, so the chain residual is sigma (R (x) 1) sigma^-1 with R
+    the window residual, and since tensoring with an identity is injective
+    it is zero exactly when R is.  No matrix larger than 81x81 is built.
+    """
     m, n = ctx.m, ctx.n
     gam = _scalar(params.gamma, point)
     dlt = _scalar(params.delta, point)
@@ -247,53 +265,82 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
     if not gpd:
         raise SingularParams("gamma + delta = 0")
     one = Fraction(1) if point is not None else ONE
-    ident = SparseMatrix.identity(ctx.dim, one)
-    g = {j: _as_backend(ctx.chain_operator("g", j), point) for j in range(1, m)}
-    h = {i: _as_backend(ctx.chain_operator("h", i), point) for i in range(1, n)}
-    e = (_as_backend(ctx.chain_operator("e"), point)
-         if (m >= 1 and n >= 1) else None)
+    x9 = dict(zip("geh", (_as_backend(x, point) for x in fundamental_ops())))
+    memo: dict = {}
 
-    def quad(x):
+    def first_site(kind, index):
+        return {"g": m - index - 1, "h": m + index - 1, "e": m - 1}[kind]
+
+    def local(*ops):
+        """The operators (kind, index) embedded in their window, and its identity."""
+        sites = sorted({first_site(*op) + d for op in ops for d in (0, 1)})
+        w = len(sites)
+        mats = []
+        for kind, index in ops:
+            key = (kind, sites.index(first_site(kind, index)), w)
+            if key not in memo:
+                pos = key[1]
+                memo[key] = embed_factor(x9[kind], 3 ** pos, 3 ** (w - pos - 2))
+            mats.append(memo[key])
+        if w not in memo:
+            memo[w] = SparseMatrix.identity(3 ** w, one)
+        return mats, memo[w]
+
+    def quad(op):
+        (x,), ident = local(op)
         return (x - ident.scale(gam)) * (x - ident.scale(dlt))
 
-    for j, gj in g.items():
-        yield f"quad_g{j}", quad(gj)
-    for i, hi in h.items():
-        yield f"quad_h{i}", quad(hi)
+    def comm(a, b):
+        (x, y), _ = local(a, b)
+        return x * y - y * x
+
+    def braid(a, b):
+        (x, y), _ = local(a, b)
+        return x * y * x - y * x * y
+
+    g, h, e = range(1, m), range(1, n), ("e", 0)
+    for j in g:
+        yield f"quad_g{j}", quad(("g", j))
+    for i in h:
+        yield f"quad_h{i}", quad(("h", i))
     for j in g:
         for i in h:
-            yield f"comm_g{j}_h{i}", g[j] * h[i] - h[i] * g[j]
+            yield f"comm_g{j}_h{i}", comm(("g", j), ("h", i))
     for j1 in g:
         for j2 in g:
             if j2 - j1 > 1:
-                yield f"comm_g{j1}_g{j2}", g[j1] * g[j2] - g[j2] * g[j1]
+                yield f"comm_g{j1}_g{j2}", comm(("g", j1), ("g", j2))
     for i1 in h:
         for i2 in h:
             if i2 - i1 > 1:
-                yield f"comm_h{i1}_h{i2}", h[i1] * h[i2] - h[i2] * h[i1]
+                yield f"comm_h{i1}_h{i2}", comm(("h", i1), ("h", i2))
     for j in range(1, m - 1):
-        yield f"braid_g{j}", g[j] * g[j + 1] * g[j] - g[j + 1] * g[j] * g[j + 1]
+        yield f"braid_g{j}", braid(("g", j), ("g", j + 1))
     for i in range(1, n - 1):
-        yield f"braid_h{i}", h[i] * h[i + 1] * h[i] - h[i + 1] * h[i] * h[i + 1]
-    if e is not None:
-        yield "ee", e * e - e.scale((tht + one) / gpd)
-        if 1 in g:
-            yield "ege", e * g[1] * e - e
-        if 1 in h:
-            yield "ehe", e * h[1] * e - e
+        yield f"braid_h{i}", braid(("h", i), ("h", i + 1))
+    if m >= 1 and n >= 1:
+        (ew,), _ = local(e)
+        yield "ee", ew * ew - ew.scale((tht + one) / gpd)
+        if m >= 2:
+            (ew, g1), _ = local(e, ("g", 1))
+            yield "ege", ew * g1 * ew - ew
+        if n >= 2:
+            (ew, h1), _ = local(e, ("h", 1))
+            yield "ehe", ew * h1 * ew - ew
         for j in g:
             if j >= 2:
-                yield f"comm_e_g{j}", e * g[j] - g[j] * e
+                yield f"comm_e_g{j}", comm(e, ("g", j))
         for i in h:
             if i >= 2:
-                yield f"comm_e_h{i}", e * h[i] - h[i] * e
-        if 1 in g and 1 in h:
+                yield f"comm_e_h{i}", comm(e, ("h", i))
+        if m >= 2 and n >= 2:
+            (ew, g1, h1), ident = local(e, ("g", 1), ("h", 1))
             # h1^-1 from the quadratic relation: h^-1 = (h - (gamma+delta)) / (-gamma delta)
             scale = -(gam * dlt)
-            h1inv = (h[1] - ident.scale(gpd)).scale(one / scale if point is not None
-                                                    else scale.invert())
-            core = e * g[1] * h1inv * e
-            dif = g[1] - h[1]
+            h1inv = (h1 - ident.scale(gpd)).scale(one / scale if point is not None
+                                                  else scale.invert())
+            core = ew * g1 * h1inv * ew
+            dif = g1 - h1
             yield "eghinv_right", core * dif
             yield "eghinv_left", dif * core
 

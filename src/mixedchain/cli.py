@@ -103,11 +103,9 @@ def _rep_payload(label):
 def _chain_check_task(task):
     """Every check of one (m,n) context, all against one ChainContext, so
     its symbolic operators and coproduct are built once; runs in a worker
-    process."""
+    process.  Every task has m+n >= 2, so it has at least one operator."""
     kind, m, n, backend, seed = task
     ctx = ChainContext(m, n)
-    if not ctx.operators():
-        return []
     points = [None] if backend == "symbolic" else eval_points(seed)
     checker = check_qwb_relations if kind == "relations" else check_centralizer
     return [{"relation": r.relation, "m": m, "n": n, "backend": r.backend,

@@ -1,3 +1,7 @@
+import re
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from mixedchain.chainrep import (
@@ -5,6 +9,8 @@ from mixedchain.chainrep import (
     IndexOutOfRange,
     QwbParams,
     SingularParams,
+    _as_backend,
+    _scalar,
     chain_params,
     check_centralizer,
     check_qwb_relations,
@@ -12,6 +18,7 @@ from mixedchain.chainrep import (
     qwb_relation_residuals,
 )
 from mixedchain.qarith import MINUS_ONE, ONE, Q, eval_points, qpow
+from mixedchain.sparse import SparseMatrix
 
 
 def idx(i, j):
@@ -132,3 +139,131 @@ def test_chain_weights_are_products():
                 key = (a1 * a2 * a3, b1 * b2 * b3)
                 expect[key] = expect.get(key, 0) + c1 * c2 * c3
     assert got == expect
+
+
+# The full-chain residuals that the window check replaced, kept as its oracle.
+def _full_chain_residuals(ctx: ChainContext, params: QwbParams, point=None):
+    """Yield (name, residual) for every walled-Brauer relation on the chain."""
+    m, n = ctx.m, ctx.n
+    gam = _scalar(params.gamma, point)
+    dlt = _scalar(params.delta, point)
+    tht = _scalar(params.theta, point)
+    gpd = gam + dlt
+    if not gpd:
+        raise SingularParams("gamma + delta = 0")
+    one = Fraction(1) if point is not None else ONE
+    ident = SparseMatrix.identity(ctx.dim, one)
+    g = {j: _as_backend(ctx.chain_operator("g", j), point) for j in range(1, m)}
+    h = {i: _as_backend(ctx.chain_operator("h", i), point) for i in range(1, n)}
+    e = (_as_backend(ctx.chain_operator("e"), point)
+         if (m >= 1 and n >= 1) else None)
+
+    def quad(x):
+        return (x - ident.scale(gam)) * (x - ident.scale(dlt))
+
+    for j, gj in g.items():
+        yield f"quad_g{j}", quad(gj)
+    for i, hi in h.items():
+        yield f"quad_h{i}", quad(hi)
+    for j in g:
+        for i in h:
+            yield f"comm_g{j}_h{i}", g[j] * h[i] - h[i] * g[j]
+    for j1 in g:
+        for j2 in g:
+            if j2 - j1 > 1:
+                yield f"comm_g{j1}_g{j2}", g[j1] * g[j2] - g[j2] * g[j1]
+    for i1 in h:
+        for i2 in h:
+            if i2 - i1 > 1:
+                yield f"comm_h{i1}_h{i2}", h[i1] * h[i2] - h[i2] * h[i1]
+    for j in range(1, m - 1):
+        yield f"braid_g{j}", g[j] * g[j + 1] * g[j] - g[j + 1] * g[j] * g[j + 1]
+    for i in range(1, n - 1):
+        yield f"braid_h{i}", h[i] * h[i + 1] * h[i] - h[i + 1] * h[i] * h[i + 1]
+    if e is not None:
+        yield "ee", e * e - e.scale((tht + one) / gpd)
+        if 1 in g:
+            yield "ege", e * g[1] * e - e
+        if 1 in h:
+            yield "ehe", e * h[1] * e - e
+        for j in g:
+            if j >= 2:
+                yield f"comm_e_g{j}", e * g[j] - g[j] * e
+        for i in h:
+            if i >= 2:
+                yield f"comm_e_h{i}", e * h[i] - h[i] * e
+        if 1 in g and 1 in h:
+            # h1^-1 from the quadratic relation: h^-1 = (h - (gamma+delta)) / (-gamma delta)
+            scale = -(gam * dlt)
+            h1inv = (h[1] - ident.scale(gpd)).scale(one / scale if point is not None
+                                                    else scale.invert())
+            core = e * g[1] * h1inv * e
+            dif = g[1] - h[1]
+            yield "eghinv_right", core * dif
+            yield "eghinv_left", dif * core
+
+
+def _window_sites(name: str, m: int) -> list[int]:
+    """The sorted chain sites touched by the operators a relation name involves:
+    g_j on (m-j-1, m-j), h_i on (m+i-1, m+i), e on (m-1, m)."""
+    ops = [(kind, int(index)) for kind, index in re.findall(r"([gh])(\d+)", name)]
+    if name.startswith("braid_"):
+        ops.append((ops[0][0], ops[0][1] + 1))
+    if name in ("ege", "eghinv_left", "eghinv_right"):
+        ops.append(("g", 1))
+    if name in ("ehe", "eghinv_left", "eghinv_right"):
+        ops.append(("h", 1))
+    first = [m - index - 1 if kind == "g" else m + index - 1 for kind, index in ops]
+    if name.startswith("e") or "_e_" in name:
+        first.append(m - 1)
+    return sorted({s + d for s in first for d in (0, 1)})
+
+
+def _on_chain(res: SparseMatrix, sites: list[int], nsites: int) -> SparseMatrix:
+    """The window residual placed on its chain sites, the identity elsewhere
+    (site 0 is the most significant base-3 digit of a chain index)."""
+    weight = [3 ** (nsites - 1 - s) for s in range(nsites)]
+    spread = [sum(d * weight[s] for s, d in zip(sites, digits))
+              for digits in product(range(3), repeat=len(sites))]
+    rest = [s for s in range(nsites) if s not in sites]
+    out = SparseMatrix(3 ** nsites, 3 ** nsites)
+    for digits in product(range(3), repeat=len(rest)):
+        base = sum(d * weight[s] for s, d in zip(rest, digits))
+        for r, c, v in res.entries():
+            out.set(base + spread[r], base + spread[c], v)
+    return out
+
+
+@pytest.mark.parametrize("params", [chain_params(), QwbParams(MINUS_ONE, qpow(-3), qpow(-2, -1))],
+                         ids=["chain", "off-spec"])
+def test_window_residuals_match_full_chain(params):
+    point = eval_points(seed=20177)[0]
+    nonzero = 0
+    for total in range(2, 6):
+        for m in range(total + 1):
+            ctx = ChainContext(m, total - m)
+            for pt in (None, point):
+                local = list(qwb_relation_residuals(ctx, params, pt))
+                full = list(_full_chain_residuals(ctx, params, pt))
+                assert [name for name, _ in local] == [name for name, _ in full], (m, pt)
+                for (name, res), (_, expect) in zip(local, full):
+                    placed = _on_chain(res, _window_sites(name, m), ctx.nsites)
+                    assert placed == expect, (m, total - m, pt, name)
+                    nonzero += not expect.is_zero()
+    assert (nonzero > 0) == (params != chain_params())
+
+
+def test_relations_never_build_a_chain_operator(monkeypatch):
+    def refuse(self, which, index=0):
+        raise AssertionError(f"built the chain operator {which}{index}")
+
+    monkeypatch.setattr(ChainContext, "chain_operator", refuse)
+    results = check_qwb_relations(ChainContext(5, 5))
+    assert results and all(r.ok for r in results)
+
+
+def test_qwb_relations_symbolic_sweep_to_eight():
+    for total in range(2, 9):
+        for m in range(total + 1):
+            results = check_qwb_relations(ChainContext(m, total - m))
+            assert results and all(r.ok for r in results), (m, total - m)
