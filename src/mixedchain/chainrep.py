@@ -7,9 +7,10 @@ walled Brauer algebra at the specialized parameters (-1, 1/q^2, -1/q^2),
 and they commute with the full coproduct action of the quantum supergroup.
 Both statements are verified here as exact matrix identities, symbolically
 or at rational evaluation points.  Each walled-Brauer relation is checked on
-its window, the at most four sites its operators touch, which is exact for
-every (m, n) (see `qwb_relation_residuals`); the centralizer check uses the
-full-chain operators and coproduct.
+its window, the at most four sites its operators touch, and each centralizer
+commutator on its operator's window plus one neighbouring site on each side;
+both are exact for every (m, n) (see `qwb_relation_residuals` and
+`centralizer_residuals`).
 """
 
 from __future__ import annotations
@@ -365,14 +366,109 @@ def check_qwb_relations(ctx: ChainContext, params: QwbParams | None = None,
     return _timed_results(ctx, backend, qwb_relation_residuals(ctx, params, point))
 
 
+def _operator_window(op: SparseMatrix, nsites: int):
+    """(a, w, X) with op = 1_(3^a) (x) X (x) 1_(3^(nsites-a-w)) on the fewest
+    consecutive sites [a, a+w), w >= 1, read off the matrix alone.  An operator
+    of no smaller window, or not of the chain's shape, is X = op on the whole
+    chain."""
+    if op.nrows == op.ncols == 3 ** nsites:
+        nnz = op.nnz()
+        for w in range(1, nsites):
+            for a in range(nsites - w + 1):
+                x = _factor_on(op, nnz, a, w, nsites)
+                if x is not None:
+                    return a, w, x
+    return 0, nsites, op
+
+
+def _factor_on(op: SparseMatrix, nnz: int, a: int, w: int,
+               nsites: int) -> SparseMatrix | None:
+    """X with op = 1_(3^a) (x) X (x) 1_(3^(nsites-a-w)), or None at the first
+    mismatch; nnz is op's, and a matching nnz is necessary."""
+    right = 3 ** (nsites - a - w)
+    size = 3 ** w
+    x = SparseMatrix(size, size)
+    for r in range(size):
+        row = op.rows.get(r * right)
+        if row:
+            xrow = {}
+            for c, v in row.items():
+                xc, y = divmod(c, right)
+                if y or xc >= size:
+                    return None
+                xrow[xc] = v
+            x.rows[r] = xrow
+    if nnz != 3 ** (nsites - w) * x.nnz():
+        return None
+    block = size * right
+    shifted = {r: [(c * right, v) for c, v in xrow.items()] for r, xrow in x.rows.items()}
+    for index, row in op.rows.items():
+        left, rest = divmod(index, block)
+        r, y = divmod(rest, right)
+        base = left * block + y
+        if row != {base + c: v for c, v in shifted.get(r, ())}:
+            return None
+    return x
+
+
 def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
-    """Commutators of every chain operator with every coproduct generator."""
-    gens = {gname: _as_backend(ctx.quantum_group_action(gname), point)
-            for gname in ("E", "F", "K", "k", "B", "C")}
+    """Commutators of every chain operator with every coproduct generator.
+
+    Each operator of ctx.operators() is read off its matrix as
+    op = 1_(3^a) (x) X (x) 1_(3^b) on the fewest consecutive sites [a, a+w)
+    (`_operator_window`; a non-local operator gets the whole chain), and each
+    commutator is computed on the sub-chain [a-1, a+w+1) cut to [0, m+n): the
+    window plus one neighbouring site on each side, with the chain's own
+    factor on every site, so itself a mixed chain of some shape (m', n').
+    The residual is [X', Delta_sub(gen)], with X' the embedding of X.
+
+    This is exact.  K acts as K^(x)(m+n), so [op, Delta(K)] is
+    K^(x)a (x) [X, K^(x)w] (x) K^(x)b, zero iff [X, K^(x)w] is; k likewise.
+    Delta(E) is the sum over the site p of 1 (x) .. (x) E_p (x) K (x) .. (x) K,
+    twisted by K to the right of p.  Split [op, Delta(E)] by p: a term with
+    p right of the window is the identity on it and commutes with op; the
+    terms with p inside sum to 1 (x) [X, Delta^(w)(E)] (x) K^(x)b; a term with
+    p left of the window is 1 (x) E_p (x) K (x) .. (x) [X, K^(x)w] (x) K^(x)b.
+    E has zero diagonal on both fundamental modules, so the term of site p
+    changes the index digit of site p and no other digit left of the window:
+    different p have disjoint supports, and the sum is zero iff each term
+    is.  The other factors of each term are E_p or invertible diagonals, so
+    the chain residual is zero iff [X, Delta^(w)(E)] is and, when a > 0,
+    [X, K^(x)w] is.  The sub-chain residual splits the same way, with at most
+    one site on each side of the window, so it is zero under the same two
+    conditions.  C (twisted by k to the right) is the same argument, and F
+    and B (twisted by K^-1 and k^-1 to the left) are its mirror, with the
+    twisted side on the right of the window.
+
+    The chain's own operators have w = 2, so no matrix larger than 81x81 and
+    no coproduct on more than four sites is built.  Within a call, residuals
+    are memoised by sub-chain shape, X's offset in it and X's entries, so
+    interior g_j and h_i share one computation; a non-local operator's
+    sub-chain is the whole chain and uses ctx itself.
+    """
+    m, n, nsites = ctx.m, ctx.n, ctx.nsites
+    memo: dict = {("ctx", m, n): ctx}
+
+    def cached(key, build):
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
     for opname, op in ctx.operators():
-        opb = _as_backend(op, point)
-        for gname, gmat in gens.items():
-            yield f"[{opname},{gname}]", opb * gmat - gmat * opb
+        a, w, x = _operator_window(op, nsites)
+        lo, hi = max(a - 1, 0), min(a + w + 1, nsites)
+        shape = (max(0, min(hi, m) - lo), max(0, hi - max(lo, m)))
+        sub = cached(("ctx",) + shape, lambda: ChainContext(*shape))
+        key = (shape, a - lo, x.nrows, frozenset(x.entries()))
+        for gname in ("E", "F", "K", "k", "B", "C"):
+            res = ("res", key, gname)
+            if res not in memo:
+                xs = cached(("op",) + key, lambda: embed_factor(
+                    _as_backend(x, point), 3 ** (a - lo), 3 ** (hi - a - w)))
+                gmat = cached(("uq", shape, gname), lambda: _as_backend(
+                    sub.quantum_group_action(gname), point))
+                memo[res] = xs * gmat - gmat * xs
+            yield f"[{opname},{gname}]", memo[res]
 
 
 def check_centralizer(ctx: ChainContext, point: EvalPoint | None = None) -> list[CheckResult]:

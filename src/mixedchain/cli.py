@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -102,8 +103,9 @@ def _rep_payload(label):
 
 def _chain_check_task(task):
     """Every check of one (m,n) context, all against one ChainContext, so
-    its symbolic operators and coproduct are built once; runs in a worker
-    process.  Every task has m+n >= 2, so it has at least one operator."""
+    its chain operators are built once for every eval point; runs in a
+    worker process.  Every task has m+n >= 2, so it has at least one
+    operator."""
     kind, m, n, backend, seed = task
     ctx = ChainContext(m, n)
     points = [None] if backend == "symbolic" else eval_points(seed)
@@ -112,13 +114,22 @@ def _chain_check_task(task):
              "ok": r.ok} for point in points for r in checker(ctx, point=point)]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _chain_sweep(kind: str, max_mn: int, backend: str, seed: int, jobs: int):
     tasks = [(kind, m, total - m, backend, seed)
              for total in range(2, max_mn + 1) for m in range(0, total + 1)]
-    if jobs > 1:
+    # the executor starts every worker up front, so ask for no more than can run
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chain_check_task, tasks))
     else:
         chunks = [_chain_check_task(t) for t in tasks]

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import mixedchain.chainrep as chainrep
 from mixedchain.chainrep import (
     ChainContext,
     IndexOutOfRange,
@@ -266,4 +267,93 @@ def test_qwb_relations_symbolic_sweep_to_eight():
     for total in range(2, 9):
         for m in range(total + 1):
             results = check_qwb_relations(ChainContext(m, total - m))
+            assert results and all(r.ok for r in results), (m, total - m)
+
+
+# The full-chain centralizer residuals that the window check replaced, kept as its oracle.
+def _full_chain_centralizer_residuals(ctx: ChainContext, point=None):
+    """Commutators of every chain operator with every coproduct generator."""
+    gens = {gname: _as_backend(ctx.quantum_group_action(gname), point)
+            for gname in ("E", "F", "K", "k", "B", "C")}
+    for opname, op in ctx.operators():
+        opb = _as_backend(op, point)
+        for gname, gmat in gens.items():
+            yield f"[{opname},{gname}]", opb * gmat - gmat * opb
+
+
+def _verdicts(residuals):
+    return [(name, res.is_zero()) for name, res in residuals]
+
+
+def _swapped_ops():
+    """Wrong local operators: h as g, g as e and e as h."""
+    g9, e9, h9 = fundamental_ops()
+    return h9, g9, e9
+
+
+def _two_site_coproducts():
+    """The two-site coproducts of E, B and F as g, e and h.  Each commutes with
+    its own generator on its window but not with that generator's group-like
+    twist, so only a neighbouring site can see that check fail."""
+    return tuple(ChainContext(*shape).quantum_group_action(gen)
+                 for shape, gen in (((2, 0), "E"), ((1, 1), "B"), ((0, 2), "F")))
+
+
+@pytest.mark.parametrize("plant", [None, _swapped_ops, _two_site_coproducts],
+                         ids=["chain", "swapped", "coproducts"])
+def test_centralizer_window_matches_full_chain(monkeypatch, plant):
+    if plant is not None:
+        ops = plant()
+        monkeypatch.setattr(chainrep, "fundamental_ops", lambda: ops)
+    point = eval_points(seed=20177)[0]
+    failing = 0
+    for total in range(2, 6):
+        for m in range(total + 1):
+            ctx = ChainContext(m, total - m)
+            for pt in (None, point):
+                local = _verdicts(chainrep.centralizer_residuals(ctx, pt))
+                full = _verdicts(_full_chain_centralizer_residuals(ctx, pt))
+                assert local == full, (m, total - m, pt)
+                failing += sum(not ok for _, ok in full)
+    assert (failing > 0) == (plant is not None)
+
+
+def test_centralizer_builds_no_full_chain_coproduct(monkeypatch):
+    coproduct = ChainContext.quantum_group_action
+    product = SparseMatrix.__mul__
+
+    def small_coproduct(self, gen):
+        if self.nsites > 4:
+            raise AssertionError(f"built the coproduct of {gen} on {self.nsites} sites")
+        return coproduct(self, gen)
+
+    def small_product(left, right):
+        if max(left.nrows, left.ncols, right.ncols) > 81:
+            raise AssertionError(f"multiplied {left} by {right}")
+        return product(left, right)
+
+    monkeypatch.setattr(ChainContext, "quantum_group_action", small_coproduct)
+    monkeypatch.setattr(SparseMatrix, "__mul__", small_product)
+    results = check_centralizer(ChainContext(5, 5))
+    assert results and all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("gen", ["E", "F", "B", "C"])
+def test_centralizer_catches_a_non_local_operator(gen):
+    # a coproduct generator in place of the chain operators acts on every site
+    point = eval_points(seed=20177)[0]
+    for m, n in ((2, 1), (1, 2)):
+        for pt in (None, point):
+            ctx = ChainContext(m, n)
+            ctx.operators = lambda ctx=ctx: [(gen, ctx.quantum_group_action(gen))]
+            failures = [r.relation for r in check_centralizer(ctx, pt) if not r.ok]
+            expect = [name for name, ok in _verdicts(_full_chain_centralizer_residuals(ctx, pt))
+                      if not ok]
+            assert failures and failures == expect, (m, n, pt)
+
+
+def test_centralizer_symbolic_sweep_to_seven():
+    for total in range(2, 8):
+        for m in range(total + 1):
+            results = check_centralizer(ChainContext(m, total - m))
             assert results and all(r.ok for r in results), (m, total - m)

@@ -132,6 +132,41 @@ def test_verify_worker_pool_matches_serial(capsys, backend):
     assert out1 == out2 and json.loads(out1)
 
 
+def test_worker_pool_is_bounded_by_tasks_and_cpus(capsys, monkeypatch):
+    import concurrent.futures
+
+    import mixedchain.cli as cli
+
+    started = []
+
+    class FakePool:
+        """Records the pool size and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    argv = ("verify", "relations", "--max-mn", "2", "--json")
+    _, serial, _ = run(capsys, *argv, "--jobs", "1")
+    # --max-mn 2 has three contexts: (0,2), (1,1) and (2,0)
+    for jobs, cpus, expect in (("5000", 8, [3]), ("2", 8, [2]), ("5000", 2, [2]),
+                               ("5000", 1, [])):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        started.clear()
+        code, out, _ = run(capsys, *argv, "--jobs", jobs)
+        assert code == 0 and out == serial, (jobs, cpus)
+        assert started == expect, (jobs, cpus)
+
+
 def test_verify_smallest_bounds_run_checks(capsys):
     for suite, bound in (("relations", "2"), ("identities", "1"), ("dims", "1")):
         code, out, _ = run(capsys, "verify", suite, "--max-mn", bound, "--json")
