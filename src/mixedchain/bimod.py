@@ -40,7 +40,7 @@ from .xcat import (
     dim_simple_x,
     dim_term,
     extra_vertex_label,
-    q_expand,
+    q_functor,
     res_right_d,
     res_right_k,
 )
@@ -285,59 +285,102 @@ def closed_form_p(m: int, n: int) -> GrothVector:
 # flattened bimodule and the induction identities
 # ---------------------------------------------------------------------------
 
+def _flattened(m: int, n: int, atypical: GrothVector) -> GrothVector:
+    """The semisimple part, each simple boxed once, plus a flattened atypical part."""
+    acc: dict = {}
+    for lam, z in semisimple_part(m, n):
+        key = (("D", lam), z)
+        acc[key] = acc.get(key, 0) + 1
+    for key, mult in atypical.items():
+        acc[key] = acc.get(key, 0) + mult
+    return GrothVector.from_sums(acc)
+
+
 def q_flattened(m: int, n: int) -> GrothVector:
     """The fully assembled bimodule after centralizer-side flattening."""
-    out = GrothVector()
-    for lam, z in semisimple_part(m, n):
-        out.add((("D", lam), z))
-    out.add_all(q_atypical(m, n))
-    return out
+    return _flattened(m, n, q_atypical(m, n))
 
 
 def p_flattened(m: int, n: int) -> GrothVector:
     """The fully assembled bimodule after quantum-side flattening."""
-    out = GrothVector()
-    for lam, z in semisimple_part(m, n):
-        out.add((("D", lam), z))
-    out.add_all(p_atypical(m, n))
+    return _flattened(m, n, p_atypical(m, n))
+
+
+@lru_cache(maxsize=2)
+def _restrictions(m: int, n: int) -> dict:
+    """Restrictions of the (m,n) context's X-terms to (m, n-1), filled on
+    demand by `_restriction`.  The two identities at (m, n-1) share them;
+    a sweep then moves on, so two contexts are held at a time."""
+    return {}
+
+
+def _restriction(term, m: int, n: int) -> tuple:
+    """Restriction of an X-term down one right strand, as (term, mult)
+    items, read off the xcat tables and not off the flattened bimodule."""
+    table = _restrictions(m, n)
+    out = table.get(term)
+    if out is None:
+        res = (res_right_k if term[0] == "K" else res_right_d)(term[1], m, n)
+        out = table[term] = tuple(res.items())
     return out
+
+
+@lru_cache(maxsize=1024)
+def _fused(z: BarLabel) -> tuple[tuple, tuple]:
+    """z (x) the dual fundamental module, and its simple subquotients, as
+    (label, mult) items.  Bounded like the fusion memo it reads: a sweep
+    fuses a few hundred labels per context, mostly its neighbours' ones."""
+    fused = fuse_with_v(bar_to_plain(z))
+    subs: dict = {}
+    for w, wm in fused.items():
+        for sub in simple_subquotients(w):
+            subs[sub] = subs.get(sub, 0) + wm
+    return tuple(fused.items()), tuple(subs.items())
 
 
 def verify_identity_tensor(m: int, n: int) -> bool:
     """Tensoring the q-flattened chain with the dual fundamental module
-    matches restriction of the next chain, flattened again."""
+    matches restriction of the next chain, flattened again.  The right
+    side reads the restrictions that `verify_identity_proj` at (m,n) reads,
+    computed once."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    lhs = GrothVector()
+    lhs: dict = {}
     for (term, z), mult in q_flattened(m, n).items():
-        for w, wm in fuse_with_v(bar_to_plain(z)).items():
-            lhs.add((term, w), mult * wm)
-    rhs = GrothVector()
+        for w, wm in _fused(z)[0]:
+            key = (term, w)
+            lhs[key] = lhs.get(key, 0) + mult * wm
+    rhs: dict = {}
     for (term, z), mult in q_flattened(m, n + 1).items():
-        rd = q_expand(res_right_d(term[1], m, n + 1), m, n)
         w = bar_to_plain(z)
-        for dterm, dm in rd.items():
-            rhs.add((dterm, w), mult * dm)
-    return lhs == rhs
+        for rterm, rm in _restriction(term, m, n + 1):
+            # a simple term is its own flattening
+            flat = ((rterm, 1),) if rterm[0] == "D" else q_functor(rterm, m, n).items()
+            for dterm, dm in flat:
+                key = (dterm, w)
+                rhs[key] = rhs.get(key, 0) + mult * rm * dm
+    return GrothVector.from_sums(lhs) == GrothVector.from_sums(rhs)
 
 
 def verify_identity_proj(m: int, n: int) -> bool:
     """Quantum-side flattening of (chain x dual fundamental) matches the
-    restricted p-flattened next chain."""
+    restricted p-flattened next chain.  The right side reads the
+    restrictions that `verify_identity_tensor` at (m,n) reads, computed
+    once."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    lhs = GrothVector()
+    lhs: dict = {}
     for (term, z), mult in p_flattened(m, n).items():
-        for w, wm in fuse_with_v(bar_to_plain(z)).items():
-            for sub in simple_subquotients(w):
-                lhs.add((term, sub), mult * wm)
-    rhs = GrothVector()
+        for sub, sm in _fused(z)[1]:
+            key = (term, sub)
+            lhs[key] = lhs.get(key, 0) + mult * sm
+    rhs: dict = {}
     for (term, z), mult in p_flattened(m, n + 1).items():
-        res = (res_right_k if term[0] == "K" else res_right_d)(term[1], m, n + 1)
         w = bar_to_plain(z)
-        for rterm, rm in res.items():
-            rhs.add((rterm, w), mult * rm)
-    return lhs == rhs
+        for rterm, rm in _restriction(term, m, n + 1):
+            key = (rterm, w)
+            rhs[key] = rhs.get(key, 0) + mult * rm
+    return GrothVector.from_sums(lhs) == GrothVector.from_sums(rhs)
 
 
 def dimension_audit(m: int, n: int) -> bool:

@@ -8,7 +8,9 @@ low-spin cases first, then the regular families, and insists that exactly
 one rule fires.  Tensoring with (1,1) needs no table of its own:
 Z^{a,b}_{1,1} is the contragredient of Z^{a,-b}_{2,0}, so x (x) Z^{a,b}_{1,1}
 is the dual of x* (x) Z^{a,-b}_{2,0}, read through `uqmod.dual`; likewise
-the chain 3^m is the dual of 3bar^m.
+the chain 3^m is the dual of 3bar^m.  Tensoring with (2,0) is memoised per
+label in a bounded cache of immutable items; every call returns a fresh
+vector.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ class GrothVector(dict):
     def add_all(self, other: "GrothVector", mult: int = 1) -> None:
         for label, m in other.items():
             self.add(label, m * mult)
+
+    @classmethod
+    def from_sums(cls, acc: dict) -> "GrothVector":
+        """The vector of summed multiplicities, with zero sums dropped."""
+        out = cls(acc)
+        for label in [label for label, m in acc.items() if not m]:
+            del out[label]
+        return out
 
     def __add__(self, other):
         out = GrothVector(self)
@@ -106,10 +116,18 @@ def _dispatch(x: Label, rules) -> GrothVector:
     return hits[0]
 
 
-def fuse_with_v(x: Label, alpha2: int = 1, beta2: int = 1) -> GrothVector:
-    """Tensor with the dual fundamental module Z^{alpha2,beta2}_{2,0}."""
+@lru_cache(maxsize=1024)
+def _fused_with_v(x: Label, alpha2: int, beta2: int) -> tuple[tuple[Label, int], ...]:
+    """The rule table's decomposition as items.  Bounded: a label sweep
+    fuses a few hundred labels per context, mostly its neighbours' ones."""
     a, b = x.alpha * alpha2, x.beta * beta2
-    return _dispatch(x, _rules_with_v(x, a, b))
+    return tuple(_dispatch(x, _rules_with_v(x, a, b)).items())
+
+
+def fuse_with_v(x: Label, alpha2: int = 1, beta2: int = 1) -> GrothVector:
+    """Tensor with the dual fundamental module Z^{alpha2,beta2}_{2,0};
+    memoised, and every call returns a fresh vector."""
+    return GrothVector(_fused_with_v(x, alpha2, beta2))
 
 
 def _dual_vector(v: GrothVector) -> GrothVector:
@@ -124,10 +142,11 @@ def fuse_with_f(x: Label, alpha2: int = 1, beta2: int = -1) -> GrothVector:
 
 
 def fuse_vector(v: GrothVector, fuse) -> GrothVector:
-    out = GrothVector()
+    acc: dict = {}
     for label, mult in v.items():
-        out.add_all(fuse(label), mult)
-    return out
+        for w, wm in fuse(label).items():
+            acc[w] = acc.get(w, 0) + mult * wm
+    return GrothVector.from_sums(acc)
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,13 @@ its mirror under the swap involution), the flattening functor that replaces
 a projective by its simple subquotients, and the dimension ledger read off
 the chain.
 
-Every restriction case table is dispatched through explicit per-display
-guards with a unique-match assertion, so a transcription slip fails loudly
-instead of silently picking a neighbouring case.  A handful of displays
+The atypical restriction tables are dispatched through explicit
+per-display guards with a unique-match assertion, so a transcription slip
+fails loudly instead of silently picking a neighbouring case.  The
+exceptional rows of typical labels are indexed once per context by the
+label each re-glues (`_exceptional_rows`); a lookup validates the rows
+stored under its label and asserts that exactly one matched, so both
+checks fire for the same labels as a row-by-row probe.  A handful of displays
 extend the source tables to small contexts the original guards leave out;
 each such extension is pinned by the dimension-consistency and
 bimodule-projection tests.
@@ -31,6 +35,7 @@ from .partitions import (
     atyp,
     atypical_bipartition,
     atypical_columns,
+    atypical_set,
     classify_atypical,
     gswap_label,
     is_cross21,
@@ -58,10 +63,13 @@ class LabelNotInBimodule(KeyError):
 XTerm = tuple[str, Bipartition]
 
 
-def _check_cross(lam: Bipartition, m: int, n: int) -> None:
+def _classify_cross(lam: Bipartition, m: int, n: int) -> AtypicalLabel | None:
+    """The atypical label of a cross label of the (m,n) context, None when it
+    is typical; raises when lam is not a cross label there."""
     lambda_f(lam, m, n)
     if not is_cross21(lam):
         raise NotCross(f"{lam!r} is not a cross bipartition")
+    return atypical_set(m, n).get(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +107,7 @@ def proj_structure(lam: Bipartition, m: int, n: int) -> LoewyGraph:
     the extra vertex when the column hosts it, as middle layer between two
     copies of its head.
     """
-    _check_cross(lam, m, n)
-    lab = classify_atypical(lam, m, n)
+    lab = _classify_cross(lam, m, n)
     if lab is None:
         return _graph_single(lam)
     cols, extra, host = atypical_columns(m, n)
@@ -160,7 +167,7 @@ def res_right_s(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a Specht label one step down on the right side."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
-    _check_cross(lam, m, n)
+    _classify_cross(lam, m, n)
     out = GrothVector()
     for mu in _generic_restriction(lam, m, n):
         out.add(mu)
@@ -302,58 +309,84 @@ def _res_d_atypical(lab: AtypicalLabel, m: int, n: int) -> GrothVector:
     return rows.unique(f"D({lab}) at ({m},{n})")
 
 
-def _match_exceptional_d(lam: Bipartition, m: int, n: int) -> GrothVector | None:
-    """The re-gluing rows for typical labels whose restriction meets atypicals."""
+class _KeyedRows:
+    """The exceptional rows of one context, keyed by the typical label each
+    re-glues; a key with an invalid half matches no label and is skipped.
+    Terms are stored raw and validated by `_Rows.row` on lookup."""
+
+    def __init__(self):
+        self.by_key: dict[Bipartition, list[tuple[str, tuple]]] = {}
+
+    def row(self, name: str, key, *terms):
+        if key[0] is not None and key[1] is not None:
+            self.by_key.setdefault(key, []).append((name, terms))
+
+
+@lru_cache(maxsize=2)
+def _exceptional_rows(m: int, n: int) -> dict[Bipartition, list[tuple[str, tuple]]]:
+    """The re-gluing rows for typical labels whose restriction meets atypicals,
+    indexed once per context; the restriction sweep reads one context at a time."""
     ap = abs(m - n + 1)
-    rows = _Rows(m, n - 1)
+    rows = _KeyedRows()
     bip = atypical_bipartition
 
     # ((a',1^(s-1)), (s))
     if ap >= 1:
         for s in range(1, n):
-            if lam == (_hookp(ap, s - 1), _row(s)):
-                rows.row("X.d", ("K", bip(atyp("delta", False, ap, s)), 1),
-                         ("D", _pair(_hookp(ap + 1, s - 1), _row(s)), 1))
+            rows.row("X.d", (_hookp(ap, s - 1), _row(s)),
+                     ("K", bip(atyp("delta", False, ap, s)), 1),
+                     ("D", _pair(_hookp(ap + 1, s - 1), _row(s)), 1))
     # ((a',s), (1^(s+1)))
     if ap >= 1:
         for s in range(1, min(ap - 1, n - 2) + 1):
-            if lam == (_two_row(ap, s), _col(s + 1)):
-                rows.row("X.d1", ("K", bip(atyp("delta1", False, ap, s + 1)), 1),
-                         ("D", _pair(_two_row(ap + 1, s), _col(s + 1)), 1))
+            rows.row("X.d1", (_two_row(ap, s), _col(s + 1)),
+                     ("K", bip(atyp("delta1", False, ap, s + 1)), 1),
+                     ("D", _pair(_two_row(ap + 1, s), _col(s + 1)), 1))
     # ((s,a'+1), (1^(s+2)))
     for s in range(ap + 2, n - 2):
-        if lam == (_two_row(s, ap + 1), _col(s + 2)):
-            rows.row("X.d2", ("K", bip(atyp("delta2", False, ap, s)), 1),
-                     ("D", _pair(_two_row(s, ap + 2), _col(s + 2)), 1))
+        rows.row("X.d2", (_two_row(s, ap + 1), _col(s + 2)),
+                 ("K", bip(atyp("delta2", False, ap, s)), 1),
+                 ("D", _pair(_two_row(s, ap + 2), _col(s + 2)), 1))
     # ((a'+1,a'+1), (1^(a'+3)))
-    if ap <= n - 4 and lam == (_two_row(ap + 1, ap + 1), _col(ap + 3)):
-        rows.row("X.d2c", ("K", bip(atyp("delta2", False, ap, ap + 1)), 1))
+    if ap <= n - 4:
+        rows.row("X.d2c", (_two_row(ap + 1, ap + 1), _col(ap + 3)),
+                 ("K", bip(atyp("delta2", False, ap, ap + 1)), 1))
     # ((s), (a',1^(s+1)))
     if ap >= 2:
         for s in range(0, m):
-            if lam == (_row(s), _hookp(ap, s + 1)):
-                rows.row("X.bd", ("K", bip(atyp("delta", True, ap, s + 1)), 1),
-                         ("D", _pair(_row(s), _hookp(ap - 1, s + 1)), 1))
+            rows.row("X.bd", (_row(s), _hookp(ap, s + 1)),
+                     ("K", bip(atyp("delta", True, ap, s + 1)), 1),
+                     ("D", _pair(_row(s), _hookp(ap - 1, s + 1)), 1))
     # ((s), (1^(s+2)))
     for s in range(1, m):
-        if lam == (_row(s), _col(s + 2)):
-            rows.row("X.bd.wall", ("K", bip(atyp("delta", True, 1, s + 1)), 1),
-                     ("D", _pair(_two_row(s, 1), _col(s + 2)), 1))
+        rows.row("X.bd.wall", (_row(s), _col(s + 2)),
+                 ("K", bip(atyp("delta", True, 1, s + 1)), 1),
+                 ("D", _pair(_two_row(s, 1), _col(s + 2)), 1))
     # ((1^(s-1)), (a',s))
     for s in range(2, min(ap - 1, m) + 1):
-        if lam == (_col(s - 1), _two_row(ap, s)):
-            rows.row("X.bd1", ("K", bip(atyp("delta1", True, ap, s)), 1),
-                     ("D", _pair(_col(s - 1), _two_row(ap - 1, s)), 1))
+        rows.row("X.bd1", (_col(s - 1), _two_row(ap, s)),
+                 ("K", bip(atyp("delta1", True, ap, s)), 1),
+                 ("D", _pair(_col(s - 1), _two_row(ap - 1, s)), 1))
     # ((1^(a'-1)), (a',a'))
-    if 1 <= ap <= m and lam == (_col(ap - 1), _two_row(ap, ap)):
-        rows.row("X.bd1c", ("K", bip(atyp("delta1", True, ap, ap)), 1))
+    if 1 <= ap <= m:
+        rows.row("X.bd1c", (_col(ap - 1), _two_row(ap, ap)),
+                 ("K", bip(atyp("delta1", True, ap, ap)), 1))
     # ((1^s), (s,a'+1))
     for s in range(ap + 1, m):
-        if lam == (_col(s), _two_row(s, ap + 1)):
-            rows.row("X.bd2", ("K", bip(atyp("delta2", True, ap, s - 1)), 1),
-                     ("D", _pair(_col(s), _two_row(s, ap)), 1))
-    if not rows.hits:
+        rows.row("X.bd2", (_col(s), _two_row(s, ap + 1)),
+                 ("K", bip(atyp("delta2", True, ap, s - 1)), 1),
+                 ("D", _pair(_col(s), _two_row(s, ap)), 1))
+    return rows.by_key
+
+
+def _match_exceptional_d(lam: Bipartition, m: int, n: int) -> GrothVector | None:
+    """The exceptional row of a typical label, or None when no row re-glues it."""
+    found = _exceptional_rows(m, n).get(lam)
+    if found is None:
         return None
+    rows = _Rows(m, n - 1)
+    for name, terms in found:
+        rows.row(name, *terms)
     return rows.unique(f"exceptional D({lam}) at ({m},{n})")
 
 
@@ -361,8 +394,7 @@ def res_right_d(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a simple label; entries are ("D"|"K", bipartition)."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
-    _check_cross(lam, m, n)
-    lab = classify_atypical(lam, m, n)
+    lab = _classify_cross(lam, m, n)
     if lab is not None:
         return _res_d_atypical(lab, m, n)
     special = _match_exceptional_d(lam, m, n)
@@ -553,8 +585,7 @@ def res_right_k(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a projective label; ("K", mu) entries stay projective."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
-    _check_cross(lam, m, n)
-    lab = classify_atypical(lam, m, n)
+    lab = _classify_cross(lam, m, n)
     if lab is None:
         return res_right_d(lam, m, n)
     return _res_k_atypical(lab, m, n)

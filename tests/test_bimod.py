@@ -14,6 +14,7 @@ from mixedchain.bimod import (
     verify_identity_proj,
     verify_identity_tensor,
 )
+from mixedchain.fusion import chain_decompose
 from mixedchain.partitions import atyp, atypical_bipartition, atypical_columns, cross_set, gswap
 from mixedchain.uqmod import bar, gbar
 
@@ -207,3 +208,59 @@ def test_flattened_shapes():
     kinds = {term[0] for (term, z), _ in p_flattened(3, 2).items()}
     assert kinds == {"D", "K"}
     assert p_weighted_against_chain(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# memoised label tables
+# ---------------------------------------------------------------------------
+
+def test_memoised_results_are_fresh_vectors():
+    # a caller may mutate what it gets; the next identical call is unaffected
+    from mixedchain.fusion import fuse_with_f, fuse_with_v
+    from mixedchain.uqmod import R, Z
+    from mixedchain.xcat import res_right_d, res_right_k
+
+    calls = [
+        (fuse_with_v, (Z(1, 1, 3, 1),)),
+        (fuse_with_v, (R(1, -1, 2, 0), 1, -1)),
+        (fuse_with_f, (Z(1, -1, 2, 2),)),
+        (fuse_with_f, (R(1, 1, 1, 1), -1, 1)),
+        (res_right_d, (((2,), (2,)), 2, 2)),                # generic rule
+        (res_right_d, (((1,), (1,)), 2, 2)),                # exceptional row
+        (res_right_d, (bip(atyp("delta", False, 1, 1)), 3, 2)),  # atypical
+        (res_right_k, (bip(atyp("delta", False, 1, 2)), 4, 3)),
+        (res_right_k, (((2,), (2,)), 2, 2)),
+        (chain_decompose, (3, 2)),
+    ]
+    for fn, args in calls:
+        first = fn(*args)
+        want = dict(first)
+        assert want, (fn.__name__, args)
+        first[next(iter(first))] += 5
+        first["planted"] = 1
+        assert fn(*args) == want, (fn.__name__, args)
+        again = fn(*args)
+        again.clear()
+        assert fn(*args) == want, (fn.__name__, args)
+
+
+def test_label_memos_stay_bounded():
+    # the identity sweep holds per-context tables for at most two contexts,
+    # and per-label memos are LRU caches of a fixed size, whatever the bound
+    import mixedchain.bimod as bm
+    import mixedchain.fusion as fu
+    import mixedchain.xcat as xc
+    from mixedchain.cli import _verify_identities
+
+    per_context = [xc._exceptional_rows, bm._restrictions]
+    per_label = [fu._fused_with_v, bm._fused]
+    for memo in per_context + per_label:
+        memo.cache_clear()
+    assert all(row["ok"] for row in _verify_identities(20))
+    for memo in per_context:
+        info = memo.cache_info()
+        assert 1 <= info.currsize <= 2 and info.maxsize == 2, (memo.__name__, info)
+    for memo in per_label:
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 1024, (memo.__name__, info)
+        assert 1 <= info.currsize <= info.maxsize, (memo.__name__, info)

@@ -1,7 +1,9 @@
 import pytest
 
+import mixedchain.xcat as xc
 from mixedchain.fusion import GrothVector
 from mixedchain.partitions import (
+    Bipartition,
     atyp,
     atypical_bipartition,
     atypical_columns,
@@ -14,6 +16,13 @@ from mixedchain.partitions import (
 from mixedchain.xcat import (
     NIsZero,
     NotCross,
+    _col,
+    _hookp,
+    _match_exceptional_d,
+    _pair,
+    _row,
+    _Rows,
+    _two_row,
     dim_simple_x,
     dim_term,
     dims_for,
@@ -408,6 +417,10 @@ def test_every_restriction_display_fires():
         xc._Rows.unique = orig_unique
     src = Path(xc.__file__).read_text()
     declared = set(re.findall(r'rows\.row\("([^"]+)"', src))
+    # the exceptional rows are declared in the same call form, in their index
+    exceptional = {"X.d", "X.d1", "X.d2", "X.d2c", "X.bd", "X.bd.wall", "X.bd1",
+                   "X.bd1c", "X.bd2"}
+    assert exceptional <= declared, sorted(exceptional - declared)
     assert declared <= fired, sorted(declared - fired)
 
 
@@ -429,3 +442,102 @@ def test_atypical_columns_shapes():
     assert cols[host] == atyp("delta2", False, 0, 0)
     cols, extra, host = atypical_columns(3, 0)
     assert cols == [] and host is None and extra == atyp("delta", False, 3, 0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the exceptional rows probed linearly, one family after another
+# ---------------------------------------------------------------------------
+
+def _linear_exceptional_d(lam: Bipartition, m: int, n: int) -> GrothVector | None:
+    """The re-gluing rows for typical labels whose restriction meets atypicals,
+    probed family by family: the oracle for the per-context index."""
+    ap = abs(m - n + 1)
+    rows = _Rows(m, n - 1)
+    bip = atypical_bipartition
+
+    # ((a',1^(s-1)), (s))
+    if ap >= 1:
+        for s in range(1, n):
+            if lam == (_hookp(ap, s - 1), _row(s)):
+                rows.row("X.d", ("K", bip(atyp("delta", False, ap, s)), 1),
+                         ("D", _pair(_hookp(ap + 1, s - 1), _row(s)), 1))
+    # ((a',s), (1^(s+1)))
+    if ap >= 1:
+        for s in range(1, min(ap - 1, n - 2) + 1):
+            if lam == (_two_row(ap, s), _col(s + 1)):
+                rows.row("X.d1", ("K", bip(atyp("delta1", False, ap, s + 1)), 1),
+                         ("D", _pair(_two_row(ap + 1, s), _col(s + 1)), 1))
+    # ((s,a'+1), (1^(s+2)))
+    for s in range(ap + 2, n - 2):
+        if lam == (_two_row(s, ap + 1), _col(s + 2)):
+            rows.row("X.d2", ("K", bip(atyp("delta2", False, ap, s)), 1),
+                     ("D", _pair(_two_row(s, ap + 2), _col(s + 2)), 1))
+    # ((a'+1,a'+1), (1^(a'+3)))
+    if ap <= n - 4 and lam == (_two_row(ap + 1, ap + 1), _col(ap + 3)):
+        rows.row("X.d2c", ("K", bip(atyp("delta2", False, ap, ap + 1)), 1))
+    # ((s), (a',1^(s+1)))
+    if ap >= 2:
+        for s in range(0, m):
+            if lam == (_row(s), _hookp(ap, s + 1)):
+                rows.row("X.bd", ("K", bip(atyp("delta", True, ap, s + 1)), 1),
+                         ("D", _pair(_row(s), _hookp(ap - 1, s + 1)), 1))
+    # ((s), (1^(s+2)))
+    for s in range(1, m):
+        if lam == (_row(s), _col(s + 2)):
+            rows.row("X.bd.wall", ("K", bip(atyp("delta", True, 1, s + 1)), 1),
+                     ("D", _pair(_two_row(s, 1), _col(s + 2)), 1))
+    # ((1^(s-1)), (a',s))
+    for s in range(2, min(ap - 1, m) + 1):
+        if lam == (_col(s - 1), _two_row(ap, s)):
+            rows.row("X.bd1", ("K", bip(atyp("delta1", True, ap, s)), 1),
+                     ("D", _pair(_col(s - 1), _two_row(ap - 1, s)), 1))
+    # ((1^(a'-1)), (a',a'))
+    if 1 <= ap <= m and lam == (_col(ap - 1), _two_row(ap, ap)):
+        rows.row("X.bd1c", ("K", bip(atyp("delta1", True, ap, ap)), 1))
+    # ((1^s), (s,a'+1))
+    for s in range(ap + 1, m):
+        if lam == (_col(s), _two_row(s, ap + 1)):
+            rows.row("X.bd2", ("K", bip(atyp("delta2", True, ap, s - 1)), 1),
+                     ("D", _pair(_col(s), _two_row(s, ap)), 1))
+    if not rows.hits:
+        return None
+    return rows.unique(f"exceptional D({lam}) at ({m},{n})")
+
+
+def _outcome(fn, lam, m, n):
+    try:
+        out = fn(lam, m, n)
+    except AssertionError as exc:
+        return ("AssertionError", str(exc))
+    return None if out is None else dict(out)
+
+
+def _typical_cross_labels(max_mn):
+    for total in range(1, max_mn + 1):
+        for m in range(0, total):
+            n = total - m
+            for lam in cross_set(m, n):
+                if classify_atypical(lam, m, n) is None:
+                    yield lam, m, n
+
+
+def test_exceptional_index_matches_linear_probe():
+    hits = 0
+    for lam, m, n in _typical_cross_labels(16):
+        want = _outcome(_linear_exceptional_d, lam, m, n)
+        assert _outcome(_match_exceptional_d, lam, m, n) == want, (m, n, lam)
+        hits += want is not None
+    assert hits > 0
+
+
+def test_exceptional_index_keeps_both_row_checks(monkeypatch):
+    # a lookup validates the rows of its label and insists on one match
+    lam = ((1,), (2,))
+    two = [("X.a", (("D", ((1,), ()), 1),)), ("X.b", (("D", ((1,), ()), 1),))]
+    monkeypatch.setattr(xc, "_exceptional_rows", lambda m, n: {lam: two})
+    with pytest.raises(AssertionError, match="2 displays matched"):
+        _match_exceptional_d(lam, 2, 3)
+    bad = [("X.a", (("K", None, 1),))]
+    monkeypatch.setattr(xc, "_exceptional_rows", lambda m, n: {lam: bad})
+    with pytest.raises(AssertionError, match="projective output invalid"):
+        _match_exceptional_d(lam, 2, 3)
