@@ -52,7 +52,7 @@ def _hook(k: int, ones: int) -> tuple:
     return (k,) + (1,) * ones
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def semisimple_part(m: int, n: int) -> tuple[SemisimplePair, ...]:
     """All (bipartition, typical quantum label) pairs of the semisimple part."""
     if m < 0 or n < 0:

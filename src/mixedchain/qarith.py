@@ -8,11 +8,20 @@ which is harmless because ``2 == Fraction(2)`` and both hash alike.  Two
 backends share this module: the exact one (QScalar everywhere) and a fast
 probabilistic one that evaluates scalars at fixed rational points q = p
 (see :func:`eval_points`).  No floating point is used anywhere.
+
+A scalar is kept in canonical form (see :class:`QScalar`).  The reduction to
+it, a gcd over Q[q], is memoised per unreduced ``(num, den)`` pair in a
+bounded LRU cache (:func:`_canonical`), because the scalars of one
+computation repeat a few hundred quotients many thousand times.  A product
+with a unit factor ``c*q^k`` skips the reduction: a unit of Q[q, 1/q]
+changes neither the gcd of numerator and denominator nor the denominator,
+so the product of a unit and a canonical scalar is canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -198,13 +207,47 @@ def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 _ONE_LP = LaurentPoly.const(1)
 
 
+@lru_cache(maxsize=4096)
+def _canonical(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The canonical ``(num, den)`` of ``num/den`` (nonzero num, den not 1).
+
+    Memoised per unreduced pair in a bounded cache that holds only
+    LaurentPoly values, which no method mutates.
+    """
+    d0 = den.min_exp()
+    if len(den.c) == 1:
+        # unit denominator c*q^d0
+        return num.shift(-d0).scale(_div(1, den.c[d0])), _ONE_LP
+    n0 = num.min_exp()
+    a = num.shift(-n0)
+    b = den.shift(-d0)
+    g = lp_gcd(a, b)
+    if g.c != _ONE_LP.c:
+        a, _ = _poly_divmod(a, g)
+        b, _ = _poly_divmod(b, g)
+    num = a.shift(n0 - d0)
+    den = b
+    lo = den.c[den.min_exp()]
+    if lo != 1:
+        inv = _div(1, lo)
+        num = num.scale(inv)
+        den = den.scale(inv)
+    if den.c == _ONE_LP.c:
+        den = _ONE_LP
+    return num, den
+
+
 class QScalar:
     """Element of Q(q) in canonical form.
 
     Canonical form: gcd(num, den) = 1 over Q[q, 1/q], the denominator has
     minimal exponent 0 and its lowest coefficient is 1.  Equality is then
     plain structural comparison.  A denominator of 1 embeds LaurentPoly and
-    enables fast-path arithmetic.
+    enables fast-path arithmetic.  Any other pair is reduced by
+    :func:`_canonical`, which is memoised per unreduced ``(num, den)`` pair
+    in a bounded LRU cache.  A product with a unit factor ``c*q^k`` is not
+    reduced at all, since a unit changes neither gcd(num, den) nor the
+    denominator (see :meth:`__mul__`).
     """
 
     __slots__ = ("num", "den")
@@ -212,35 +255,10 @@ class QScalar:
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE_LP):
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        if den.c == _ONE_LP.c:
+        if den.c == _ONE_LP.c or num.is_zero():
             self.num, self.den = num, _ONE_LP
             return
-        if num.is_zero():
-            self.num, self.den = num, _ONE_LP
-            return
-        d0 = den.min_exp()
-        if len(den.c) == 1:
-            # unit denominator c*q^d0
-            self.num = num.shift(-d0).scale(_div(1, den.c[d0]))
-            self.den = _ONE_LP
-            return
-        n0 = num.min_exp()
-        a = num.shift(-n0)
-        b = den.shift(-d0)
-        g = lp_gcd(a, b)
-        if g.c != _ONE_LP.c:
-            a, _ = _poly_divmod(a, g)
-            b, _ = _poly_divmod(b, g)
-        num = a.shift(n0 - d0)
-        den = b
-        lo = den.c[den.min_exp()]
-        if lo != 1:
-            inv = _div(1, lo)
-            num = num.scale(inv)
-            den = den.scale(inv)
-        if den.c == _ONE_LP.c:
-            den = _ONE_LP
-        self.num, self.den = num, den
+        self.num, self.den = _canonical(num, den)
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "QScalar":
@@ -288,9 +306,26 @@ class QScalar:
         return out
 
     def __mul__(self, other):
+        """The product; a unit factor c*q^k skips the reduction.
+
+        If one factor is a unit u = c*q^k of Q[q, 1/q] (denominator 1, one
+        term) and the other is a nonzero canonical num/den, the product
+        (u*num)/den is already canonical: u changes neither gcd(num, den)
+        nor the denominator, so den keeps minimal exponent 0 and lowest
+        coefficient 1.
+        """
         if self.den is _ONE_LP and other.den is _ONE_LP:
             return QScalar.from_poly(self.num * other.num)
-        return QScalar(self.num * other.num, self.den * other.den)
+        # a factor whose den is not 1 is nonzero, as canonical zero has den 1
+        if self.den is _ONE_LP and len(self.num.c) == 1:
+            den = other.den
+        elif other.den is _ONE_LP and len(other.num.c) == 1:
+            den = self.den
+        else:
+            return QScalar(self.num * other.num, self.den * other.den)
+        out = QScalar.__new__(QScalar)
+        out.num, out.den = self.num * other.num, den
+        return out
 
     def __truediv__(self, other):
         if other.is_zero():

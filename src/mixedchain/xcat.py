@@ -595,9 +595,12 @@ def res_right_k(lam: Bipartition, m: int, n: int) -> GrothVector:
 # dimension ledger
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def dims_for(m: int, n: int) -> dict[Bipartition, int]:
-    """Dimensions of all simple labels at (m,n), read off the chain content."""
+    """Dimensions of all simple labels at (m,n), read off the chain content.
+
+    The dict is memoised and shared by every caller, who must only read it.
+    """
     from .bimod import semisimple_part  # local import to avoid a cycle
     from .uqmod import bar_cover
 

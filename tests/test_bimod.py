@@ -246,15 +246,27 @@ def test_memoised_results_are_fresh_vectors():
 
 def test_label_memos_stay_bounded():
     # the identity sweep holds per-context tables for at most two contexts,
-    # and per-label memos are LRU caches of a fixed size, whatever the bound
+    # and per-label memos are LRU caches of a fixed size, whatever the bound;
+    # the per-context ledgers keep 64 contexts, enough for a sweep to compute
+    # each context once, the mirror lookups semisimple_part(n, m) included
     import mixedchain.bimod as bm
     import mixedchain.fusion as fu
     import mixedchain.xcat as xc
-    from mixedchain.cli import _verify_identities
+    from mixedchain.cli import _verify_dims, _verify_identities
 
     per_context = [xc._exceptional_rows, bm._restrictions]
     per_label = [fu._fused_with_v, bm._fused]
-    for memo in per_context + per_label:
+    ledgers = [bm.semisimple_part, xc.dims_for]
+    contexts = sum(total + 1 for total in range(1, 21))  # all (m,n) with 1 <= m+n <= 20
+
+    def assert_ledgers_bounded(memos):
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.maxsize <= 64, (memo.__name__, info)
+            assert 1 <= info.currsize <= info.maxsize, (memo.__name__, info)
+            assert info.misses == contexts, (memo.__name__, info)
+
+    for memo in per_context + per_label + ledgers:
         memo.cache_clear()
     assert all(row["ok"] for row in _verify_identities(20))
     for memo in per_context:
@@ -264,3 +276,9 @@ def test_label_memos_stay_bounded():
         info = memo.cache_info()
         assert info.maxsize is not None and info.maxsize <= 1024, (memo.__name__, info)
         assert 1 <= info.currsize <= info.maxsize, (memo.__name__, info)
+    assert_ledgers_bounded([bm.semisimple_part])
+    for memo in ledgers:
+        memo.cache_clear()
+    rows = _verify_dims(20)
+    assert len(rows) == contexts and all(row["ok"] for row in rows)
+    assert_ledgers_bounded(ledgers)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedchain.qarith import (
@@ -15,6 +15,9 @@ from mixedchain.qarith import (
     LaurentPoly,
     PoleAtPoint,
     QScalar,
+    _div,
+    _ONE_LP,
+    _poly_divmod,
     eval_points,
     lp_gcd,
     qint,
@@ -205,3 +208,82 @@ def test_coefficients_stay_exact(a, b, c):
               lp_gcd(b, c), lp_gcd(a, b * c)]
     for v in _coefficients(*values):
         assert type(v) in (int, Fraction), v
+
+
+def _reference_canonical(num, den):
+    """The reduction of QScalar(num, den) as it was before it was memoised."""
+    if den.c == _ONE_LP.c:
+        return num, _ONE_LP
+    if num.is_zero():
+        return num, _ONE_LP
+    d0 = den.min_exp()
+    if len(den.c) == 1:
+        # unit denominator c*q^d0
+        return num.shift(-d0).scale(_div(1, den.c[d0])), _ONE_LP
+    n0 = num.min_exp()
+    a = num.shift(-n0)
+    b = den.shift(-d0)
+    g = lp_gcd(a, b)
+    if g.c != _ONE_LP.c:
+        a, _ = _poly_divmod(a, g)
+        b, _ = _poly_divmod(b, g)
+    num = a.shift(n0 - d0)
+    den = b
+    lo = den.c[den.min_exp()]
+    if lo != 1:
+        inv = _div(1, lo)
+        num = num.scale(inv)
+        den = den.scale(inv)
+    if den.c == _ONE_LP.c:
+        den = _ONE_LP
+    return num, den
+
+
+def _assert_matches_reference(x, num, den):
+    ref_num, ref_den = _reference_canonical(num, den)
+    assert x.num.c == ref_num.c and x.den.c == ref_den.c, (x, ref_num, ref_den)
+    for v in _coefficients(x):
+        assert type(v) in (int, Fraction), v
+
+
+# a small pool of common factors makes repeated (num, den) pairs likely,
+# so memo hits are exercised as well as misses
+common = st.sampled_from([LaurentPoly({0: 1}), LaurentPoly({1: 1, 0: -1}),
+                          LaurentPoly({2: 1, 0: 1, -2: 1}),
+                          LaurentPoly({1: Fraction(2, 3), -1: 3})])
+unit_polys = st.builds(lambda c, k: LaurentPoly({k: c}),
+                       exact_coeffs.filter(bool), st.integers(min_value=-5, max_value=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, st.one_of(polys, unit_polys), common)
+@example(LaurentPoly({2: 1, 0: -1}), LaurentPoly({1: 1, 0: -1}), LaurentPoly({0: 1}))
+@example(LaurentPoly({-3: Fraction(1, 2)}), LaurentPoly({2: Fraction(-4, 3)}),
+         LaurentPoly({0: 1}))
+def test_memoised_reduction_matches_reference(a, b, g):
+    num, den = a * g, b * g
+    for _ in range(2):  # the second round is a memo hit
+        _assert_matches_reference(QScalar(num, den), num, den)
+    # an equal pair built afresh hits the memo through equality
+    again = (LaurentPoly(dict(num.c)), LaurentPoly(dict(den.c)))
+    _assert_matches_reference(QScalar(*again), *again)
+
+
+def test_zero_denominator_raises_after_memo():
+    num = LaurentPoly({3: 2, -1: Fraction(1, 5)})
+    den = LaurentPoly({1: 1, 0: 2})
+    QScalar(num, den)
+    QScalar(num, den)
+    with pytest.raises(DivisionByZero):
+        QScalar(num, LaurentPoly())
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_polys, polys, st.one_of(polys, unit_polys), st.booleans())
+@example(LaurentPoly({2: 3}), LaurentPoly({0: 1}), LaurentPoly({1: 1, 0: 1}), False)
+def test_unit_factor_product_is_canonical(u, a, b, zero):
+    # c*q^k times a canonical scalar equals the reduced generic product
+    unit = QScalar.from_poly(u)
+    x = ZERO if zero else QScalar(a, b)
+    for got in (unit * x, x * unit):
+        _assert_matches_reference(got, unit.num * x.num, unit.den * x.den)

@@ -275,3 +275,20 @@ def test_hopf_axioms_on_fundamental():
         assert (B + kinv * sB).is_zero()
         assert (sC * k + C).is_zero()
         assert (C * kinv + sC).is_zero()
+
+
+def test_canonical_memo_is_bounded_and_hit():
+    # the relation checks of criterion 3's labels (s <= 3) reduce the same
+    # few quotients over and over: the memo must stay bounded and keep hitting
+    from mixedchain import qarith
+
+    qarith._canonical.cache_clear()
+    for alpha, beta in itertools.product(SIGNS, SIGNS):
+        for s in range(1, 4):
+            for r in range(-3, s + 4):
+                assert check_relations(build_simple(Z(alpha, beta, s, r))) == []
+            for r in (0, s):
+                assert check_relations(build_projective(R(alpha, beta, s, r))) == []
+    info = qarith._canonical.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 4096, info
+    assert info.hits > info.misses, info
