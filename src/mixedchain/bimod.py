@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fusion import GrothVector, chain_decompose, fuse_with_v
+from .fusion import GrothVector, chain_content, fuse_with_v, gv
 from .partitions import (
     Bipartition,
     atyp,
@@ -138,9 +138,10 @@ def _column_mids(z_top: BarLabel, prev_top, next_top) -> tuple[BarLabel, BarLabe
     return pair
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def atypical_part(m: int, n: int) -> BimoduleGraph:
-    """The indecomposable atypical summand, with both edge colours."""
+    """The indecomposable atypical summand, with both edge colours.  Its
+    callers read one context at a time, so two contexts are kept."""
     cols, extra, host = atypical_columns(m, n)
     xbip = atypical_bipartition
     z_extra = extra_vertex_label(m, n)
@@ -285,25 +286,47 @@ def closed_form_p(m: int, n: int) -> GrothVector:
 # flattened bimodule and the induction identities
 # ---------------------------------------------------------------------------
 
-def _flattened(m: int, n: int, atypical: GrothVector) -> GrothVector:
-    """The semisimple part, each simple boxed once, plus a flattened atypical part."""
-    acc: dict = {}
+def _flattened(m: int, n: int, atypical: tuple):
+    """The semisimple part, each simple boxed once, then a flattened atypical
+    part, as ((term, z), mult) items.  Every reader sums multiplicities, so
+    the items need not be merged: the semisimple part is read off its memo
+    and not keyed again into a dict."""
     for lam, z in semisimple_part(m, n):
-        key = (("D", lam), z)
-        acc[key] = acc.get(key, 0) + 1
-    for key, mult in atypical.items():
-        acc[key] = acc.get(key, 0) + mult
-    return GrothVector.from_sums(acc)
+        yield (("D", lam), z), 1
+    yield from atypical
+
+
+# The identity sweep flattens (m, n+1) on one diagonal and (m, n) again on
+# the next, up to 2(m+n) contexts of the same side later; 128 contexts per
+# side keep a sweep to 40 at one miss per context (64 do not).  Only the
+# atypical part, O(m+n) items, is kept: the semisimple part has O((m+n)^2).
+
+@lru_cache(maxsize=128)
+def _q_atypical_items(m: int, n: int) -> tuple:
+    return tuple(q_atypical(m, n).items())
+
+
+@lru_cache(maxsize=128)
+def _p_atypical_items(m: int, n: int) -> tuple:
+    return tuple(p_atypical(m, n).items())
+
+
+def _q_flat(m: int, n: int):
+    return _flattened(m, n, _q_atypical_items(m, n))
+
+
+def _p_flat(m: int, n: int):
+    return _flattened(m, n, _p_atypical_items(m, n))
 
 
 def q_flattened(m: int, n: int) -> GrothVector:
     """The fully assembled bimodule after centralizer-side flattening."""
-    return _flattened(m, n, q_atypical(m, n))
+    return gv(*_q_flat(m, n))
 
 
 def p_flattened(m: int, n: int) -> GrothVector:
     """The fully assembled bimodule after quantum-side flattening."""
-    return _flattened(m, n, p_atypical(m, n))
+    return gv(*_p_flat(m, n))
 
 
 @lru_cache(maxsize=2)
@@ -346,12 +369,12 @@ def verify_identity_tensor(m: int, n: int) -> bool:
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     lhs: dict = {}
-    for (term, z), mult in q_flattened(m, n).items():
+    for (term, z), mult in _q_flat(m, n):
         for w, wm in _fused(z)[0]:
             key = (term, w)
             lhs[key] = lhs.get(key, 0) + mult * wm
     rhs: dict = {}
-    for (term, z), mult in q_flattened(m, n + 1).items():
+    for (term, z), mult in _q_flat(m, n + 1):
         w = bar_to_plain(z)
         for rterm, rm in _restriction(term, m, n + 1):
             # a simple term is its own flattening
@@ -370,12 +393,12 @@ def verify_identity_proj(m: int, n: int) -> bool:
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     lhs: dict = {}
-    for (term, z), mult in p_flattened(m, n).items():
+    for (term, z), mult in _p_flat(m, n):
         for sub, sm in _fused(z)[1]:
             key = (term, sub)
             lhs[key] = lhs.get(key, 0) + mult * sm
     rhs: dict = {}
-    for (term, z), mult in p_flattened(m, n + 1).items():
+    for (term, z), mult in _p_flat(m, n + 1):
         w = bar_to_plain(z)
         for rterm, rm in _restriction(term, m, n + 1):
             key = (rterm, w)
@@ -393,19 +416,19 @@ def dimension_audit(m: int, n: int) -> bool:
     if total != 3 ** (m + n):
         return False
     expected = GrothVector()
-    for (term, z), mult in q_flattened(m, n).items():
+    for (term, z), mult in _q_flat(m, n):
         expected.add(bar_to_plain(z), mult * dim_simple_x(term[1], m, n))
-    return expected == chain_decompose(m, n)
+    return expected == chain_content(m, n)
 
 
 def p_weighted_against_chain(m: int, n: int) -> bool:
     """p-flattened bimodule, weighted by X-dimensions, against the
     subquotient content of the chain."""
     lhs = GrothVector()
-    for (term, z), mult in p_flattened(m, n).items():
+    for (term, z), mult in _p_flat(m, n):
         lhs.add(bar_to_plain(z), mult * dim_term(term, m, n))
     rhs = GrothVector()
-    for x, mult in chain_decompose(m, n).items():
+    for x, mult in chain_content(m, n).items():
         for sub in simple_subquotients(x):
             rhs.add(sub, mult)
     return lhs == rhs

@@ -18,6 +18,13 @@ The alternate label alphabet (barred labels, indexed by parity p and a pair
 also translated here.  Its mirror `gbar`, which swaps t and r, is the
 duality read in that alphabet, and the barred cover subquotients are the
 plain ones translated.
+
+Every label class here (`ZLabel`, `RLabel`, `BarLabel`, `GL2Label`) is a
+`tagged.TaggedTuple`: immutable, hashed and compared in C, ordered by its
+fields within the class, and never equal to a label of another class with
+the same fields.  The factories `Z`, `R` and `bar` validate and build the
+tuple directly.  The translation `bar_to_plain` and the builders
+`build_simple` and `build_projective` are memoised in bounded LRU caches.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from functools import lru_cache
 
 from .qarith import MINUS_ONE, ONE, Q, QINV, QScalar, qint, qpow
 from .sparse import SparseMatrix
+from .tagged import TaggedTuple
 
 
 class UnsupportedLabel(ValueError):
@@ -40,26 +48,23 @@ MAX_SPIN = 400  # guard for explicit matrix construction
 # labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class ZLabel:
-    alpha: int
-    beta: int
-    s: int
-    r: int
+class ZLabel(TaggedTuple, fields="alpha beta s r"):
+    __slots__ = ()
 
     def __repr__(self):
         return f"Z[{self.alpha},{self.beta};{self.s},{self.r}]"
 
 
-@dataclass(frozen=True, order=True)
-class RLabel:
-    alpha: int
-    beta: int
-    s: int
-    r: int
+class RLabel(TaggedTuple, fields="alpha beta s r"):
+    __slots__ = ()
 
     def __repr__(self):
         return f"R[{self.alpha},{self.beta};{self.s},{self.r}]"
+
+
+# the factories validate, then build the tagged tuple without a constructor frame
+_new = tuple.__new__
+_Z_TAG, _R_TAG = ZLabel._tag, RLabel._tag
 
 
 def Z(alpha: int, beta: int, s: int, r: int) -> ZLabel:
@@ -70,10 +75,10 @@ def Z(alpha: int, beta: int, s: int, r: int) -> ZLabel:
     if s == 0:
         if r != 0:
             raise ValueError("s = 0 requires r = 0")
-        return ZLabel(alpha, -beta, 1, 0)
+        return _new(ZLabel, (_Z_TAG, alpha, -beta, 1, 0))
     if s < 0:
         raise ValueError("negative spin")
-    return ZLabel(alpha, beta, s, r)
+    return _new(ZLabel, (_Z_TAG, alpha, beta, s, r))
 
 
 def R(alpha: int, beta: int, s: int, r: int) -> RLabel:
@@ -81,7 +86,7 @@ def R(alpha: int, beta: int, s: int, r: int) -> RLabel:
         raise ValueError("signs must be +-1")
     if s < 1 or r not in (0, s):
         raise ValueError(f"no projective cover labelled (s,r)=({s},{r})")
-    return RLabel(alpha, beta, s, r)
+    return _new(RLabel, (_R_TAG, alpha, beta, s, r))
 
 
 def is_atypical(z: ZLabel) -> bool:
@@ -143,15 +148,16 @@ def simple_subquotients(x) -> list[ZLabel]:
 # barred label alphabet
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class BarLabel:
-    kind: str  # "Z" or "R"
-    p: int     # parity, stored mod 2
-    t: int
-    r: int
+class BarLabel(TaggedTuple, fields="kind p t r"):
+    """kind "Z" or "R", parity p stored mod 2, coordinates (t, r)."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return f"{self.kind}bar[{self.p};{self.t},{self.r}]"
+
+
+_BAR_TAG = BarLabel._tag
 
 
 def bar(kind: str, p: int, t: int, r: int) -> BarLabel:
@@ -159,14 +165,17 @@ def bar(kind: str, p: int, t: int, r: int) -> BarLabel:
         raise ValueError("kind must be Z or R")
     if kind == "R" and t != 0 and r != 0:
         raise ValueError("projective bar labels require t = 0 or r = 0")
-    return BarLabel(kind, p % 2, t, r)
+    return _new(BarLabel, (_BAR_TAG, kind, p % 2, t, r))
 
 
 def _sign(p: int) -> int:
     return 1 if p % 2 == 0 else -1
 
 
+@lru_cache(maxsize=1024)
 def bar_to_plain(b: BarLabel):
+    """The plain label of a barred one; memoised per label, bounded like the
+    other per-label memos of the label sweeps."""
     if b.kind == "Z":
         if b.r != 0:
             return Z(1, _sign(b.p), b.t + b.r, b.r)
@@ -216,12 +225,8 @@ def gbar(b: BarLabel) -> BarLabel:
 # gl(2) block data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class GL2Label:
-    alpha: int
-    beta: int
-    s: int
-    r: int
+class GL2Label(TaggedTuple, fields="alpha beta s r"):
+    __slots__ = ()
 
     def __repr__(self):
         return f"X[{self.alpha},{self.beta};{self.s},{self.r}]"
@@ -326,9 +331,13 @@ def _fermion_maps(z: ZLabel):
     return B, C
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def build_simple(z: ZLabel) -> ExplicitRep:
-    """Generator matrices of a simple module in its gl(2)-adapted basis."""
+    """Generator matrices of a simple module in its gl(2)-adapted basis.
+
+    Memoised: a cover is glued from its four simple subquotients, which a
+    module sweep also builds on their own; 256 labels hold every simple of
+    spin <= 5 (200 of them)."""
     if z.s > MAX_SPIN:
         raise UnsupportedLabel(f"spin {z.s} exceeds the build bound {MAX_SPIN}")
     blocks = [blk for blk in _blocks(z) if blk.size > 0]
@@ -456,9 +465,10 @@ def _proj_edges(rl: RLabel):
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def build_projective(rl: RLabel) -> ExplicitRep:
-    """Generator matrices of a projective cover on its four Loewy subquotients."""
+    """Generator matrices of a projective cover on its four Loewy
+    subquotients.  Memoised; 64 labels hold every cover of spin <= 4 (32)."""
     if rl.s > MAX_SPIN:
         raise UnsupportedLabel(f"spin {rl.s} exceeds the build bound {MAX_SPIN}")
     slots = proj_subquotients(rl)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fusion import GrothVector, chain_decompose
+from .fusion import GrothVector, chain_content
 from .partitions import (
     AtypicalLabel,
     Bipartition,
@@ -63,13 +63,14 @@ class LabelNotInBimodule(KeyError):
 XTerm = tuple[str, Bipartition]
 
 
-def _classify_cross(lam: Bipartition, m: int, n: int) -> AtypicalLabel | None:
-    """The atypical label of a cross label of the (m,n) context, None when it
-    is typical; raises when lam is not a cross label there."""
-    lambda_f(lam, m, n)
+def _classify_cross(lam: Bipartition, m: int, n: int) -> tuple[int, AtypicalLabel | None]:
+    """The defect of a cross label of the (m,n) context and its atypical
+    label, None when it is typical; raises when lam is not a cross label
+    there.  The one validation of a restriction's input."""
+    f = lambda_f(lam, m, n)
     if not is_cross21(lam):
         raise NotCross(f"{lam!r} is not a cross bipartition")
-    return atypical_set(m, n).get(lam)
+    return f, atypical_set(m, n).get(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def proj_structure(lam: Bipartition, m: int, n: int) -> LoewyGraph:
     the extra vertex when the column hosts it, as middle layer between two
     copies of its head.
     """
-    lab = _classify_cross(lam, m, n)
+    _f, lab = _classify_cross(lam, m, n)
     if lab is None:
         return _graph_single(lam)
     cols, extra, host = atypical_columns(m, n)
@@ -152,10 +153,9 @@ def q_expand(v: GrothVector, m: int, n: int) -> GrothVector:
 # restriction functors
 # ---------------------------------------------------------------------------
 
-def _generic_restriction(lam: Bipartition, m: int, n: int) -> list[Bipartition]:
-    """Remove a box on the right or, when the defect is positive, add one on
-    the left; the caller has already checked that lam is a cross label."""
-    f = lambda_f(lam, m, n)
+def _generic_restriction(lam: Bipartition, f: int) -> list[Bipartition]:
+    """Remove a box on the right or, when the defect f is positive, add one
+    on the left; the caller has already checked that lam is a cross label."""
     left, right = lam
     out = [(left, mu) for mu in rem_boxes(right)]
     if f > 0:
@@ -167,9 +167,9 @@ def res_right_s(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a Specht label one step down on the right side."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
-    _classify_cross(lam, m, n)
+    f, _lab = _classify_cross(lam, m, n)
     out = GrothVector()
-    for mu in _generic_restriction(lam, m, n):
+    for mu in _generic_restriction(lam, f):
         out.add(mu)
     return out
 
@@ -394,14 +394,20 @@ def res_right_d(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a simple label; entries are ("D"|"K", bipartition)."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
-    lab = _classify_cross(lam, m, n)
+    f, lab = _classify_cross(lam, m, n)
+    return _res_d(lam, f, lab, m, n)
+
+
+def _res_d(lam: Bipartition, f: int, lab: AtypicalLabel | None, m: int, n: int) -> GrothVector:
+    """`res_right_d` past its validation, given the defect and the atypical
+    label that `_classify_cross` read off lam."""
     if lab is not None:
         return _res_d_atypical(lab, m, n)
     special = _match_exceptional_d(lam, m, n)
     if special is not None:
         return special
     out = GrothVector()
-    for mu in _generic_restriction(lam, m, n):
+    for mu in _generic_restriction(lam, f):
         out.add(("D", mu))
     return out
 
@@ -585,9 +591,9 @@ def res_right_k(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a projective label; ("K", mu) entries stay projective."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
-    lab = _classify_cross(lam, m, n)
+    f, lab = _classify_cross(lam, m, n)
     if lab is None:
-        return res_right_d(lam, m, n)
+        return _res_d(lam, f, None, m, n)
     return _res_k_atypical(lab, m, n)
 
 
@@ -604,7 +610,7 @@ def dims_for(m: int, n: int) -> dict[Bipartition, int]:
     from .bimod import semisimple_part  # local import to avoid a cycle
     from .uqmod import bar_cover
 
-    chain = chain_decompose(m, n)
+    chain = chain_content(m, n)
     out: dict[Bipartition, int] = {}
     for lam, zbar in semisimple_part(m, n):
         out[lam] = chain.get(bar_to_plain(zbar), 0)

@@ -247,26 +247,38 @@ def test_memoised_results_are_fresh_vectors():
 def test_label_memos_stay_bounded():
     # the identity sweep holds per-context tables for at most two contexts,
     # and per-label memos are LRU caches of a fixed size, whatever the bound;
-    # the per-context ledgers keep 64 contexts, enough for a sweep to compute
-    # each context once, the mirror lookups semisimple_part(n, m) included
+    # the per-context ledgers keep 64 contexts, and the sweep memos at most
+    # 128, enough for a sweep to compute each context once, the mirror
+    # lookups semisimple_part(n, m) included
     import mixedchain.bimod as bm
     import mixedchain.fusion as fu
+    import mixedchain.partitions as pa
+    import mixedchain.uqmod as uq
     import mixedchain.xcat as xc
     from mixedchain.cli import _verify_dims, _verify_identities
 
     per_context = [xc._exceptional_rows, bm._restrictions]
-    per_label = [fu._fused_with_v, bm._fused]
+    per_label = [fu._fused_with_v, bm._fused, uq.bar_to_plain]
     ledgers = [bm.semisimple_part, xc.dims_for]
-    contexts = sum(total + 1 for total in range(1, 21))  # all (m,n) with 1 <= m+n <= 20
+    sweep = [pa.atypical_columns, pa.atypical_set, bm._q_atypical_items,
+             bm._p_atypical_items, bm.atypical_part, fu.chain_content]
+    # all (m,n) with 1 <= m+n <= 20: each is one context of a sweep to 20
+    swept = {(m, total - m) for total in range(1, 21) for m in range(total + 1)}
+    # the identities at (m,n) read (m,n) and (m,n+1), all with m >= 1
+    reached = {(m, n) for m, n in swept | {(m, n + 1) for m, n in swept} if m >= 1}
+    contexts = len(swept)
+    # the dims audit classifies labels only where the atypical part has columns
+    with_columns = sum(1 for m, n in swept if pa.atypical_columns(m, n)[0])
 
-    def assert_ledgers_bounded(memos):
+    def assert_bounded(memos, misses, maxsize):
         for memo in memos:
             info = memo.cache_info()
-            assert info.maxsize is not None and info.maxsize <= 64, (memo.__name__, info)
-            assert 1 <= info.currsize <= info.maxsize, (memo.__name__, info)
-            assert info.misses == contexts, (memo.__name__, info)
+            want = misses.get(memo, 0)
+            assert info.maxsize is not None and info.maxsize <= maxsize, (memo.__name__, info)
+            assert min(1, want) <= info.currsize <= info.maxsize, (memo.__name__, info)
+            assert info.misses == want, (memo.__name__, info)
 
-    for memo in per_context + per_label + ledgers:
+    for memo in per_context + per_label + ledgers + sweep:
         memo.cache_clear()
     assert all(row["ok"] for row in _verify_identities(20))
     for memo in per_context:
@@ -276,9 +288,19 @@ def test_label_memos_stay_bounded():
         info = memo.cache_info()
         assert info.maxsize is not None and info.maxsize <= 1024, (memo.__name__, info)
         assert 1 <= info.currsize <= info.maxsize, (memo.__name__, info)
-    assert_ledgers_bounded([bm.semisimple_part])
-    for memo in ledgers:
+    assert_bounded([bm.semisimple_part], {bm.semisimple_part: contexts}, 64)
+    # restrictions classify labels of the contexts with a right strand
+    one_each = {memo: len(reached) for memo in sweep[:4]}
+    one_each[pa.atypical_set] = len({(m, n) for m, n in reached if n >= 1})
+    assert_bounded(sweep, one_each, 128)
+
+    for memo in ledgers + sweep:
         memo.cache_clear()
     rows = _verify_dims(20)
     assert len(rows) == contexts and all(row["ok"] for row in rows)
-    assert_ledgers_bounded(ledgers)
+    assert_bounded(ledgers, dict.fromkeys(ledgers, contexts), 64)
+    one_each = dict.fromkeys(sweep, contexts)
+    one_each[fu.chain_content] = contexts + 1  # the empty chain (0,0) too
+    one_each[pa.atypical_set] = with_columns
+    assert_bounded(sweep, one_each, 128)
+    assert bm.atypical_part.cache_info().maxsize == 2

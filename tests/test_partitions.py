@@ -1,8 +1,13 @@
+import copy
+import itertools
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedchain.partitions import (
+    AtypicalLabel,
     InvalidF,
     NotInLambda,
     add_boxes,
@@ -188,3 +193,40 @@ def test_rendering():
     assert part_str(()) == "-"
     assert part_str((2, 2)) == "2^2"
     assert bip_str(((2, 1), ())) == "[2,1 | -]"
+
+
+def _atypical_labels():
+    return [atyp(family, barred, a, s) for family in ("delta2", "delta", "delta1")
+            for barred in (True, False) for a in range(3, -1, -1) for s in range(3, -1, -1)]
+
+
+def test_atypical_labels_are_tagged_tuples():
+    lab = atyp("delta", True, 2, 1)
+    assert repr(lab) == "~d[2,1]"
+    assert repr(atyp("delta1", False, 3, 2)) == "d'[3,2]"
+    assert repr(atyp("delta2", True, 1, 4)) == "~d''[1,4]"
+    assert (lab.family, lab.bar, lab.a, lab.s) == ("delta", True, 2, 1)
+    assert AtypicalLabel("delta", True, 2, 1) == lab
+    assert AtypicalLabel(family="delta", bar=True, a=2, s=1) == lab
+    # order within the class is the old field-tuple order
+    labels = _atypical_labels()
+    fields = [(x.family, x.bar, x.a, x.s) for x in labels]
+    assert [(x.family, x.bar, x.a, x.s) for x in sorted(labels)] == sorted(fields)
+    for x, y in itertools.product(labels[::5], repeat=2):
+        assert (x < y) == ((x.family, x.bar, x.a, x.s) < (y.family, y.bar, y.a, y.s))
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(lab, protocol=proto))
+        assert type(back) is AtypicalLabel and back == lab
+    assert type(copy.deepcopy(lab)) is AtypicalLabel and copy.deepcopy(lab) == lab
+    with pytest.raises(AttributeError):
+        lab.a = 5
+    with pytest.raises(AttributeError):
+        lab.note = "x"
+
+
+def test_atypical_labels_never_equal_other_labels():
+    from mixedchain.uqmod import ZLabel
+
+    lab = AtypicalLabel(1, 1, 2, 0)  # the fields of a plain label
+    plain = ZLabel(1, 1, 2, 0)
+    assert lab != plain and len({lab: 1, plain: 2}) == 2

@@ -1,14 +1,21 @@
+import copy
 import itertools
+import pickle
+import random
 
 import pytest
 
+from mixedchain.fusion import GrothVector
 from mixedchain.qarith import MINUS_ONE, ONE, Q, QINV
 from mixedchain.uqmod import (
     THREE,
     THREE_BAR,
+    BarLabel,
     GL2Label,
     R,
+    RLabel,
     Z,
+    ZLabel,
     bar,
     bar_cover,
     bar_subquotients,
@@ -292,3 +299,95 @@ def test_canonical_memo_is_bounded_and_hit():
     info = qarith._canonical.cache_info()
     assert info.maxsize is not None and info.maxsize <= 4096, info
     assert info.hits > info.misses, info
+
+
+# ---------------------------------------------------------------------------
+# the label representation
+# ---------------------------------------------------------------------------
+
+def _sample_labels():
+    """Valid labels of every class, in a scrambled order."""
+    out = [Z(a, b, s, r) for a, b in itertools.product(SIGNS, SIGNS)
+           for s in range(1, 5) for r in range(-2, s + 3)]
+    out += [R(a, b, s, r) for a, b in itertools.product(SIGNS, SIGNS)
+            for s in range(1, 5) for r in (0, s)]
+    out += [bar(kind, p, t, r) for kind in ("Z", "R") for p in (0, 1)
+            for t in range(-2, 4) for r in range(-2, 4) if kind == "Z" or t * r == 0]
+    out += [g for x in out[:40] for g in gl2_decomposition(x)]
+    random.Random(2017).shuffle(out)
+    return out
+
+
+def test_labels_of_different_classes_never_merge():
+    z, rl = Z(1, 1, 2, 0), R(1, 1, 2, 0)
+    assert (z.alpha, z.beta, z.s, z.r) == (rl.alpha, rl.beta, rl.s, rl.r)
+    assert z != rl and rl != z and hash(z) != hash(rl)
+    v = GrothVector()
+    v.add(z, 2)
+    v.add(rl, 3)
+    assert dict(v) == {z: 2, rl: 3}
+    # a barred label and a gl(2) label with the fields of a plain one
+    barred, block = BarLabel(1, 1, 2, 0), GL2Label(1, 1, 2, 0)
+    assert len({z, rl, barred, block}) == 4
+    v.add(barred, 5)
+    assert v[z] == 2 and v[barred] == 5 and len(v) == 3
+    assert ZLabel(1, 1, 2, 0) == z and RLabel(1, 1, 2, 0) == rl
+
+
+def test_label_reprs_are_pinned():
+    assert repr(Z(1, -1, 3, 2)) == "Z[1,-1;3,2]"
+    assert repr(R(-1, 1, 2, 0)) == "R[-1,1;2,0]"
+    assert repr(bar("R", 3, 0, 4)) == "Rbar[1;0,4]"
+    assert repr(bar("Z", 2, 5, -1)) == "Zbar[0;5,-1]"
+    assert repr(GL2Label(1, -1, 2, -1)) == "X[1,-1;2,-1]"
+    assert str(Z(1, 1, 0, 0)) == f"{Z(1, -1, 1, 0)}" == "Z[1,-1;1,0]"
+
+
+def test_label_order_within_a_class_is_field_order():
+    labels = _sample_labels()
+    for cls in (ZLabel, RLabel, BarLabel, GL2Label):
+        mine = [x for x in labels if type(x) is cls]
+        assert len(mine) > 10, cls
+        fields = [tuple(getattr(x, f) for f in cls._fields) for x in mine]
+        assert [tuple(getattr(x, f) for f in cls._fields) for x in sorted(mine)] == sorted(fields)
+        for x, y in itertools.product(mine[:30], repeat=2):
+            fx = tuple(getattr(x, f) for f in cls._fields)
+            fy = tuple(getattr(y, f) for f in cls._fields)
+            assert (x < y, x <= y, x == y) == (fx < fy, fx <= fy, fx == fy)
+
+
+def test_labels_survive_pickle_and_copy():
+    for x in _sample_labels()[:60]:
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            y = pickle.loads(pickle.dumps(x, protocol=proto))
+            assert type(y) is type(x) and y == x and hash(y) == hash(x), (x, proto)
+        for y in (copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x and repr(y) == repr(x)
+
+
+def test_labels_are_immutable():
+    for x in (Z(1, 1, 3, 1), R(1, -1, 2, 2), bar("Z", 0, 1, 1), GL2Label(1, 1, 2, 0)):
+        field = type(x)._fields[-1]
+        with pytest.raises(AttributeError):
+            setattr(x, field, 7)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert not hasattr(x, "__dict__")
+
+
+def test_builders_are_bounded_memos():
+    # a module sweep builds every simple of spin <= 5 and every cover of
+    # spin <= 4; a cover reads its four simple subquotients off the memo
+    build_simple.cache_clear()
+    build_projective.cache_clear()
+    simples = [Z(a, b, s, r) for a, b in itertools.product(SIGNS, SIGNS)
+               for s in range(1, 6) for r in range(-3, s + 4)]
+    covers = [R(a, b, s, r) for a, b in itertools.product(SIGNS, SIGNS)
+              for s in range(1, 5) for r in (0, s)]
+    for x in covers + simples:
+        build_rep(x)
+    reached = set(simples) | {z for x in covers for z in proj_subquotients(x)}
+    for memo, built in ((build_simple, reached), (build_projective, covers)):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, info
+        assert info.misses == len(built), (memo.__name__, info)

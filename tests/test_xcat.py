@@ -216,6 +216,40 @@ def test_not_cross_raises():
         res_right_d(((1,), ()), 1, 0)
 
 
+def test_restrictions_validate_their_input_once():
+    # each restriction checks its input once, in the old order: out of the
+    # context first, then not a cross label
+    from mixedchain.partitions import NotInLambda, is_cross21, lambda_f, partitions_of
+
+    cases = {
+        (((2,), (1,)), 3, 1): NotInLambda,     # the defects of the two halves differ
+        (((3,), (2,)), 2, 1): NotInLambda,     # negative defect
+        (((2, 2), (2, 2)), 4, 5): NotInLambda,  # also not a cross label
+        (((2, 2), (2, 2)), 4, 4): NotCross,
+        (((3, 1, 1), (2, 2)), 5, 4): NotCross,
+    }
+    fns = (res_right_d, res_right_k, res_right_s)
+    for (lam, m, n), exc in cases.items():
+        for fn in fns:
+            with pytest.raises(exc):
+                fn(lam, m, n)
+    halves = [mu for k in range(5) for mu in partitions_of(k)]
+    for m in range(0, 6):
+        for n in range(1, 7 - m):
+            for lam in ((left, right) for left in halves for right in halves):
+                try:
+                    lambda_f(lam, m, n)
+                    want = None if is_cross21(lam) else NotCross
+                except NotInLambda:
+                    want = NotInLambda
+                for fn in fns:
+                    if want is None:
+                        fn(lam, m, n)
+                    else:
+                        with pytest.raises(want):
+                            fn(lam, m, n)
+
+
 def test_res_right_s_examples():
     assert dict(res_right_s(((2,), (1,)), 2, 1)) == {((2,), ()): 1}
     assert dict(res_right_s(((), ()), 1, 1)) == {(((1,), ())): 1}
