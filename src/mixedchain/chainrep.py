@@ -109,6 +109,25 @@ def fundamental_ops() -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
     return g, e, h
 
 
+class WindowedOperator(SparseMatrix):
+    """1_(3^a) (x) X (x) 1_(3^(nsites-a-w)) on a chain of nsites sites, kept
+    as its window (a, w, X); the 3^nsites chain rows are built on first read."""
+
+    __slots__ = ("window", "_chain_rows")
+
+    def __init__(self, nsites: int, a: int, w: int, x: SparseMatrix):
+        self.nrows = self.ncols = 3 ** nsites
+        self.window = (a, w, x)
+        self._chain_rows = None
+
+    @property
+    def rows(self) -> dict[int, dict[int, object]]:
+        if self._chain_rows is None:
+            a, w, x = self.window
+            self._chain_rows = embed_factor(x, 3 ** a, self.nrows // 3 ** (a + w)).rows
+        return self._chain_rows
+
+
 @dataclass
 class ChainContext:
     """Cached operator store for a fixed chain shape (m left, n right factors)."""
@@ -136,8 +155,9 @@ class ChainContext:
             self._cache["factors"] = [left] * self.m + [right] * self.n
         return self._cache["factors"]
 
-    def chain_operator(self, which: str, index: int = 0) -> SparseMatrix:
-        """g_j on factors (m-j, m-j+1), h_i on (m+i, m+i+1), e on (m, m+1)."""
+    def chain_operator(self, which: str, index: int = 0) -> WindowedOperator:
+        """g_j on factors (m-j, m-j+1), h_i on (m+i, m+i+1), e on (m, m+1),
+        kept as its two-site window; its chain rows are built on first read."""
         key = (which, index)
         if key in self._cache:
             return self._cache[key]
@@ -146,18 +166,18 @@ class ChainContext:
         if which == "g":
             if not (1 <= index <= m - 1):
                 raise IndexOutOfRange(f"g_{index} needs 1 <= j <= m-1 = {m - 1}")
-            left, op, right = m - index - 1, g9, n + index - 1
+            first, op = m - index - 1, g9
         elif which == "h":
             if not (1 <= index <= n - 1):
                 raise IndexOutOfRange(f"h_{index} needs 1 <= i <= n-1 = {n - 1}")
-            left, op, right = m + index - 1, h9, n - index - 1
+            first, op = m + index - 1, h9
         elif which == "e":
             if m < 1 or n < 1:
                 raise IndexOutOfRange("the wall contraction needs m, n >= 1")
-            left, op, right = m - 1, e9, n - 1
+            first, op = m - 1, e9
         else:
             raise ValueError(f"unknown chain operator {which!r}")
-        mat = embed_factor(op, 3 ** left, 3 ** right)
+        mat = WindowedOperator(self.nsites, first, 2, op)
         self._cache[key] = mat
         return mat
 
@@ -240,6 +260,46 @@ def _scalar(value: QScalar, point: EvalPoint | None):
     return value if point is None else value.eval_at(point)
 
 
+class _ResidualMemo:
+    """A process-level LRU memo of at most maxsize window residuals, keyed by
+    class; a miss calls the caller's compute(), which may use per-call data.
+    Every caller gets the same residual, and must only read it."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.misses = 0
+        self._values: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def clear(self) -> None:
+        self._values.clear()
+        self.misses = 0
+
+    def get(self, key, compute) -> SparseMatrix:
+        values = self._values
+        if key in values:
+            values[key] = value = values.pop(key)  # now the most recently used
+            return value
+        self.misses += 1
+        values[key] = value = compute()
+        if len(values) > self.maxsize:
+            del values[next(iter(values))]
+        return value
+
+
+# 14 relation classes and 16 x 6 centralizer classes for each set of window
+# factors, params and point: room for the symbolic and three eval backends.
+_RELATION_RESIDUALS = _ResidualMemo(maxsize=256)
+_CENTRALIZER_RESIDUALS = _ResidualMemo(maxsize=512)
+
+
+def _factor_key(x: SparseMatrix):
+    """Everything a window residual reads of a factor: its size and entries."""
+    return x.nrows, frozenset(x.entries())
+
+
 def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
                            point: EvalPoint | None = None):
     """Yield (name, residual) for every walled-Brauer relation on the chain.
@@ -257,6 +317,12 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
     homomorphisms, so the chain residual is sigma (R (x) 1) sigma^-1 with R
     the window residual, and since tensoring with an identity is injective
     it is zero exactly when R is.  No matrix larger than 81x81 is built.
+
+    A window residual depends only on its class: the relation's form, the
+    window size and its operators' kinds and positions in the window, given
+    the three 9x9 factors, the params and the point.  Residuals are memoised
+    by class for the whole process (`_RELATION_RESIDUALS`), keyed by all of
+    these, factor entries included; the embedded factors are kept per call.
     """
     m, n = ctx.m, ctx.n
     gam = _scalar(params.gamma, point)
@@ -266,84 +332,101 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
     if not gpd:
         raise SingularParams("gamma + delta = 0")
     one = Fraction(1) if point is not None else ONE
-    x9 = dict(zip("geh", (_as_backend(x, point) for x in fundamental_ops())))
+    x9 = dict(zip("geh", fundamental_ops()))
+    given = (tuple(_factor_key(x) for x in x9.values()), params, point)
     memo: dict = {}
 
     def first_site(kind, index):
         return {"g": m - index - 1, "h": m + index - 1, "e": m - 1}[kind]
 
-    def local(*ops):
-        """The operators (kind, index) embedded in their window, and its identity."""
-        sites = sorted({first_site(*op) + d for op in ops for d in (0, 1)})
-        w = len(sites)
+    def window(w, placed):
+        """The placed operators (kind, pos) embedded in a w-site window, and its identity."""
         mats = []
-        for kind, index in ops:
-            key = (kind, sites.index(first_site(kind, index)), w)
+        for kind, pos in placed:
+            key = (kind, pos, w)
             if key not in memo:
-                pos = key[1]
-                memo[key] = embed_factor(x9[kind], 3 ** pos, 3 ** (w - pos - 2))
+                memo[key] = embed_factor(_as_backend(x9[kind], point),
+                                         3 ** pos, 3 ** (w - pos - 2))
             mats.append(memo[key])
         if w not in memo:
             memo[w] = SparseMatrix.identity(3 ** w, one)
         return mats, memo[w]
 
-    def quad(op):
-        (x,), ident = local(op)
+    def quad(x, ident):
         return (x - ident.scale(gam)) * (x - ident.scale(dlt))
 
-    def comm(a, b):
-        (x, y), _ = local(a, b)
+    def comm(x, y, _):
         return x * y - y * x
 
-    def braid(a, b):
-        (x, y), _ = local(a, b)
+    def braid(x, y, _):
         return x * y * x - y * x * y
+
+    def ee(ew, _):
+        return ew * ew - ew.scale((tht + one) / gpd)
+
+    def sandwich(ew, x, _):
+        return ew * x * ew - ew
+
+    def core(ew, g1, h1, ident):
+        # h1^-1 from the quadratic relation: h^-1 = (h - (gamma+delta)) / (-gamma delta)
+        scale = -(gam * dlt)
+        h1inv = (h1 - ident.scale(gpd)).scale(one / scale if point is not None
+                                              else scale.invert())
+        return ew * g1 * h1inv * ew
+
+    def eghinv_right(ew, g1, h1, ident):
+        return core(ew, g1, h1, ident) * (g1 - h1)
+
+    def eghinv_left(ew, g1, h1, ident):
+        return (g1 - h1) * core(ew, g1, h1, ident)
+
+    def residual(form, *ops):
+        sites = sorted({first_site(*op) + d for op in ops for d in (0, 1)})
+        w = len(sites)
+        placed = tuple((kind, sites.index(first_site(kind, index))) for kind, index in ops)
+
+        def compute():
+            mats, ident = window(w, placed)
+            return form(*mats, ident)
+
+        return _RELATION_RESIDUALS.get((form.__name__, w, placed) + given, compute)
 
     g, h, e = range(1, m), range(1, n), ("e", 0)
     for j in g:
-        yield f"quad_g{j}", quad(("g", j))
+        yield f"quad_g{j}", residual(quad, ("g", j))
     for i in h:
-        yield f"quad_h{i}", quad(("h", i))
+        yield f"quad_h{i}", residual(quad, ("h", i))
     for j in g:
         for i in h:
-            yield f"comm_g{j}_h{i}", comm(("g", j), ("h", i))
+            yield f"comm_g{j}_h{i}", residual(comm, ("g", j), ("h", i))
     for j1 in g:
         for j2 in g:
             if j2 - j1 > 1:
-                yield f"comm_g{j1}_g{j2}", comm(("g", j1), ("g", j2))
+                yield f"comm_g{j1}_g{j2}", residual(comm, ("g", j1), ("g", j2))
     for i1 in h:
         for i2 in h:
             if i2 - i1 > 1:
-                yield f"comm_h{i1}_h{i2}", comm(("h", i1), ("h", i2))
+                yield f"comm_h{i1}_h{i2}", residual(comm, ("h", i1), ("h", i2))
     for j in range(1, m - 1):
-        yield f"braid_g{j}", braid(("g", j), ("g", j + 1))
+        yield f"braid_g{j}", residual(braid, ("g", j), ("g", j + 1))
     for i in range(1, n - 1):
-        yield f"braid_h{i}", braid(("h", i), ("h", i + 1))
+        yield f"braid_h{i}", residual(braid, ("h", i), ("h", i + 1))
     if m >= 1 and n >= 1:
-        (ew,), _ = local(e)
-        yield "ee", ew * ew - ew.scale((tht + one) / gpd)
+        yield "ee", residual(ee, e)
         if m >= 2:
-            (ew, g1), _ = local(e, ("g", 1))
-            yield "ege", ew * g1 * ew - ew
+            yield "ege", residual(sandwich, e, ("g", 1))
         if n >= 2:
-            (ew, h1), _ = local(e, ("h", 1))
-            yield "ehe", ew * h1 * ew - ew
+            yield "ehe", residual(sandwich, e, ("h", 1))
         for j in g:
             if j >= 2:
-                yield f"comm_e_g{j}", comm(e, ("g", j))
+                yield f"comm_e_g{j}", residual(comm, e, ("g", j))
         for i in h:
             if i >= 2:
-                yield f"comm_e_h{i}", comm(e, ("h", i))
+                yield f"comm_e_h{i}", residual(comm, e, ("h", i))
         if m >= 2 and n >= 2:
-            (ew, g1, h1), ident = local(e, ("g", 1), ("h", 1))
-            # h1^-1 from the quadratic relation: h^-1 = (h - (gamma+delta)) / (-gamma delta)
-            scale = -(gam * dlt)
-            h1inv = (h1 - ident.scale(gpd)).scale(one / scale if point is not None
-                                                  else scale.invert())
-            core = ew * g1 * h1inv * ew
-            dif = g1 - h1
-            yield "eghinv_right", core * dif
-            yield "eghinv_left", dif * core
+            ops = (e, ("g", 1), ("h", 1))
+            yield "eghinv_right", residual(eghinv_right, *ops)
+            yield "eghinv_left", residual(eghinv_left, *ops)
 
 
 def _timed_results(ctx, backend, residuals) -> list[CheckResult]:
@@ -367,10 +450,13 @@ def check_qwb_relations(ctx: ChainContext, params: QwbParams | None = None,
 
 
 def _operator_window(op: SparseMatrix, nsites: int):
-    """(a, w, X) with op = 1_(3^a) (x) X (x) 1_(3^(nsites-a-w)) on the fewest
-    consecutive sites [a, a+w), w >= 1, read off the matrix alone.  An operator
-    of no smaller window, or not of the chain's shape, is X = op on the whole
-    chain."""
+    """(a, w, X) with op = 1_(3^a) (x) X (x) 1_(3^(nsites-a-w)) on consecutive
+    sites [a, a+w), w >= 1.  A `WindowedOperator` gives its stored window.
+    Any other matrix is scanned for the fewest such sites, read off the matrix
+    alone; one of no smaller window, or not of the chain's shape, is X = op on
+    the whole chain."""
+    if isinstance(op, WindowedOperator):
+        return op.window
     if op.nrows == op.ncols == 3 ** nsites:
         nnz = op.nnz()
         for w in range(1, nsites):
@@ -414,9 +500,10 @@ def _factor_on(op: SparseMatrix, nnz: int, a: int, w: int,
 def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
     """Commutators of every chain operator with every coproduct generator.
 
-    Each operator of ctx.operators() is read off its matrix as
-    op = 1_(3^a) (x) X (x) 1_(3^b) on the fewest consecutive sites [a, a+w)
-    (`_operator_window`; a non-local operator gets the whole chain), and each
+    Each operator of ctx.operators() is op = 1_(3^a) (x) X (x) 1_(3^b) on
+    consecutive sites [a, a+w): a chain operator carries its window, and any
+    other matrix is scanned for the fewest such sites (`_operator_window`; a
+    non-local operator gets the whole chain).  Each
     commutator is computed on the sub-chain [a-1, a+w+1) cut to [0, m+n): the
     window plus one neighbouring site on each side, with the chain's own
     factor on every site, so itself a mixed chain of some shape (m', n').
@@ -441,9 +528,12 @@ def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
     twisted side on the right of the window.
 
     The chain's own operators have w = 2, so no matrix larger than 81x81 and
-    no coproduct on more than four sites is built.  Within a call, residuals
-    are memoised by sub-chain shape, X's offset in it and X's entries, so
-    interior g_j and h_i share one computation; a non-local operator's
+    no coproduct on more than four sites is built.  A residual depends only
+    on its class: the sub-chain shape, X's offset in it, X's entries, the
+    generator and the point.  Residuals are memoised by class for the whole
+    process (`_CENTRALIZER_RESIDUALS`), so interior g_j and h_i, and every
+    context after the first few, share one computation.  Sub-chain
+    coproducts and embedded X are kept per call; a non-local operator's
     sub-chain is the whole chain and uses ctx itself.
     """
     m, n, nsites = ctx.m, ctx.n, ctx.nsites
@@ -458,17 +548,17 @@ def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
         a, w, x = _operator_window(op, nsites)
         lo, hi = max(a - 1, 0), min(a + w + 1, nsites)
         shape = (max(0, min(hi, m) - lo), max(0, hi - max(lo, m)))
-        sub = cached(("ctx",) + shape, lambda: ChainContext(*shape))
-        key = (shape, a - lo, x.nrows, frozenset(x.entries()))
+        key = (shape, a - lo, _factor_key(x), point)
         for gname in ("E", "F", "K", "k", "B", "C"):
-            res = ("res", key, gname)
-            if res not in memo:
+            def compute():
+                sub = cached(("ctx",) + shape, lambda: ChainContext(*shape))
                 xs = cached(("op",) + key, lambda: embed_factor(
                     _as_backend(x, point), 3 ** (a - lo), 3 ** (hi - a - w)))
                 gmat = cached(("uq", shape, gname), lambda: _as_backend(
                     sub.quantum_group_action(gname), point))
-                memo[res] = xs * gmat - gmat * xs
-            yield f"[{opname},{gname}]", memo[res]
+                return xs * gmat - gmat * xs
+
+            yield f"[{opname},{gname}]", _CENTRALIZER_RESIDUALS.get(key + (gname,), compute)
 
 
 def check_centralizer(ctx: ChainContext, point: EvalPoint | None = None) -> list[CheckResult]:

@@ -25,7 +25,6 @@ from .bimod import (
     verify_identity_proj,
     verify_identity_tensor,
 )
-from .chainrep import ChainContext, check_centralizer, check_qwb_relations
 from .fusion import chain_decompose, label_str, sorted_labels
 from .partitions import bip_str
 from .qarith import eval_points
@@ -102,10 +101,12 @@ def _rep_payload(label):
 
 
 def _chain_check_task(task):
-    """Every check of one (m,n) context, all against one ChainContext, so
-    its chain operators are built once for every eval point; runs in a
-    worker process.  Every task has m+n >= 2, so it has at least one
-    operator."""
+    """Every check of one (m,n) context, at every eval point, against one
+    ChainContext; runs in a worker process.  Every task has m+n >= 2, so it
+    has at least one operator.  The chain layer is imported here, so the
+    label and module commands never load it."""
+    from .chainrep import ChainContext, check_centralizer, check_qwb_relations
+
     kind, m, n, backend, seed = task
     ctx = ChainContext(m, n)
     points = [None] if backend == "symbolic" else eval_points(seed)

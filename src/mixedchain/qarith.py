@@ -291,12 +291,16 @@ class QScalar:
     def __add__(self, other):
         if self.den is _ONE_LP and other.den is _ONE_LP:
             return QScalar.from_poly(self.num + other.num)
+        if self.den == other.den:
+            return QScalar(self.num + other.num, self.den)
         return QScalar(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     def __sub__(self, other):
         if self.den is _ONE_LP and other.den is _ONE_LP:
             return QScalar.from_poly(self.num - other.num)
+        if self.den == other.den:
+            return QScalar(self.num - other.num, self.den)
         return QScalar(self.num * other.den - other.num * self.den,
                        self.den * other.den)
 

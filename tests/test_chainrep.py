@@ -11,6 +11,7 @@ from mixedchain.chainrep import (
     QwbParams,
     SingularParams,
     _as_backend,
+    _operator_window,
     _scalar,
     chain_params,
     check_centralizer,
@@ -19,7 +20,7 @@ from mixedchain.chainrep import (
     qwb_relation_residuals,
 )
 from mixedchain.qarith import MINUS_ONE, ONE, Q, eval_points, qpow
-from mixedchain.sparse import SparseMatrix
+from mixedchain.sparse import SparseMatrix, embed_factor
 
 
 def idx(i, j):
@@ -258,6 +259,7 @@ def test_relations_never_build_a_chain_operator(monkeypatch):
     def refuse(self, which, index=0):
         raise AssertionError(f"built the chain operator {which}{index}")
 
+    chainrep._RELATION_RESIDUALS.clear()  # compute every class here
     monkeypatch.setattr(ChainContext, "chain_operator", refuse)
     results = check_qwb_relations(ChainContext(5, 5))
     assert results and all(r.ok for r in results)
@@ -321,6 +323,12 @@ def test_centralizer_window_matches_full_chain(monkeypatch, plant):
 def test_centralizer_builds_no_full_chain_coproduct(monkeypatch):
     coproduct = ChainContext.quantum_group_action
     product = SparseMatrix.__mul__
+    embed = chainrep.embed_factor
+
+    def small_embedding(op, left_dim, right_dim):
+        if left_dim * op.nrows * right_dim > 81:
+            raise AssertionError(f"embedded {op} in {left_dim * op.nrows * right_dim} rows")
+        return embed(op, left_dim, right_dim)
 
     def small_coproduct(self, gen):
         if self.nsites > 4:
@@ -332,8 +340,10 @@ def test_centralizer_builds_no_full_chain_coproduct(monkeypatch):
             raise AssertionError(f"multiplied {left} by {right}")
         return product(left, right)
 
+    chainrep._CENTRALIZER_RESIDUALS.clear()  # compute every class here
     monkeypatch.setattr(ChainContext, "quantum_group_action", small_coproduct)
     monkeypatch.setattr(SparseMatrix, "__mul__", small_product)
+    monkeypatch.setattr(chainrep, "embed_factor", small_embedding)
     results = check_centralizer(ChainContext(5, 5))
     assert results and all(r.ok for r in results)
 
@@ -357,3 +367,97 @@ def test_centralizer_symbolic_sweep_to_seven():
         for m in range(total + 1):
             results = check_centralizer(ChainContext(m, total - m))
             assert results and all(r.ok for r in results), (m, total - m)
+
+
+def test_chain_operators_carry_their_window():
+    g9, e9, h9 = fundamental_ops()
+    for total in range(1, 6):
+        for m in range(total + 1):
+            n = total - m
+            ctx = ChainContext(m, n)
+            placements = ([(("g", j), g9, m - j - 1) for j in range(1, m)]
+                          + [(("h", i), h9, m + i - 1) for i in range(1, n)]
+                          + ([(("e", 0), e9, m - 1)] if m and n else []))
+            for (kind, index), x, left in placements:
+                op = ctx.chain_operator(kind, index)
+                plain = SparseMatrix(op.nrows, op.ncols)
+                plain.rows = {r: dict(row) for r, row in op.rows.items()}
+                assert plain == embed_factor(x, 3 ** left, 3 ** (total - left - 2)), (m, n, kind)
+                assert _operator_window(op, total) == (left, 2, x), (m, n, kind)
+                assert _operator_window(plain, total) == (left, 2, x), (m, n, kind)
+
+
+def test_residual_memos_are_bounded_lrus():
+    for memo in (chainrep._RELATION_RESIDUALS, chainrep._CENTRALIZER_RESIDUALS):
+        assert 0 < memo.maxsize <= 1024
+    memo = chainrep._ResidualMemo(maxsize=2)
+    for key in ("a", "b", "a", "c"):
+        memo.get(key, lambda key=key: key.upper())
+    assert len(memo) == 2 and memo.misses == 3
+    assert memo.get("a", lambda: "recomputed") == "A"  # "b" was the least recent
+    assert memo.get("b", lambda: "recomputed") == "recomputed"
+
+
+@pytest.mark.parametrize("memo, checker, classes", [
+    (chainrep._RELATION_RESIDUALS, check_qwb_relations, 14),
+    (chainrep._CENTRALIZER_RESIDUALS, check_centralizer, 16 * 6),
+], ids=["relations", "centralizer"])
+def test_each_window_class_is_computed_once(memo, checker, classes):
+    # every class is present by m+n = 4; larger chains only repeat them
+    memo.clear()
+    for bound in (4, 10):
+        for total in range(2, bound + 1):
+            for m in range(total + 1):
+                results = checker(ChainContext(m, total - m))
+                assert results and all(r.ok for r in results), (m, total - m)
+        assert memo.misses == len(memo) == classes, bound
+
+
+def _failures(results):
+    return [r.relation for r in results if not r.ok]
+
+
+def _oracle_failures(residuals):
+    return [name for name, res in residuals if not res.is_zero()]
+
+
+def test_planted_faults_never_hit_a_valid_class(monkeypatch):
+    point = eval_points(seed=20177)[0]
+    contexts = [(m, total - m) for total in range(2, 5) for m in range(total + 1)]
+
+    def valid_sweep():
+        for m, n in contexts:
+            for pt in (None, point):
+                assert not _failures(check_qwb_relations(ChainContext(m, n), point=pt))
+                assert not _failures(check_centralizer(ChainContext(m, n), pt))
+
+    def assert_oracle_failures(params=chain_params(), relations=True, centralizer=True):
+        failing = 0
+        for m, n in contexts:
+            for pt in (None, point):
+                ctx = ChainContext(m, n)
+                if relations:
+                    got = _failures(check_qwb_relations(ctx, params, pt))
+                    assert got == _oracle_failures(_full_chain_residuals(ctx, params, pt))
+                    failing += len(got)
+                if centralizer:
+                    got = _failures(check_centralizer(ctx, pt))
+                    assert got == _oracle_failures(_full_chain_centralizer_residuals(ctx, pt))
+                    failing += len(got)
+        assert failing > 0
+
+    valid_sweep()
+    for plant in (_swapped_ops, _two_site_coproducts):
+        ops = plant()
+        with monkeypatch.context() as patched:
+            patched.setattr(chainrep, "fundamental_ops", lambda: ops)
+            assert_oracle_failures()
+    assert_oracle_failures(QwbParams(MINUS_ONE, qpow(-3), qpow(-2, -1)), centralizer=False)
+    for gen in ("E", "F", "B", "C"):
+        for m, n in ((2, 1), (1, 2)):
+            for pt in (None, point):
+                ctx = ChainContext(m, n)
+                ctx.operators = lambda ctx=ctx: [(gen, ctx.quantum_group_action(gen))]
+                got = _failures(check_centralizer(ctx, pt))
+                assert got and got == _oracle_failures(_full_chain_centralizer_residuals(ctx, pt))
+    valid_sweep()

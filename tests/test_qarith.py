@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mixedchain.qarith import (
@@ -287,3 +287,16 @@ def test_unit_factor_product_is_canonical(u, a, b, zero):
     x = ZERO if zero else QScalar(a, b)
     for got in (unit * x, x * unit):
         _assert_matches_reference(got, unit.num * x.num, unit.den * x.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys, polys, common)
+@example(LaurentPoly({0: 1}), LaurentPoly({1: 1}), LaurentPoly({2: 1, 0: -1}),
+         LaurentPoly({0: 1}))
+def test_equal_denominator_sums_match_cross_multiplied(a, c, d, g):
+    # (a + c)/d, e.g. 1/(q^2-1) + q/(q^2-1) = 1/(q-1), equals the reduced
+    # cross-multiplied form (a*d + c*d)/(d*d)
+    x, y = QScalar(a, d * g), QScalar(c, d * g)
+    assume(x.den == y.den and x.den is not _ONE_LP)
+    _assert_matches_reference(x + y, x.num * y.den + y.num * x.den, x.den * y.den)
+    _assert_matches_reference(x - y, x.num * y.den - y.num * x.den, x.den * y.den)
