@@ -3,8 +3,15 @@
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 usage
 error (a bad command line or input value; a JSON `{"error": ...}` record
 goes to stderr), 3 internal error (any other exception; a JSON record with
-its type and detail goes to stderr, nothing to stdout).  All output is
+its type and detail goes to stderr, nothing to stdout), 141 stdout was
+closed before the output was written (128 + SIGPIPE, as a shell reports a
+process killed by that signal; nothing is printed).  All output is
 deterministic for a fixed seed.
+
+At module level this file imports only the standard library.  Each command
+imports the layers it runs inside its handler, so a chain sweep never loads
+the label layer (`fusion`, `partitions`, `xcat`, `bimod`) and the label and
+module commands never load `chainrep`.
 """
 
 from __future__ import annotations
@@ -15,25 +22,12 @@ import os
 import re
 import sys
 
-from .bimod import (
-    atypical_part,
-    dimension_audit,
-    p_weighted_against_chain,
-    projections_match,
-    semisimple_part,
-    table_csv,
-    verify_identity_proj,
-    verify_identity_tensor,
-)
-from .fusion import chain_decompose, label_str, sorted_labels
-from .partitions import bip_str
-from .qarith import eval_points
-from .uqmod import R, Z, build_rep, dim_label
-
 _LABEL_RE = re.compile(r"^([ZR])\[(-?1),(-?1);(\d+),(-?\d+)\]$")
 
 
 def parse_label(text: str):
+    from .uqmod import R, Z
+
     mobj = _LABEL_RE.match(text.strip())
     if not mobj:
         raise ValueError(f"cannot parse module label {text!r}; "
@@ -44,6 +38,9 @@ def parse_label(text: str):
 
 
 def _decompose_payload(m: int, n: int):
+    from .fusion import chain_decompose, label_str, sorted_labels
+    from .uqmod import dim_label
+
     v = chain_decompose(m, n)
     return {
         "m": m,
@@ -61,6 +58,15 @@ def _bar_str(z) -> str:
 
 
 def _bimodule_payload(m: int, n: int):
+    from .bimod import (
+        atypical_part,
+        dimension_audit,
+        semisimple_part,
+        verify_identity_proj,
+        verify_identity_tensor,
+    )
+    from .partitions import bip_str
+
     graph = atypical_part(m, n)
     return {
         "m": m,
@@ -88,6 +94,9 @@ def _bimodule_payload(m: int, n: int):
 
 
 def _rep_payload(label):
+    from .fusion import label_str
+    from .uqmod import build_rep
+
     rep = build_rep(label)
     return {
         "label": label_str(label),
@@ -103,9 +112,10 @@ def _rep_payload(label):
 def _chain_check_task(task):
     """Every check of one (m,n) context, at every eval point, against one
     ChainContext; runs in a worker process.  Every task has m+n >= 2, so it
-    has at least one operator.  The chain layer is imported here, so the
-    label and module commands never load it."""
+    has at least one operator.  Like every handler, it imports the layers it
+    runs itself, so no other command loads the chain layer."""
     from .chainrep import ChainContext, check_centralizer, check_qwb_relations
+    from .qarith import eval_points
 
     kind, m, n, backend, seed = task
     ctx = ChainContext(m, n)
@@ -138,6 +148,8 @@ def _chain_sweep(kind: str, max_mn: int, backend: str, seed: int, jobs: int):
 
 
 def _verify_identities(max_mn: int):
+    from .bimod import verify_identity_proj, verify_identity_tensor
+
     report = []
     for total in range(1, max_mn + 1):
         for m in range(1, total + 1):
@@ -150,6 +162,8 @@ def _verify_identities(max_mn: int):
 
 
 def _verify_dims(max_mn: int):
+    from .bimod import dimension_audit, p_weighted_against_chain, projections_match
+
     report = []
     for total in range(1, max_mn + 1):
         for m in range(0, total + 1):
@@ -237,38 +251,54 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
+    """Parses the command line, runs the command and returns its exit code."""
     try:
         args = make_parser().parse_args(argv)
-        if args.command in ("decompose", "bimodule", "table") and (
-                args.m < 0 or args.n < 0 or args.m + args.n < 1):
-            raise ValueError("need m, n >= 0 with m + n >= 1")
-        if args.command == "decompose":
-            print(json.dumps(_decompose_payload(args.m, args.n), sort_keys=True))
-            return 0
-        if args.command == "bimodule":
-            print(json.dumps(_bimodule_payload(args.m, args.n), sort_keys=True))
-            return 0
-        if args.command == "table":
-            if args.json:
-                from .bimod import table_grid
-                cells, ts, rs = table_grid(args.m, args.n)
-                print(json.dumps({"m": args.m, "n": args.n, "t": ts, "r": rs,
-                                  "cells": {f"{t},{r}": bip_str(lam)
-                                            for (t, r), lam in sorted(cells.items())}},
-                                 sort_keys=True))
-            else:
-                sys.stdout.write(table_csv(args.m, args.n))
-            return 0
-        if args.command == "dump-rep":
-            print(json.dumps(_rep_payload(parse_label(args.label)), sort_keys=True))
-            return 0
-        if args.command == "verify":
-            if args.jobs < 1:
-                raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-            return _run_verify(args)
     except SystemExit as exc:  # --help
         return exc.code or 0
+    if args.command in ("decompose", "bimodule", "table") and (
+            args.m < 0 or args.n < 0 or args.m + args.n < 1):
+        raise ValueError("need m, n >= 0 with m + n >= 1")
+    if args.command == "decompose":
+        print(json.dumps(_decompose_payload(args.m, args.n), sort_keys=True))
+        return 0
+    if args.command == "bimodule":
+        print(json.dumps(_bimodule_payload(args.m, args.n), sort_keys=True))
+        return 0
+    if args.command == "table":
+        from .bimod import table_csv, table_grid
+        from .partitions import bip_str
+
+        if args.json:
+            cells, ts, rs = table_grid(args.m, args.n)
+            print(json.dumps({"m": args.m, "n": args.n, "t": ts, "r": rs,
+                              "cells": {f"{t},{r}": bip_str(lam)
+                                        for (t, r), lam in sorted(cells.items())}},
+                             sort_keys=True))
+        else:
+            sys.stdout.write(table_csv(args.m, args.n))
+        return 0
+    if args.command == "dump-rep":
+        print(json.dumps(_rep_payload(parse_label(args.label)), sort_keys=True))
+        return 0
+    if args.command == "verify":
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        return _run_verify(args)
+    return 2
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # the reader is gone, so there is no one to report to; point stdout at
+        # the null device so that the final flush of what is buffered succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
@@ -276,7 +306,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "internal error", "type": type(exc).__name__,
                           "detail": str(exc)}), file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,14 +198,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    import mixedchain.cli as cli
+    import mixedchain.fusion as fusion
 
     def broken(m, n):
         raise AssertionError("library guard tripped")
 
-    monkeypatch.setattr(cli, "chain_decompose", broken)
+    monkeypatch.setattr(fusion, "chain_decompose", broken)
     code, out, err = run(capsys, "decompose", "2", "1")
     assert code == 3
     assert out == ""
     assert json.loads(err) == {"error": "internal error", "type": "AssertionError",
                                "detail": "library guard tripped"}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [("decompose", "2", "1"),
+                                  ("verify", "centralizer", "--max-mn", "4", "--json")])
+def test_closed_stdout_exits_141_silently(argv, unbuffered):
+    # unbuffered, the first print meets the closed pipe; buffered, the final flush does
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mixedchain.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
