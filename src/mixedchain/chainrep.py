@@ -5,8 +5,9 @@ pairs we have the 9x9 operators g (two left factors), h (two right factors)
 and the wall contraction e.  Embedded along the chain they generate the
 walled Brauer algebra at the specialized parameters (-1, 1/q^2, -1/q^2),
 and they commute with the full coproduct action of the quantum supergroup.
-Both statements are verified here as exact matrix identities, symbolically
-or at rational evaluation points.  Each walled-Brauer relation is checked on
+Both statements are verified here as exact matrix identities over Q(q);
+the eval backend reports whether each exact residual vanishes at its
+rational evaluation points.  Each walled-Brauer relation is checked on
 its window, the at most four sites its operators touch, and each centralizer
 commutator on its operator's window plus one neighbouring site on each side;
 both are exact for every (m, n) (see `qwb_relation_residuals` and
@@ -256,8 +257,9 @@ def _as_backend(mat: SparseMatrix, point: EvalPoint | None) -> SparseMatrix:
     return mat.map_values(value)
 
 
-def _scalar(value: QScalar, point: EvalPoint | None):
-    return value if point is None else value.eval_at(point)
+def _at_point(res: SparseMatrix, point: EvalPoint | None) -> SparseMatrix:
+    """An exact residual at q = point: a zero residual as it is, else evaluated."""
+    return res if point is None or res.is_zero() else _as_backend(res, point)
 
 
 class _ResidualMemo:
@@ -290,7 +292,8 @@ class _ResidualMemo:
 
 
 # 14 relation classes and 16 x 6 centralizer classes for each set of window
-# factors, params and point: room for the symbolic and three eval backends.
+# factors and params, shared by every backend; the rest is room for planted
+# factors and off-spec params.
 _RELATION_RESIDUALS = _ResidualMemo(maxsize=256)
 _CENTRALIZER_RESIDUALS = _ResidualMemo(maxsize=512)
 
@@ -320,20 +323,30 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
 
     A window residual depends only on its class: the relation's form, the
     window size and its operators' kinds and positions in the window, given
-    the three 9x9 factors, the params and the point.  Residuals are memoised
-    by class for the whole process (`_RELATION_RESIDUALS`), keyed by all of
-    these, factor entries included; the embedded factors are kept per call.
+    the three 9x9 factors and the params.  Residuals are computed over Q(q)
+    for every backend and memoised by class for the whole process
+    (`_RELATION_RESIDUALS`), keyed by all of these, factor entries included;
+    the embedded factors are kept per call.
+
+    At a point p each residual is the exact one evaluated at p (`_at_point`).
+    That is the residual computed over Q at p: evaluation at p is a ring
+    homomorphism on the scalars with no pole at p, and every scalar the
+    residual is built from is one (the factor entries are Laurent
+    polynomials, and p is checked to be no pole of the params, of
+    1/(gamma + delta) or, for the relations that use h1^-1, of
+    1/(gamma delta)).
     """
     m, n = ctx.m, ctx.n
-    gam = _scalar(params.gamma, point)
-    dlt = _scalar(params.delta, point)
-    tht = _scalar(params.theta, point)
+    gam, dlt, tht = params.gamma, params.delta, params.theta
+    if point is not None:
+        gam_p, dlt_p, _ = (x.eval_at(point) for x in (gam, dlt, tht))
+        if not gam_p + dlt_p:
+            raise SingularParams("gamma + delta = 0")
     gpd = gam + dlt
     if not gpd:
         raise SingularParams("gamma + delta = 0")
-    one = Fraction(1) if point is not None else ONE
     x9 = dict(zip("geh", fundamental_ops()))
-    given = (tuple(_factor_key(x) for x in x9.values()), params, point)
+    given = (tuple(_factor_key(x) for x in x9.values()), params)
     memo: dict = {}
 
     def first_site(kind, index):
@@ -345,11 +358,10 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
         for kind, pos in placed:
             key = (kind, pos, w)
             if key not in memo:
-                memo[key] = embed_factor(_as_backend(x9[kind], point),
-                                         3 ** pos, 3 ** (w - pos - 2))
+                memo[key] = embed_factor(x9[kind], 3 ** pos, 3 ** (w - pos - 2))
             mats.append(memo[key])
         if w not in memo:
-            memo[w] = SparseMatrix.identity(3 ** w, one)
+            memo[w] = SparseMatrix.identity(3 ** w, ONE)
         return mats, memo[w]
 
     def quad(x, ident):
@@ -362,16 +374,14 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
         return x * y * x - y * x * y
 
     def ee(ew, _):
-        return ew * ew - ew.scale((tht + one) / gpd)
+        return ew * ew - ew.scale((tht + ONE) / gpd)
 
     def sandwich(ew, x, _):
         return ew * x * ew - ew
 
     def core(ew, g1, h1, ident):
         # h1^-1 from the quadratic relation: h^-1 = (h - (gamma+delta)) / (-gamma delta)
-        scale = -(gam * dlt)
-        h1inv = (h1 - ident.scale(gpd)).scale(one / scale if point is not None
-                                              else scale.invert())
+        h1inv = (h1 - ident.scale(gpd)).scale((-(gam * dlt)).invert())
         return ew * g1 * h1inv * ew
 
     def eghinv_right(ew, g1, h1, ident):
@@ -389,7 +399,8 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
             mats, ident = window(w, placed)
             return form(*mats, ident)
 
-        return _RELATION_RESIDUALS.get((form.__name__, w, placed) + given, compute)
+        return _at_point(_RELATION_RESIDUALS.get((form.__name__, w, placed) + given, compute),
+                         point)
 
     g, h, e = range(1, m), range(1, n), ("e", 0)
     for j in g:
@@ -424,6 +435,8 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
             if i >= 2:
                 yield f"comm_e_h{i}", residual(comm, e, ("h", i))
         if m >= 2 and n >= 2:
+            if point is not None and not gam_p * dlt_p:
+                raise ZeroDivisionError("h1^-1 has a pole at the point: gamma delta = 0")
             ops = (e, ("g", 1), ("h", 1))
             yield "eghinv_right", residual(eghinv_right, *ops)
             yield "eghinv_left", residual(eghinv_left, *ops)
@@ -529,12 +542,16 @@ def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
 
     The chain's own operators have w = 2, so no matrix larger than 81x81 and
     no coproduct on more than four sites is built.  A residual depends only
-    on its class: the sub-chain shape, X's offset in it, X's entries, the
-    generator and the point.  Residuals are memoised by class for the whole
-    process (`_CENTRALIZER_RESIDUALS`), so interior g_j and h_i, and every
-    context after the first few, share one computation.  Sub-chain
-    coproducts and embedded X are kept per call; a non-local operator's
-    sub-chain is the whole chain and uses ctx itself.
+    on its class: the sub-chain shape, X's offset in it, X's entries and the
+    generator.  Residuals are computed over Q(q) for every backend and
+    memoised by class for the whole process (`_CENTRALIZER_RESIDUALS`), so
+    interior g_j and h_i, every context after the first few, and every
+    evaluation point share one computation.  At a point each residual is
+    the exact one evaluated there (`_at_point`), which is the residual over
+    Q at that point, as the entries of the chain's operators and coproducts
+    are Laurent polynomials (see `qwb_relation_residuals`).  Sub-chain coproducts and
+    embedded X are kept per call; a non-local operator's sub-chain is the
+    whole chain and uses ctx itself.
     """
     m, n, nsites = ctx.m, ctx.n, ctx.nsites
     memo: dict = {("ctx", m, n): ctx}
@@ -548,17 +565,17 @@ def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
         a, w, x = _operator_window(op, nsites)
         lo, hi = max(a - 1, 0), min(a + w + 1, nsites)
         shape = (max(0, min(hi, m) - lo), max(0, hi - max(lo, m)))
-        key = (shape, a - lo, _factor_key(x), point)
+        key = (shape, a - lo, _factor_key(x))
         for gname in ("E", "F", "K", "k", "B", "C"):
             def compute():
                 sub = cached(("ctx",) + shape, lambda: ChainContext(*shape))
                 xs = cached(("op",) + key, lambda: embed_factor(
-                    _as_backend(x, point), 3 ** (a - lo), 3 ** (hi - a - w)))
-                gmat = cached(("uq", shape, gname), lambda: _as_backend(
-                    sub.quantum_group_action(gname), point))
+                    x, 3 ** (a - lo), 3 ** (hi - a - w)))
+                gmat = sub.quantum_group_action(gname)
                 return xs * gmat - gmat * xs
 
-            yield f"[{opname},{gname}]", _CENTRALIZER_RESIDUALS.get(key + (gname,), compute)
+            res = _CENTRALIZER_RESIDUALS.get(key + (gname,), compute)
+            yield f"[{opname},{gname}]", _at_point(res, point)
 
 
 def check_centralizer(ctx: ChainContext, point: EvalPoint | None = None) -> list[CheckResult]:

@@ -8,6 +8,11 @@ closed before the output was written (128 + SIGPIPE, as a shell reports a
 process killed by that signal; nothing is printed).  All output is
 deterministic for a fixed seed.
 
+`verify relations|centralizer` checks each window residual exactly, over
+Q(q).  `--backend eval` reports, at each of three seeded rational points,
+whether that same exact residual vanishes there: it is implied by the
+symbolic check, and it is neither probabilistic nor cheaper.
+
 At module level this file imports only the standard library.  Each command
 imports the layers it runs inside its handler, so a chain sweep never loads
 the label layer (`fusion`, `partitions`, `xcat`, `bimod`) and the label and
@@ -110,8 +115,9 @@ def _rep_payload(label):
 
 
 def _chain_check_task(task):
-    """Every check of one (m,n) context, at every eval point, against one
-    ChainContext; runs in a worker process.  Every task has m+n >= 2, so it
+    """Every check of one (m,n) context, at every eval point (the exact
+    residuals evaluated there), against one ChainContext; runs in a worker
+    process.  Every task has m+n >= 2, so it
     has at least one operator.  Like every handler, it imports the layers it
     runs itself, so no other command loads the chain layer."""
     from .chainrep import ChainContext, check_centralizer, check_qwb_relations
@@ -213,10 +219,15 @@ def _run_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a usage error for `main`, not by exiting."""
+    """Reports a bad command line as a usage error for `main`, not by exiting,
+    and a closed stream while printing help, which argparse would drop."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def make_parser() -> argparse.ArgumentParser:

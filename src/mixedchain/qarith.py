@@ -4,10 +4,10 @@ Scalars are ratios of Laurent polynomials with rational coefficients.  A
 coefficient is stored as an ``int`` when it is integral and as a
 ``Fraction`` otherwise; a ``float`` coefficient is refused with
 ``TypeError``.  Sums and products may leave an integral ``Fraction`` in place,
-which is harmless because ``2 == Fraction(2)`` and both hash alike.  Two
-backends share this module: the exact one (QScalar everywhere) and a fast
-probabilistic one that evaluates scalars at fixed rational points q = p
-(see :func:`eval_points`).  No floating point is used anywhere.
+which is harmless because ``2 == Fraction(2)`` and both hash alike.  The
+evaluation backend evaluates exact scalars at seeded rational points q = p
+(see :func:`eval_points`) with :meth:`QScalar.eval_at`.  No floating point
+is used anywhere.
 
 A scalar is kept in canonical form (see :class:`QScalar`).  The reduction to
 it, a gcd over Q[q], is memoised per unreduced ``(num, den)`` pair in a

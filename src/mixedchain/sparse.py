@@ -2,8 +2,8 @@
 
 Entries are stored row-indexed as {row: {col: value}} with no stored zeros.
 The scalar type only needs +, -, *, and truthiness; both QScalar and
-fractions.Fraction qualify, which is how the symbolic and the rational
-evaluation backends share all matrix code.
+fractions.Fraction qualify.  The chain checks multiply QScalar matrices;
+Fraction matrices come from evaluating one at a rational point.
 """
 
 from __future__ import annotations

@@ -11,15 +11,25 @@ from mixedchain.chainrep import (
     QwbParams,
     SingularParams,
     _as_backend,
+    _factor_key,
     _operator_window,
-    _scalar,
     chain_params,
     check_centralizer,
     check_qwb_relations,
     fundamental_ops,
     qwb_relation_residuals,
 )
-from mixedchain.qarith import MINUS_ONE, ONE, Q, eval_points, qpow
+from mixedchain.qarith import (
+    MINUS_ONE,
+    ONE,
+    Q,
+    EvalPoint,
+    LaurentPoly,
+    PoleAtPoint,
+    QScalar,
+    eval_points,
+    qpow,
+)
 from mixedchain.sparse import SparseMatrix, embed_factor
 
 
@@ -141,6 +151,10 @@ def test_chain_weights_are_products():
                 key = (a1 * a2 * a3, b1 * b2 * b3)
                 expect[key] = expect.get(key, 0) + c1 * c2 * c3
     assert got == expect
+
+
+def _scalar(value, point):
+    return value if point is None else value.eval_at(point)
 
 
 # The full-chain residuals that the window check replaced, kept as its oracle.
@@ -402,15 +416,29 @@ def test_residual_memos_are_bounded_lrus():
     (chainrep._RELATION_RESIDUALS, check_qwb_relations, 14),
     (chainrep._CENTRALIZER_RESIDUALS, check_centralizer, 16 * 6),
 ], ids=["relations", "centralizer"])
-def test_each_window_class_is_computed_once(memo, checker, classes):
-    # every class is present by m+n = 4; larger chains only repeat them
-    memo.clear()
-    for bound in (4, 10):
+def test_each_window_class_is_computed_once(monkeypatch, memo, checker, classes):
+    def sweep(bound, points):
         for total in range(2, bound + 1):
             for m in range(total + 1):
-                results = checker(ChainContext(m, total - m))
-                assert results and all(r.ok for r in results), (m, total - m)
+                for pt in points:
+                    results = checker(ChainContext(m, total - m), point=pt)
+                    assert results and all(r.ok for r in results), (m, total - m, pt)
+
+    def refuse(mat, point):
+        raise AssertionError(f"evaluated {mat} at {point}")
+
+    # a valid sweep has only zero residuals, which are never evaluated
+    monkeypatch.setattr(chainrep, "_as_backend", refuse)
+    # every class is present by m+n = 4; larger chains and the eval points only repeat them
+    memo.clear()
+    sweep(10, eval_points(seed=20177))
+    assert memo.misses == len(memo) == classes
+    memo.clear()
+    for bound in (4, 10):
+        sweep(bound, [None])
         assert memo.misses == len(memo) == classes, bound
+    sweep(10, eval_points(seed=1))
+    assert memo.misses == len(memo) == classes
 
 
 def _failures(results):
@@ -461,3 +489,216 @@ def test_planted_faults_never_hit_a_valid_class(monkeypatch):
                 got = _failures(check_centralizer(ctx, pt))
                 assert got and got == _oracle_failures(_full_chain_centralizer_residuals(ctx, pt))
     valid_sweep()
+
+
+# The Fraction window computation that evaluating the exact residuals
+# replaced: every factor, embedded operator and coproduct converted to the
+# point before the products.  Kept as the eval backend's oracle, computed
+# without the process-level memo.
+def _fraction_window_residuals(ctx: ChainContext, params: QwbParams, point=None):
+    """Yield (name, residual) for every walled-Brauer relation, each on its window."""
+    m, n = ctx.m, ctx.n
+    gam = _scalar(params.gamma, point)
+    dlt = _scalar(params.delta, point)
+    tht = _scalar(params.theta, point)
+    gpd = gam + dlt
+    if not gpd:
+        raise SingularParams("gamma + delta = 0")
+    one = Fraction(1) if point is not None else ONE
+    x9 = dict(zip("geh", chainrep.fundamental_ops()))
+    memo: dict = {}
+
+    def first_site(kind, index):
+        return {"g": m - index - 1, "h": m + index - 1, "e": m - 1}[kind]
+
+    def window(w, placed):
+        """The placed operators (kind, pos) embedded in a w-site window, and its identity."""
+        mats = []
+        for kind, pos in placed:
+            key = (kind, pos, w)
+            if key not in memo:
+                memo[key] = embed_factor(_as_backend(x9[kind], point),
+                                         3 ** pos, 3 ** (w - pos - 2))
+            mats.append(memo[key])
+        if w not in memo:
+            memo[w] = SparseMatrix.identity(3 ** w, one)
+        return mats, memo[w]
+
+    def quad(x, ident):
+        return (x - ident.scale(gam)) * (x - ident.scale(dlt))
+
+    def comm(x, y, _):
+        return x * y - y * x
+
+    def braid(x, y, _):
+        return x * y * x - y * x * y
+
+    def ee(ew, _):
+        return ew * ew - ew.scale((tht + one) / gpd)
+
+    def sandwich(ew, x, _):
+        return ew * x * ew - ew
+
+    def core(ew, g1, h1, ident):
+        # h1^-1 from the quadratic relation: h^-1 = (h - (gamma+delta)) / (-gamma delta)
+        scale = -(gam * dlt)
+        h1inv = (h1 - ident.scale(gpd)).scale(one / scale if point is not None
+                                              else scale.invert())
+        return ew * g1 * h1inv * ew
+
+    def eghinv_right(ew, g1, h1, ident):
+        return core(ew, g1, h1, ident) * (g1 - h1)
+
+    def eghinv_left(ew, g1, h1, ident):
+        return (g1 - h1) * core(ew, g1, h1, ident)
+
+    def residual(form, *ops):
+        sites = sorted({first_site(*op) + d for op in ops for d in (0, 1)})
+        w = len(sites)
+        placed = tuple((kind, sites.index(first_site(kind, index))) for kind, index in ops)
+
+        mats, ident = window(w, placed)
+        return form(*mats, ident)
+
+    g, h, e = range(1, m), range(1, n), ("e", 0)
+    for j in g:
+        yield f"quad_g{j}", residual(quad, ("g", j))
+    for i in h:
+        yield f"quad_h{i}", residual(quad, ("h", i))
+    for j in g:
+        for i in h:
+            yield f"comm_g{j}_h{i}", residual(comm, ("g", j), ("h", i))
+    for j1 in g:
+        for j2 in g:
+            if j2 - j1 > 1:
+                yield f"comm_g{j1}_g{j2}", residual(comm, ("g", j1), ("g", j2))
+    for i1 in h:
+        for i2 in h:
+            if i2 - i1 > 1:
+                yield f"comm_h{i1}_h{i2}", residual(comm, ("h", i1), ("h", i2))
+    for j in range(1, m - 1):
+        yield f"braid_g{j}", residual(braid, ("g", j), ("g", j + 1))
+    for i in range(1, n - 1):
+        yield f"braid_h{i}", residual(braid, ("h", i), ("h", i + 1))
+    if m >= 1 and n >= 1:
+        yield "ee", residual(ee, e)
+        if m >= 2:
+            yield "ege", residual(sandwich, e, ("g", 1))
+        if n >= 2:
+            yield "ehe", residual(sandwich, e, ("h", 1))
+        for j in g:
+            if j >= 2:
+                yield f"comm_e_g{j}", residual(comm, e, ("g", j))
+        for i in h:
+            if i >= 2:
+                yield f"comm_e_h{i}", residual(comm, e, ("h", i))
+        if m >= 2 and n >= 2:
+            ops = (e, ("g", 1), ("h", 1))
+            yield "eghinv_right", residual(eghinv_right, *ops)
+            yield "eghinv_left", residual(eghinv_left, *ops)
+
+
+def _fraction_window_centralizer_residuals(ctx: ChainContext, point=None):
+    """Commutators of every chain operator with every coproduct generator, on sub-chains."""
+    m, n, nsites = ctx.m, ctx.n, ctx.nsites
+    memo: dict = {("ctx", m, n): ctx}
+
+    def cached(key, build):
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    for opname, op in ctx.operators():
+        a, w, x = _operator_window(op, nsites)
+        lo, hi = max(a - 1, 0), min(a + w + 1, nsites)
+        shape = (max(0, min(hi, m) - lo), max(0, hi - max(lo, m)))
+        key = (shape, a - lo, _factor_key(x), point)
+        for gname in ("E", "F", "K", "k", "B", "C"):
+            sub = cached(("ctx",) + shape, lambda: ChainContext(*shape))
+            xs = cached(("op",) + key, lambda: embed_factor(
+                _as_backend(x, point), 3 ** (a - lo), 3 ** (hi - a - w)))
+            gmat = cached(("uq", shape, gname), lambda: _as_backend(
+                sub.quantum_group_action(gname), point))
+            yield f"[{opname},{gname}]", xs * gmat - gmat * xs
+
+
+def _oracle_points():
+    return eval_points(seed=20177) + eval_points(seed=1)
+
+
+def _assert_match_oracle(residuals, oracle):
+    got, expect = list(residuals), list(oracle)
+    assert [name for name, _ in got] == [name for name, _ in expect]
+    for (name, res), (_, ref) in zip(got, expect):
+        assert res == ref, name
+    return sum(not ref.is_zero() for _, ref in expect)
+
+
+def _contexts(max_mn):
+    return [(m, total - m) for total in range(2, max_mn + 1) for m in range(total + 1)]
+
+
+@pytest.mark.parametrize("kind, max_mn", [("relations", 6), ("centralizer", 5)])
+def test_eval_residuals_match_the_fraction_window_oracle(kind, max_mn):
+    for m, n in _contexts(max_mn):
+        ctx = ChainContext(m, n)
+        for pt in _oracle_points():
+            if kind == "relations":
+                nonzero = _assert_match_oracle(
+                    qwb_relation_residuals(ctx, chain_params(), pt),
+                    _fraction_window_residuals(ctx, chain_params(), pt))
+            else:
+                nonzero = _assert_match_oracle(chainrep.centralizer_residuals(ctx, pt),
+                                               _fraction_window_centralizer_residuals(ctx, pt))
+            assert nonzero == 0, (m, n, pt)
+
+
+@pytest.mark.parametrize("delta_exp", [-4, -3, -1, 1, 2])
+def test_eval_wrong_delta_control_matches_the_fraction_window_oracle(delta_exp):
+    params = QwbParams(MINUS_ONE, qpow(delta_exp), qpow(-2, -1))
+    for m, n in _contexts(4):
+        ctx = ChainContext(m, n)
+        for pt in _oracle_points():
+            nonzero = _assert_match_oracle(qwb_relation_residuals(ctx, params, pt),
+                                           _fraction_window_residuals(ctx, params, pt))
+            assert nonzero > 0 or (m < 2 and n < 2), (m, n, pt)
+
+
+@pytest.mark.parametrize("gen", ["E", "F", "B", "C"])
+def test_eval_coproduct_control_matches_the_fraction_window_oracle(gen):
+    for m, n in ((2, 1), (1, 2)):
+        ctx = ChainContext(m, n)
+        ctx.operators = lambda ctx=ctx: [(gen, ctx.quantum_group_action(gen))]
+        for pt in _oracle_points():
+            nonzero = _assert_match_oracle(chainrep.centralizer_residuals(ctx, pt),
+                                           _fraction_window_centralizer_residuals(ctx, pt))
+            assert nonzero > 0, (m, n, pt)
+
+
+def _pole_at_two():
+    return QScalar(LaurentPoly({0: 1}), LaurentPoly({0: -2, 1: 1}))  # 1/(q - 2)
+
+
+@pytest.mark.parametrize("params, error", [
+    (QwbParams(_pole_at_two(), qpow(-2), qpow(-2, -1)), PoleAtPoint),
+    (QwbParams(MINUS_ONE, _pole_at_two(), qpow(-2, -1)), PoleAtPoint),
+    (QwbParams(MINUS_ONE, qpow(-2), _pole_at_two()), PoleAtPoint),
+    (QwbParams(-Q, QScalar.const(2), _pole_at_two()), PoleAtPoint),  # theta is read first
+    (QwbParams(-Q, QScalar.const(2), qpow(-2, -1)), SingularParams),
+    (QwbParams(Q - QScalar.const(2), qpow(-2), qpow(-2, -1)), ZeroDivisionError),
+], ids=["gamma-pole", "delta-pole", "theta-pole", "pole-before-singular", "singular",
+        "gamma-delta-zero"])
+def test_errors_at_a_point_match_the_fraction_window_oracle(params, error):
+    point = EvalPoint(2)
+    ctx = ChainContext(2, 2)
+    yielded = {}
+    for name, residuals in (("eval", qwb_relation_residuals(ctx, params, point)),
+                            ("oracle", _fraction_window_residuals(ctx, params, point))):
+        yielded[name] = []
+        with pytest.raises(error):
+            for relation, _ in residuals:
+                yielded[name].append(relation)
+    assert yielded["eval"] == yielded["oracle"]
+    assert bool(yielded["eval"]) == (error is ZeroDivisionError)
+    # away from the point the same params are regular
+    assert list(qwb_relation_residuals(ctx, params, EvalPoint(5)))

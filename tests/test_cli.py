@@ -213,7 +213,8 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 @pytest.mark.parametrize("argv", [("decompose", "2", "1"),
-                                  ("verify", "centralizer", "--max-mn", "4", "--json")])
+                                  ("verify", "centralizer", "--max-mn", "4", "--json"),
+                                  ("--help",), ("verify", "--help")])
 def test_closed_stdout_exits_141_silently(argv, unbuffered):
     # unbuffered, the first print meets the closed pipe; buffered, the final flush does
     read_end, write_end = os.pipe()
