@@ -18,10 +18,10 @@ _EXPORTS = {
     "fuse_with_f": "fusion", "fuse_with_v": "fusion",
     "EvalPoint": "qarith", "LaurentPoly": "qarith", "QScalar": "qarith",
     "eval_points": "qarith", "qint": "qarith",
-    "R": "uqmod", "RLabel": "uqmod", "Z": "uqmod", "ZLabel": "uqmod",
-    "build_projective": "uqmod", "build_simple": "uqmod", "dim_bar": "uqmod",
-    "dim_r": "uqmod", "dim_z": "uqmod", "gl2_decomposition": "uqmod",
-    "weight_multiset": "uqmod",
+    "R": "labels", "RLabel": "labels", "Z": "labels", "ZLabel": "labels",
+    "dim_bar": "labels", "dim_r": "labels", "dim_z": "labels",
+    "gl2_decomposition": "labels",
+    "build_projective": "uqmod", "build_simple": "uqmod", "weight_multiset": "uqmod",
 }
 
 __all__ = list(_EXPORTS)

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fusion import GrothVector, chain_content, fuse_with_v, gv
-from .partitions import (
-    Bipartition,
-    atyp,
-    atypical_bipartition,
-    atypical_columns,
-    bip_str,
-    gswap,
-)
-from .uqmod import (
+from .labels import (
     BarLabel,
     bar,
     bar_cover,
@@ -34,6 +26,14 @@ from .uqmod import (
     gbar,
     is_atypical,
     simple_subquotients,
+)
+from .partitions import (
+    Bipartition,
+    atyp,
+    atypical_bipartition,
+    atypical_columns,
+    bip_str,
+    gswap,
 )
 from .xcat import (
     column_top_label,

@@ -11,7 +11,8 @@ rational evaluation points.  Each walled-Brauer relation is checked on
 its window, the at most four sites its operators touch, and each centralizer
 commutator on its operator's window plus one neighbouring site on each side;
 both are exact for every (m, n) (see `qwb_relation_residuals` and
-`centralizer_residuals`).
+`centralizer_residuals`).  A chain operator carries its window; any other
+matrix handed to the centralizer check is checked on the whole chain.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .labels import THREE, THREE_BAR
 from .qarith import MINUS_ONE, ONE, Q, EvalPoint, QScalar, qpow
 from .sparse import SparseMatrix, embed_factor, embed_with_diags
-from .uqmod import THREE, THREE_BAR, build_simple
+from .uqmod import build_simple
 
 
 class IndexOutOfRange(ValueError):
@@ -464,50 +466,11 @@ def check_qwb_relations(ctx: ChainContext, params: QwbParams | None = None,
 
 def _operator_window(op: SparseMatrix, nsites: int):
     """(a, w, X) with op = 1_(3^a) (x) X (x) 1_(3^(nsites-a-w)) on consecutive
-    sites [a, a+w), w >= 1.  A `WindowedOperator` gives its stored window.
-    Any other matrix is scanned for the fewest such sites, read off the matrix
-    alone; one of no smaller window, or not of the chain's shape, is X = op on
-    the whole chain."""
+    sites [a, a+w).  A `WindowedOperator` gives its stored window; any other
+    matrix is X = op on the whole chain, which is trivially exact."""
     if isinstance(op, WindowedOperator):
         return op.window
-    if op.nrows == op.ncols == 3 ** nsites:
-        nnz = op.nnz()
-        for w in range(1, nsites):
-            for a in range(nsites - w + 1):
-                x = _factor_on(op, nnz, a, w, nsites)
-                if x is not None:
-                    return a, w, x
     return 0, nsites, op
-
-
-def _factor_on(op: SparseMatrix, nnz: int, a: int, w: int,
-               nsites: int) -> SparseMatrix | None:
-    """X with op = 1_(3^a) (x) X (x) 1_(3^(nsites-a-w)), or None at the first
-    mismatch; nnz is op's, and a matching nnz is necessary."""
-    right = 3 ** (nsites - a - w)
-    size = 3 ** w
-    x = SparseMatrix(size, size)
-    for r in range(size):
-        row = op.rows.get(r * right)
-        if row:
-            xrow = {}
-            for c, v in row.items():
-                xc, y = divmod(c, right)
-                if y or xc >= size:
-                    return None
-                xrow[xc] = v
-            x.rows[r] = xrow
-    if nnz != 3 ** (nsites - w) * x.nnz():
-        return None
-    block = size * right
-    shifted = {r: [(c * right, v) for c, v in xrow.items()] for r, xrow in x.rows.items()}
-    for index, row in op.rows.items():
-        left, rest = divmod(index, block)
-        r, y = divmod(rest, right)
-        base = left * block + y
-        if row != {base + c: v for c, v in shifted.get(r, ())}:
-            return None
-    return x
 
 
 def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
@@ -515,8 +478,7 @@ def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
 
     Each operator of ctx.operators() is op = 1_(3^a) (x) X (x) 1_(3^b) on
     consecutive sites [a, a+w): a chain operator carries its window, and any
-    other matrix is scanned for the fewest such sites (`_operator_window`; a
-    non-local operator gets the whole chain).  Each
+    other matrix is taken on the whole chain (`_operator_window`).  Each
     commutator is computed on the sub-chain [a-1, a+w+1) cut to [0, m+n): the
     window plus one neighbouring site on each side, with the chain's own
     factor on every site, so itself a mixed chain of some shape (m', n').
@@ -550,8 +512,8 @@ def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
     the exact one evaluated there (`_at_point`), which is the residual over
     Q at that point, as the entries of the chain's operators and coproducts
     are Laurent polynomials (see `qwb_relation_residuals`).  Sub-chain coproducts and
-    embedded X are kept per call; a non-local operator's sub-chain is the
-    whole chain and uses ctx itself.
+    embedded X are kept per call; a whole-chain operator's sub-chain is the
+    chain itself and uses ctx.
     """
     m, n, nsites = ctx.m, ctx.n, ctx.nsites
     memo: dict = {("ctx", m, n): ctx}

@@ -15,8 +15,10 @@ symbolic check, and it is neither probabilistic nor cheaper.
 
 At module level this file imports only the standard library.  Each command
 imports the layers it runs inside its handler, so a chain sweep never loads
-the label layer (`fusion`, `partitions`, `xcat`, `bimod`) and the label and
-module commands never load `chainrep`.
+the label layer (`fusion`, `partitions`, `xcat`, `bimod`), `dump-rep` never
+loads `chainrep`, and the label commands (`decompose`, `bimodule`, `table`,
+`verify identities|dims`) never load `qarith`, `sparse`, `uqmod` or
+`chainrep`.  A label is printed as its `str`, which `parse_label` reads back.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ _LABEL_RE = re.compile(r"^([ZR])\[(-?1),(-?1);(\d+),(-?\d+)\]$")
 
 
 def parse_label(text: str):
-    from .uqmod import R, Z
+    from .labels import R, Z
 
     mobj = _LABEL_RE.match(text.strip())
     if not mobj:
@@ -43,23 +45,19 @@ def parse_label(text: str):
 
 
 def _decompose_payload(m: int, n: int):
-    from .fusion import chain_decompose, label_str, sorted_labels
-    from .uqmod import dim_label
+    from .fusion import chain_decompose, sorted_labels
+    from .labels import dim_label
 
     v = chain_decompose(m, n)
     return {
         "m": m,
         "n": n,
         "summands": [
-            {"label": label_str(x), "mult": mult, "dim": dim_label(x)}
+            {"label": str(x), "mult": mult, "dim": dim_label(x)}
             for x, mult in sorted_labels(v)
         ],
         "total_dim": v.total_dim(),
     }
-
-
-def _bar_str(z) -> str:
-    return f"{z.kind}bar[{z.p};{z.t},{z.r}]"
 
 
 def _bimodule_payload(m: int, n: int):
@@ -77,12 +75,12 @@ def _bimodule_payload(m: int, n: int):
         "m": m,
         "n": n,
         "semisimple": [
-            {"bipartition": bip_str(lam), "barlabel": _bar_str(z), "t": z.t, "r": z.r}
+            {"bipartition": bip_str(lam), "barlabel": str(z), "t": z.t, "r": z.r}
             for lam, z in semisimple_part(m, n)
         ],
         "atypical": {
             "vertices": [
-                {"x": bip_str(v.x), "z": _bar_str(v.z), "layer": v.layer, "col": v.col}
+                {"x": bip_str(v.x), "z": str(v.z), "layer": v.layer, "col": v.col}
                 for v in graph.vertices
             ],
             "edges": [
@@ -99,12 +97,11 @@ def _bimodule_payload(m: int, n: int):
 
 
 def _rep_payload(label):
-    from .fusion import label_str
     from .uqmod import build_rep
 
     rep = build_rep(label)
     return {
-        "label": label_str(label),
+        "label": str(label),
         "dim": rep.dim,
         "basis": ["/".join(str(t) for t in tag) for tag in rep.basis],
         "generators": {

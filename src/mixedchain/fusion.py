@@ -7,7 +7,7 @@ decomposition of the chain built from m copies of the fundamental module
 low-spin cases first, then the regular families, and insists that exactly
 one rule fires.  Tensoring with (1,1) needs no table of its own:
 Z^{a,b}_{1,1} is the contragredient of Z^{a,-b}_{2,0}, so x (x) Z^{a,b}_{1,1}
-is the dual of x* (x) Z^{a,-b}_{2,0}, read through `uqmod.dual`; likewise
+is the dual of x* (x) Z^{a,-b}_{2,0}, read through `labels.dual`; likewise
 the chain 3^m is the dual of 3bar^m.  Tensoring with (2,0) is memoised per
 label in a bounded cache of immutable items; every call returns a fresh
 vector.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .uqmod import R, RLabel, Z, ZLabel, dim_label, dual
+from .labels import R, RLabel, Z, ZLabel, dim_label, dual
 
 Label = ZLabel | RLabel
 
@@ -184,8 +184,3 @@ def _label_sort_key(x: Label):
 
 def sorted_labels(v: GrothVector) -> list[tuple[Label, int]]:
     return sorted(v.items(), key=lambda kv: _label_sort_key(kv[0]))
-
-
-def label_str(x: Label) -> str:
-    kind = "Z" if isinstance(x, ZLabel) else "R"
-    return f"{kind}[{x.alpha},{x.beta};{x.s},{x.r}]"

@@ -12,7 +12,7 @@ per context in bounded LRU caches and shared by every caller, who must only
 read them.
 
 Atypical labels are `tagged.TaggedTuple`s, like the module labels of
-`uqmod`: immutable, hashed and compared in C, ordered by
+`labels`: immutable, hashed and compared in C, ordered by
 (family, bar, a, s), and never equal to a label of another class.
 """
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fusion import GrothVector, chain_content
+from .labels import bar, bar_cover, bar_to_plain, gbar
 from .partitions import (
     AtypicalLabel,
     Bipartition,
@@ -43,7 +44,6 @@ from .partitions import (
     lambda_f,
     rem_boxes,
 )
-from .uqmod import bar_to_plain
 
 
 class NotCross(ValueError):
@@ -608,7 +608,6 @@ def dims_for(m: int, n: int) -> dict[Bipartition, int]:
     The dict is memoised and shared by every caller, who must only read it.
     """
     from .bimod import semisimple_part  # local import to avoid a cycle
-    from .uqmod import bar_cover
 
     chain = chain_content(m, n)
     out: dict[Bipartition, int] = {}
@@ -625,8 +624,6 @@ def dims_for(m: int, n: int) -> dict[Bipartition, int]:
 
 def column_top_label(lab: AtypicalLabel, m: int, n: int):
     """Quantum-group label at the head of an atypical column."""
-    from .uqmod import bar, gbar
-
     if m < n:
         return gbar(column_top_label(gswap_label(lab), n, m))
     a, s = lab.a, lab.s
@@ -643,8 +640,6 @@ def column_top_label(lab: AtypicalLabel, m: int, n: int):
 
 def extra_vertex_label(m: int, n: int):
     """Quantum-group label of the lone vertex glued into the zig-zag."""
-    from .uqmod import bar, gbar
-
     if m >= n:
         return bar("Z", 1, 0, m - n)
     return gbar(extra_vertex_label(n, m))

@@ -21,16 +21,12 @@ from mixedchain.chainrep import ChainContext, check_centralizer, check_qwb_relat
 from mixedchain.fusion import chain_decompose, dim_of_groth, fuse_with_f, fuse_with_v
 from mixedchain.partitions import classify_atypical, cross_set
 from mixedchain.qarith import eval_points
+from mixedchain.labels import THREE, THREE_BAR, R, Z, dim_label
 from mixedchain.uqmod import (
-    R,
-    THREE,
-    THREE_BAR,
-    Z,
     build_projective,
     build_rep,
     build_simple,
     check_relations,
-    dim_label,
     weight_multiset,
     weight_multiset_tensor,
 )

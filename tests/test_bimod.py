@@ -16,7 +16,7 @@ from mixedchain.bimod import (
 )
 from mixedchain.fusion import chain_decompose
 from mixedchain.partitions import atyp, atypical_bipartition, atypical_columns, cross_set, gswap
-from mixedchain.uqmod import bar, gbar
+from mixedchain.labels import bar, gbar
 
 bip = atypical_bipartition
 
@@ -217,7 +217,7 @@ def test_flattened_shapes():
 def test_memoised_results_are_fresh_vectors():
     # a caller may mutate what it gets; the next identical call is unaffected
     from mixedchain.fusion import fuse_with_f, fuse_with_v
-    from mixedchain.uqmod import R, Z
+    from mixedchain.labels import R, Z
     from mixedchain.xcat import res_right_d, res_right_k
 
     calls = [
@@ -252,13 +252,13 @@ def test_label_memos_stay_bounded():
     # lookups semisimple_part(n, m) included
     import mixedchain.bimod as bm
     import mixedchain.fusion as fu
+    import mixedchain.labels as la
     import mixedchain.partitions as pa
-    import mixedchain.uqmod as uq
     import mixedchain.xcat as xc
     from mixedchain.cli import _verify_dims, _verify_identities
 
     per_context = [xc._exceptional_rows, bm._restrictions]
-    per_label = [fu._fused_with_v, bm._fused, uq.bar_to_plain]
+    per_label = [fu._fused_with_v, bm._fused, la.bar_to_plain]
     ledgers = [bm.semisimple_part, xc.dims_for]
     sweep = [pa.atypical_columns, pa.atypical_set, bm._q_atypical_items,
              bm._p_atypical_items, bm.atypical_part, fu.chain_content]

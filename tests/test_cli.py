@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mixedchain.cli import main, parse_label
-from mixedchain.uqmod import R, Z
+from mixedchain.labels import R, Z, ZLabel, bar
 
 
 def run(capsys, *argv):
@@ -21,6 +21,31 @@ def test_parse_label():
     assert parse_label("R[1,1;2,0]") == R(1, 1, 2, 0)
     with pytest.raises(ValueError):
         parse_label("Q[1,1;2,0]")
+
+
+def _old_label_str(x):
+    # the text that fusion.label_str wrote before the labels' own str took over
+    kind = "Z" if isinstance(x, ZLabel) else "R"
+    return f"{kind}[{x.alpha},{x.beta};{x.s},{x.r}]"
+
+
+def _old_bar_str(z):
+    # the text that cli._bar_str wrote before the labels' own str took over
+    return f"{z.kind}bar[{z.p};{z.t},{z.r}]"
+
+
+def test_label_text_round_trips():
+    signs = [(a, b) for a in (1, -1) for b in (1, -1)]
+    labels = [Z(a, b, s, r) for a, b in signs for s in range(7)
+              for r in (range(-8, 15) if s else (0,))]
+    labels += [R(a, b, s, r) for a, b in signs for s in range(1, 7) for r in (0, s)]
+    for x in labels:
+        assert str(x) == _old_label_str(x), x
+        assert parse_label(str(x)) == x, x
+    bars = [bar(kind, p, t, r) for kind in ("Z", "R") for p in range(-1, 3)
+            for t in range(-3, 8) for r in range(-3, 8) if kind == "Z" or not t * r]
+    for z in bars:
+        assert str(z) == _old_bar_str(z), z
 
 
 def test_decompose_golden(capsys):

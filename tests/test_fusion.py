@@ -10,20 +10,9 @@ from mixedchain.fusion import (
     fuse_with_v,
     fuse_vector,
     gv,
-    label_str,
 )
-from mixedchain.uqmod import (
-    R,
-    THREE,
-    THREE_BAR,
-    Z,
-    ZLabel,
-    build_rep,
-    dim_label,
-    dual,
-    weight_multiset,
-    weight_multiset_tensor,
-)
+from mixedchain.labels import THREE, THREE_BAR, R, Z, ZLabel, dim_label, dual
+from mixedchain.uqmod import build_rep, weight_multiset, weight_multiset_tensor
 
 
 def all_labels(s, rs=(-2, -1, 0, 1, 2, 5)):
@@ -192,8 +181,3 @@ def test_groth_vector_basics():
     assert not v
     assert dim_of_groth(gv((THREE, 2))) == 6
     assert dim_of_groth(GrothVector()) == 0
-
-
-def test_label_str():
-    assert label_str(Z(1, -1, 3, 2)) == "Z[1,-1;3,2]"
-    assert label_str(R(1, -1, 1, 1)) == "R[1,-1;1,1]"

@@ -225,7 +225,7 @@ def test_atypical_labels_are_tagged_tuples():
 
 
 def test_atypical_labels_never_equal_other_labels():
-    from mixedchain.uqmod import ZLabel
+    from mixedchain.labels import ZLabel
 
     lab = AtypicalLabel(1, 1, 2, 0)  # the fields of a plain label
     plain = ZLabel(1, 1, 2, 0)

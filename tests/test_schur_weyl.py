@@ -13,7 +13,7 @@ from mixedchain.chainrep import ChainContext, endomorphism_algebra_dimension
 from mixedchain.fusion import chain_decompose
 from mixedchain.partitions import cross_set
 from mixedchain.qarith import EvalPoint
-from mixedchain.uqmod import RLabel, ZLabel, is_atypical, proj_subquotients
+from mixedchain.labels import RLabel, ZLabel, is_atypical, proj_subquotients
 from mixedchain.xcat import dims_for, proj_structure
 
 

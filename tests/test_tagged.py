@@ -4,7 +4,7 @@ import pytest
 
 from mixedchain.partitions import AtypicalLabel
 from mixedchain.tagged import TaggedTuple
-from mixedchain.uqmod import BarLabel, GL2Label, RLabel, ZLabel
+from mixedchain.labels import BarLabel, GL2Label, RLabel, ZLabel
 
 
 def test_package_labels_carry_distinct_tags():

@@ -7,7 +7,7 @@ import pytest
 
 from mixedchain.fusion import GrothVector
 from mixedchain.qarith import MINUS_ONE, ONE, Q, QINV
-from mixedchain.uqmod import (
+from mixedchain.labels import (
     THREE,
     THREE_BAR,
     BarLabel,
@@ -20,10 +20,6 @@ from mixedchain.uqmod import (
     bar_cover,
     bar_subquotients,
     bar_to_plain,
-    build_projective,
-    build_rep,
-    build_simple,
-    check_relations,
     dim_bar,
     dim_label,
     dim_r,
@@ -33,6 +29,12 @@ from mixedchain.uqmod import (
     gl2_decomposition,
     plain_to_bar,
     proj_subquotients,
+)
+from mixedchain.uqmod import (
+    build_projective,
+    build_rep,
+    build_simple,
+    check_relations,
     relation_residuals,
     weight_multiset,
     weight_multiset_tensor,

@@ -372,7 +372,7 @@ def test_dim_ledger_examples():
     assert dim_simple_x(((), ()), 1, 1) == 1
     assert dim_simple_x(((1, 1), (1,)), 2, 1) == 1
     from mixedchain.fusion import chain_decompose
-    from mixedchain.uqmod import Z
+    from mixedchain.labels import Z
     assert dim_simple_x(((5,), (3,)), 5, 3) == chain_decompose(5, 3)[Z(1, -1, 8, 5)]
 
 
