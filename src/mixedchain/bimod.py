@@ -8,16 +8,26 @@ quantum-group side (p_*) or the centralizer side (q_*) of the atypical part
 reproduces closed-form sums, and the whole decomposition satisfies two
 induction identities tying tensoring with the dual fundamental module to
 restriction; these are the headline checks of the artifact.
+
+`verify_identities` checks both identities of a context in one pass: the
+two flattenings share the semisimple part, so each of its simples is fused
+and restricted once, and only the projective terms and the atypical parts
+are read per identity.  The fusion of each barred label is memoised in an
+LRU cache of 8192 labels (`_fused`), like the fusion table and
+`labels.bar_to_plain` it reads, which holds every label of a sweep to
+m+n = 25.  The dimension audits read the ledger `xcat.dims_for` once per
+context.  The vertices and the graph of the atypical part are
+`TaggedTuple` records, so this layer imports no `dataclasses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .fusion import GrothVector, chain_content, fuse_with_v, gv
+from .fusion import GrothVector, chain_content, fuse_with_v
 from .labels import (
     BarLabel,
+    RLabel,
     bar,
     bar_cover,
     bar_subquotients,
@@ -25,6 +35,7 @@ from .labels import (
     dim_bar,
     gbar,
     is_atypical,
+    proj_subquotients,
     simple_subquotients,
 )
 from .partitions import (
@@ -35,17 +46,20 @@ from .partitions import (
     bip_str,
     gswap,
 )
+from .tagged import TaggedTuple
 from .xcat import (
     column_top_label,
-    dim_simple_x,
-    dim_term,
+    dims_for,
     extra_vertex_label,
+    proj_structure,
     q_functor,
-    res_right_d,
-    res_right_k,
+    restriction_items,
 )
 
 SemisimplePair = tuple[Bipartition, BarLabel]
+
+_new = tuple.__new__
+_BAR_TAG = BarLabel._tag
 
 
 def _hook(k: int, ones: int) -> tuple:
@@ -61,62 +75,66 @@ def semisimple_part(m: int, n: int) -> tuple[SemisimplePair, ...]:
         return ()
     if m < n:
         return tuple((gswap(lam), gbar(z)) for lam, z in semisimple_part(n, m))
-    pairs: list[SemisimplePair] = []
+    # (bipartition, p, t, r) of each simple barred label Zbar[p; t, r]
+    cells: list[tuple[Bipartition, int, int, int]] = []
     a = m - n
     for s in range(1, n + 1):
         for k in range(1, a + s + 1):
             if k == a:
                 continue
-            pairs.append(((_hook(k, s - k + a), (s,)),
-                          bar("Z", s + k + a + 1, k - a, s + a)))
+            cells.append(((_hook(k, s - k + a), (s,)),
+                          s + k + a + 1, k - a, s + a))
     for s in range(a + 2, m + 1):
         for k in range(1, s - a):
-            pairs.append((((s,), _hook(k, s - k - a)),
-                          bar("Z", s + k + a + 1, s - a, k + a)))
+            cells.append((((s,), _hook(k, s - k - a)),
+                          s + k + a + 1, s - a, k + a))
     for s in range(1, n):
         for k in range(1, min(s, n - s) + 1):
             if k == 1 - a:  # t = 0 is atypical; happens only at m == n
                 continue
-            pairs.append((((1,) * (s + k + a), (s, k)),
-                          bar("Z", s + k + a, 1 - k - a, s + a)))
+            cells.append((((1,) * (s + k + a), (s, k)),
+                          s + k + a, 1 - k - a, s + a))
     for s in range(a + 1, m):
         for k in range(1, min(s, m - s) + 1):
             if k == a + 1:
                 continue
-            pairs.append((((s, k), (1,) * (s + k - a)),
-                          bar("Z", s + k + a, s - a, 1 - k + a)))
+            cells.append((((s, k), (1,) * (s + k - a)),
+                          s + k + a, s - a, 1 - k + a))
     for k in range(1, a // 2 + 1):
         for s in range(k, a - k + 1):
-            pairs.append((((s, k) + (1,) * (a - s - k), ()),
-                          bar("Z", s + k + a, s - a, 1 - k + a)))
+            cells.append((((s, k) + (1,) * (a - s - k), ()),
+                          s + k + a, s - a, 1 - k + a))
     for s in range(a // 2 + 1, a):
         for k in range(1 - s + a, min(s, m - s) + 1):
-            pairs.append((((s, k), (1,) * (s + k - a)),
-                          bar("Z", s + k + a, s - a, 1 - k + a)))
+            cells.append((((s, k), (1,) * (s + k - a)),
+                          s + k + a, s - a, 1 - k + a))
+    cells.sort(key=lambda c: (c[2], c[3], c[0]))  # by (t, r), then bipartition
+    # the ranges above give valid labels only, so `bar` need not check them
+    pairs = tuple((lam, _new(BarLabel, (_BAR_TAG, "Z", p % 2, t, r)))
+                  for lam, p, t, r in cells)
     for lam, z in pairs:
         if is_atypical(bar_to_plain(z)):
             raise AssertionError(f"atypical label {z} in the semisimple part")
-    return tuple(sorted(pairs, key=lambda p: (p[1].t, p[1].r, p[0])))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
 # the atypical part as a graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BimodVertex:
-    x: Bipartition
-    z: BarLabel
-    layer: str  # "top" | "mid" | "bot" | "extra"
-    col: int    # column index, -1 for the extra vertex
+class BimodVertex(TaggedTuple, fields="x z layer col"):
+    """A vertex of the atypical part: its bipartition x, its quantum label
+    z, its layer ("top", "mid", "bot" or "extra") and its column index
+    (-1 for the extra vertex)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BimoduleGraph:
-    m: int
-    n: int
-    vertices: tuple[BimodVertex, ...]
-    edges: tuple[tuple[int, int, str], ...]  # (src, dst, "uq" | "cent")
+class BimoduleGraph(TaggedTuple, fields="m n vertices edges"):
+    """The atypical part of the (m,n) context: its vertices, and its edges
+    as (src, dst, colour) with colour "uq" or "cent"."""
+
+    __slots__ = ()
 
 
 def _column_mids(z_top: BarLabel, prev_top, next_top) -> tuple[BarLabel, BarLabel]:
@@ -286,16 +304,6 @@ def closed_form_p(m: int, n: int) -> GrothVector:
 # flattened bimodule and the induction identities
 # ---------------------------------------------------------------------------
 
-def _flattened(m: int, n: int, atypical: tuple):
-    """The semisimple part, each simple boxed once, then a flattened atypical
-    part, as ((term, z), mult) items.  Every reader sums multiplicities, so
-    the items need not be merged: the semisimple part is read off its memo
-    and not keyed again into a dict."""
-    for lam, z in semisimple_part(m, n):
-        yield (("D", lam), z), 1
-    yield from atypical
-
-
 # The identity sweep flattens (m, n+1) on one diagonal and (m, n) again on
 # the next, up to 2(m+n) contexts of the same side later; 128 contexts per
 # side keep a sweep to 40 at one miss per context (64 do not).  Only the
@@ -311,126 +319,168 @@ def _p_atypical_items(m: int, n: int) -> tuple:
     return tuple(p_atypical(m, n).items())
 
 
-def _q_flat(m: int, n: int):
-    return _flattened(m, n, _q_atypical_items(m, n))
-
-
-def _p_flat(m: int, n: int):
-    return _flattened(m, n, _p_atypical_items(m, n))
+def _assembled(m: int, n: int, atypical: tuple) -> GrothVector:
+    """The semisimple part, each simple boxed once, plus a flattened
+    atypical part."""
+    out = GrothVector(((("D", lam), z), 1) for lam, z in semisimple_part(m, n))
+    for key, mult in atypical:
+        out.add(key, mult)
+    return out
 
 
 def q_flattened(m: int, n: int) -> GrothVector:
     """The fully assembled bimodule after centralizer-side flattening."""
-    return gv(*_q_flat(m, n))
+    return _assembled(m, n, _q_atypical_items(m, n))
 
 
 def p_flattened(m: int, n: int) -> GrothVector:
     """The fully assembled bimodule after quantum-side flattening."""
-    return gv(*_p_flat(m, n))
+    return _assembled(m, n, _p_atypical_items(m, n))
 
 
-@lru_cache(maxsize=2)
-def _restrictions(m: int, n: int) -> dict:
-    """Restrictions of the (m,n) context's X-terms to (m, n-1), filled on
-    demand by `_restriction`.  The two identities at (m, n-1) share them;
-    a sweep then moves on, so two contexts are held at a time."""
-    return {}
+@lru_cache(maxsize=8192)
+def _fused(z: BarLabel) -> tuple[tuple, tuple, tuple]:
+    """z (x) the dual fundamental module as (label, mult) items, split for
+    the two identities: its simple summands, its projective summands, and
+    the simple subquotients of those projective summands.  Memoised per
+    label like the fusion memo it reads: a sweep to m+n = 25 fuses 1,869
+    barred labels, and 8192 hold them all."""
+    simples, covers, subs = [], [], {}
+    for w, wm in fuse_with_v(bar_to_plain(z)).items():
+        if isinstance(w, RLabel):
+            covers.append((w, wm))
+            for sub in proj_subquotients(w):
+                subs[sub] = subs.get(sub, 0) + wm
+        else:
+            simples.append((w, wm))
+    return tuple(simples), tuple(covers), tuple(subs.items())
 
 
-def _restriction(term, m: int, n: int) -> tuple:
-    """Restriction of an X-term down one right strand, as (term, mult)
-    items, read off the xcat tables and not off the flattened bimodule."""
-    table = _restrictions(m, n)
-    out = table.get(term)
-    if out is None:
-        res = (res_right_k if term[0] == "K" else res_right_d)(term[1], m, n)
-        out = table[term] = tuple(res.items())
-    return out
+def _add(acc: dict, term, items, mult: int = 1) -> None:
+    """Add mult times each (label, m) item to acc[(term, label)]."""
+    for label, lm in items:
+        key = (term, label)
+        acc[key] = acc.get(key, 0) + mult * lm
 
 
-@lru_cache(maxsize=1024)
-def _fused(z: BarLabel) -> tuple[tuple, tuple]:
-    """z (x) the dual fundamental module, and its simple subquotients, as
-    (label, mult) items.  Bounded like the fusion memo it reads: a sweep
-    fuses a few hundred labels per context, mostly its neighbours' ones."""
-    fused = fuse_with_v(bar_to_plain(z))
-    subs: dict = {}
-    for w, wm in fused.items():
-        for sub in simple_subquotients(w):
-            subs[sub] = subs.get(sub, 0) + wm
-    return tuple(fused.items()), tuple(subs.items())
+def _add_terms(acc: dict, items, w, mult: int = 1) -> None:
+    """Add mult times each (term, m) item to acc[(term, w)]."""
+    for term, tm in items:
+        key = (term, w)
+        acc[key] = acc.get(key, 0) + mult * tm
 
 
-def verify_identity_tensor(m: int, n: int) -> bool:
-    """Tensoring the q-flattened chain with the dual fundamental module
-    matches restriction of the next chain, flattened again.  The right
-    side reads the restrictions that `verify_identity_proj` at (m,n) reads,
-    computed once."""
+def verify_identities(m: int, n: int) -> tuple[bool, bool]:
+    """Both induction identities at (m,n), in one pass: (tensor, proj).
+
+    tensor: the q-flattened chain tensored with the dual fundamental module
+    matches the restriction of the next chain (m, n+1), flattened again.
+    proj: the p-flattened chain tensored with it, each summand replaced by
+    its simple subquotients, matches the restricted p-flattened next chain.
+
+    The two flattenings share the semisimple part, so each of its simples
+    is fused and restricted once.  A simple summand of a fusion counts the
+    same on both left sides; only a projective summand differs, kept for
+    tensor and expanded into its subquotients for proj.  A simple term of a
+    restriction counts the same on both right sides; only the projective
+    terms of exceptional rows differ, flattened for tensor and kept for
+    proj.  Each identity then adds its own flattening of the atypical part.
+    Within the semisimple part no key repeats: its bipartitions are
+    distinct, and so are their quantum labels (one per table cell), so its
+    entries are set, not summed.  Every multiplicity is positive, so no
+    entry of either side sums to zero.
+    """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    lhs: dict = {}
-    for (term, z), mult in _q_flat(m, n):
-        for w, wm in _fused(z)[0]:
-            key = (term, w)
-            lhs[key] = lhs.get(key, 0) + mult * wm
-    rhs: dict = {}
-    for (term, z), mult in _q_flat(m, n + 1):
+    # left sides: (m, n) tensored with the dual fundamental module
+    lhs_p: dict = {}
+    split = []
+    for lam, z in semisimple_part(m, n):
+        term = ("D", lam)
+        simples, covers, subs = _fused(z)
+        for w, wm in simples:
+            lhs_p[(term, w)] = wm
+        if covers:
+            split.append((term, covers, subs))
+    lhs_t = dict(lhs_p)
+    for term, covers, subs in split:
+        _add(lhs_t, term, covers)
+        _add(lhs_p, term, subs)
+    for (term, z), mult in _q_atypical_items(m, n):
+        simples, covers, _subs = _fused(z)
+        _add(lhs_t, term, simples, mult)
+        _add(lhs_t, term, covers, mult)
+    for (term, z), mult in _p_atypical_items(m, n):
+        simples, _covers, subs = _fused(z)
+        _add(lhs_p, term, simples, mult)
+        _add(lhs_p, term, subs, mult)
+
+    # right sides: (m, n+1) restricted down one right strand
+    rhs_p: dict = {}
+    projective = []
+    for lam, z in semisimple_part(m, n + 1):
         w = bar_to_plain(z)
-        for rterm, rm in _restriction(term, m, n + 1):
+        for rterm, rm in restriction_items(("D", lam), m, n + 1):
+            if rterm[0] == "D":
+                rhs_p[(rterm, w)] = rm
+            else:
+                projective.append((rterm, w, rm))
+    rhs_t = dict(rhs_p)
+    for rterm, w, rm in projective:
+        _add_terms(rhs_p, ((rterm, 1),), w, rm)
+        _add_terms(rhs_t, q_functor(rterm, m, n).items(), w, rm)
+    for (term, z), mult in _q_atypical_items(m, n + 1):
+        w = bar_to_plain(z)
+        for rterm, rm in restriction_items(term, m, n + 1):
             # a simple term is its own flattening
             flat = ((rterm, 1),) if rterm[0] == "D" else q_functor(rterm, m, n).items()
-            for dterm, dm in flat:
-                key = (dterm, w)
-                rhs[key] = rhs.get(key, 0) + mult * rm * dm
-    return GrothVector.from_sums(lhs) == GrothVector.from_sums(rhs)
+            _add_terms(rhs_t, flat, w, mult * rm)
+    for (term, z), mult in _p_atypical_items(m, n + 1):
+        _add_terms(rhs_p, restriction_items(term, m, n + 1), bar_to_plain(z), mult)
+    return lhs_t == rhs_t, lhs_p == rhs_p
 
 
-def verify_identity_proj(m: int, n: int) -> bool:
-    """Quantum-side flattening of (chain x dual fundamental) matches the
-    restricted p-flattened next chain.  The right side reads the
-    restrictions that `verify_identity_tensor` at (m,n) reads, computed
-    once."""
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
-    lhs: dict = {}
-    for (term, z), mult in _p_flat(m, n):
-        for sub, sm in _fused(z)[1]:
-            key = (term, sub)
-            lhs[key] = lhs.get(key, 0) + mult * sm
-    rhs: dict = {}
-    for (term, z), mult in _p_flat(m, n + 1):
+def _semisimple_content(m: int, n: int, ledger: dict) -> dict:
+    """The semisimple part as quantum content: each plain label weighted by
+    the X-dimension of its bipartition."""
+    out: dict = {}
+    for lam, z in semisimple_part(m, n):
         w = bar_to_plain(z)
-        for rterm, rm in _restriction(term, m, n + 1):
-            key = (rterm, w)
-            rhs[key] = rhs.get(key, 0) + mult * rm
-    return GrothVector.from_sums(lhs) == GrothVector.from_sums(rhs)
+        out[w] = out.get(w, 0) + ledger[lam]
+    return out
 
 
 def dimension_audit(m: int, n: int) -> bool:
     """Total bimodule dimension, and quantum content against the chain."""
-    total = 0
-    for lam, z in semisimple_part(m, n):
-        total += dim_simple_x(lam, m, n) * dim_bar(z)
-    for v in atypical_part(m, n).vertices:
-        total += dim_simple_x(v.x, m, n) * dim_bar(v.z)
+    ledger = dims_for(m, n)
+    total = sum(ledger[lam] * dim_bar(z) for lam, z in semisimple_part(m, n))
+    total += sum(ledger[v.x] * dim_bar(v.z) for v in atypical_part(m, n).vertices)
     if total != 3 ** (m + n):
         return False
-    expected = GrothVector()
-    for (term, z), mult in _q_flat(m, n):
-        expected.add(bar_to_plain(z), mult * dim_simple_x(term[1], m, n))
+    expected = _semisimple_content(m, n, ledger)
+    for (term, z), mult in _q_atypical_items(m, n):
+        w = bar_to_plain(z)
+        expected[w] = expected.get(w, 0) + mult * ledger[term[1]]
     return expected == chain_content(m, n)
 
 
 def p_weighted_against_chain(m: int, n: int) -> bool:
     """p-flattened bimodule, weighted by X-dimensions, against the
     subquotient content of the chain."""
-    lhs = GrothVector()
-    for (term, z), mult in _p_flat(m, n):
-        lhs.add(bar_to_plain(z), mult * dim_term(term, m, n))
-    rhs = GrothVector()
+    ledger = dims_for(m, n)
+    lhs = _semisimple_content(m, n, ledger)
+    for (term, z), mult in _p_atypical_items(m, n):
+        kind, lam = term
+        if kind == "D":
+            dim = ledger[lam]
+        else:
+            dim = sum(ledger[v] for _, v in proj_structure(lam, m, n).vertices)
+        w = bar_to_plain(z)
+        lhs[w] = lhs.get(w, 0) + mult * dim
+    rhs: dict = {}
     for x, mult in chain_content(m, n).items():
         for sub in simple_subquotients(x):
-            rhs.add(sub, mult)
+            rhs[sub] = rhs.get(sub, 0) + mult
     return lhs == rhs
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .labels import THREE, THREE_BAR
 from .qarith import MINUS_ONE, ONE, Q, EvalPoint, QScalar, qpow
@@ -41,8 +42,11 @@ class QwbParams:
     theta: QScalar
 
 
+@lru_cache(maxsize=1)
 def chain_params() -> QwbParams:
-    """The specialization realized on the chain: (-1, q^-2, -q^-2)."""
+    """The specialization realized on the chain: (-1, q^-2, -q^-2).  Built
+    once per process and shared, so a residual memo key holding it compares
+    by identity."""
     return QwbParams(MINUS_ONE, qpow(-2), qpow(-2, -1))
 
 
@@ -72,8 +76,12 @@ def factor_matrices(dual: bool) -> dict[str, SparseMatrix]:
     return {g: _permuted(m, perm) for g, m in rep.mats.items()}
 
 
+@lru_cache(maxsize=1)
 def fundamental_ops() -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """The 9x9 operators (g, e, h) in the bases f_i(x)f_j, f_i(x)v_j, v_i(x)v_j."""
+    """The 9x9 operators (g, e, h) in the bases f_i(x)f_j, f_i(x)v_j, v_i(x)v_j.
+
+    Built once per process and shared, with the memo key of each
+    (`_factor_key`); every caller must only read them."""
     qm2 = qpow(-2)
     qm1 = qpow(-1)
     lo = qm2 - ONE  # q^-2 - 1
@@ -109,6 +117,8 @@ def fundamental_ops() -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
     for col, dv in diag.items():
         for row, wv in w:
             e.set(row, col, dv * wv)
+    for x in (g, e, h):
+        _FUNDAMENTAL_KEYS[id(x)] = (x, _content_key(x))
     return g, e, h
 
 
@@ -300,9 +310,25 @@ _RELATION_RESIDUALS = _ResidualMemo(maxsize=256)
 _CENTRALIZER_RESIDUALS = _ResidualMemo(maxsize=512)
 
 
-def _factor_key(x: SparseMatrix):
+def _content_key(x: SparseMatrix):
     """Everything a window residual reads of a factor: its size and entries."""
     return x.nrows, frozenset(x.entries())
+
+
+# id -> (factor, key) for the process-wide fundamental factors, filled once
+# by `fundamental_ops`; the factor is held so that its id is never reused
+_FUNDAMENTAL_KEYS: dict[int, tuple[SparseMatrix, tuple]] = {}
+
+
+def _factor_key(x: SparseMatrix):
+    """The content key of a factor (`_content_key`).  A fundamental factor
+    gets the one key built with it, so a memo hit compares that key by
+    identity; any other matrix, a planted factor among them, is keyed by
+    its content anew."""
+    known = _FUNDAMENTAL_KEYS.get(id(x))
+    if known is not None and known[0] is x:
+        return known[1]
+    return _content_key(x)
 
 
 def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,

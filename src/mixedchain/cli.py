@@ -61,16 +61,11 @@ def _decompose_payload(m: int, n: int):
 
 
 def _bimodule_payload(m: int, n: int):
-    from .bimod import (
-        atypical_part,
-        dimension_audit,
-        semisimple_part,
-        verify_identity_proj,
-        verify_identity_tensor,
-    )
+    from .bimod import atypical_part, dimension_audit, semisimple_part, verify_identities
     from .partitions import bip_str
 
     graph = atypical_part(m, n)
+    tensor, proj = verify_identities(m, n) if m >= 1 else (None, None)
     return {
         "m": m,
         "n": n,
@@ -90,8 +85,8 @@ def _bimodule_payload(m: int, n: int):
         },
         "audits": {
             "dim": dimension_audit(m, n),
-            "identity1": verify_identity_tensor(m, n) if m >= 1 else None,
-            "identity2": verify_identity_proj(m, n) if m >= 1 else None,
+            "identity1": tensor,
+            "identity2": proj,
         },
     }
 
@@ -151,16 +146,17 @@ def _chain_sweep(kind: str, max_mn: int, backend: str, seed: int, jobs: int):
 
 
 def _verify_identities(max_mn: int):
-    from .bimod import verify_identity_proj, verify_identity_tensor
+    from .bimod import verify_identities
 
     report = []
     for total in range(1, max_mn + 1):
         for m in range(1, total + 1):
             n = total - m
+            tensor, proj = verify_identities(m, n)
             report.append({"relation": "induction-tensor", "m": m, "n": n,
-                           "backend": "labels", "ok": verify_identity_tensor(m, n)})
+                           "backend": "labels", "ok": tensor})
             report.append({"relation": "induction-proj", "m": m, "n": n,
-                           "backend": "labels", "ok": verify_identity_proj(m, n)})
+                           "backend": "labels", "ok": proj})
     return report
 
 

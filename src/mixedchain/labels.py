@@ -22,14 +22,16 @@ Every label class here (`ZLabel`, `RLabel`, `BarLabel`, `GL2Label`) is a
 fields within the class, and never equal to a label of another class with
 the same fields.  Its `str` is the label's text form, which the CLI prints
 and `cli.parse_label` reads back.  The factories `Z`, `R` and `bar`
-validate and build the tuple directly, and `bar_to_plain` is memoised in a
-bounded LRU cache.  This module needs no scalar and no matrix; the explicit
-modules are built in `uqmod`.
+validate and build the tuple directly, and `gbar` swaps the fields of a
+label that is already valid without validating again.  `bar_to_plain` is
+memoised in an LRU cache of 8192 labels, which holds every barred label a
+label sweep to m+n = 25 reads.  The gl(2) blocks are `TaggedTuple`
+records too, so this module imports no `dataclasses`.  It needs no scalar
+and no matrix; the explicit modules are built in `uqmod`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .tagged import TaggedTuple
@@ -163,10 +165,10 @@ def _sign(p: int) -> int:
     return 1 if p % 2 == 0 else -1
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=8192)
 def bar_to_plain(b: BarLabel):
     """The plain label of a barred one; memoised per label, bounded like the
-    other per-label memos of the label sweeps."""
+    other per-label memos of the label sweeps (see the module docstring)."""
     if b.kind == "Z":
         if b.r != 0:
             return Z(1, _sign(b.p), b.t + b.r, b.r)
@@ -208,8 +210,9 @@ def dim_bar(b: BarLabel) -> int:
 
 
 def gbar(b: BarLabel) -> BarLabel:
-    """Mirror image: swaps the (t, r) coordinates."""
-    return bar(b.kind, b.p, b.r, b.t)
+    """Mirror image: swaps the (t, r) coordinates.  The swap keeps a valid
+    label valid, so it is built without validating again."""
+    return _new(BarLabel, (_BAR_TAG, b.kind, b.p, b.r, b.t))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +226,7 @@ class GL2Label(TaggedTuple, fields="alpha beta s r"):
         return f"X[{self.alpha},{self.beta};{self.s},{self.r}]"
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(TaggedTuple, fields="name size alpha keff roff gl2"):
     """One gl(2) block of a simple module in its stored basis.
 
     K w_i = alpha q^(size-1-2i) w_i and k w_i = keff q^(i-roff) w_i.  The
@@ -233,12 +235,7 @@ class _Block:
     realized eigenvalues there carry an extra minus sign.
     """
 
-    name: str
-    size: int
-    alpha: int
-    keff: int
-    roff: int
-    gl2: GL2Label
+    __slots__ = ()
 
 
 def blocks(z: ZLabel) -> list[_Block]:

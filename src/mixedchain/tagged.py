@@ -1,8 +1,9 @@
 """Immutable labels as tagged tuples.
 
-Every label of the package (simple, projective, barred, gl(2) block and
-atypical labels) is a `TaggedTuple`: a `tuple` subclass holding
-``(tag, *fields)``, where the tag is an integer unique to the class.
+Every label of the package (simple, projective, barred, gl(2) and atypical
+labels), and every record of the label layer (gl(2) blocks, Loewy graphs,
+bimodule vertices and graphs), is a `TaggedTuple`: a `tuple` subclass
+holding ``(tag, *fields)``, where the tag is an integer unique to the class.
 Hashing, equality and ordering are the tuple's own and run in C, and the tag
 keeps labels of different classes apart: ``Z[1,1;2,0]`` and ``R[1,1;2,0]``
 have equal fields, yet they are unequal and stay two keys of one dict.

@@ -15,7 +15,10 @@ fails loudly instead of silently picking a neighbouring case.  The
 exceptional rows of typical labels are indexed once per context by the
 label each re-glues (`_exceptional_rows`); a lookup validates the rows
 stored under its label and asserts that exactly one matched, so both
-checks fire for the same labels as a row-by-row probe.  A handful of displays
+checks fire for the same labels as a row-by-row probe.  The induction
+identities restrict the labels of a bimodule through `restriction_items`,
+which checks a label against the atypical set and the exceptional rows
+first, so a generic typical label builds no vector.  A handful of displays
 extend the source tables to small contexts the original guards leave out;
 each such extension is pinned by the dimension-consistency and
 bimodule-projection tests.
@@ -23,7 +26,6 @@ bimodule-projection tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .fusion import GrothVector, chain_content
@@ -44,6 +46,7 @@ from .partitions import (
     lambda_f,
     rem_boxes,
 )
+from .tagged import TaggedTuple
 
 
 class NotCross(ValueError):
@@ -77,11 +80,11 @@ def _classify_cross(lam: Bipartition, m: int, n: int) -> tuple[int, AtypicalLabe
 # projective structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoewyGraph:
-    label: Bipartition
-    vertices: tuple[tuple[str, Bipartition], ...]  # (layer, label)
-    edges: tuple[tuple[int, int], ...]
+class LoewyGraph(TaggedTuple, fields="label vertices edges"):
+    """The Loewy graph of a projective cover: its head label, its vertices
+    as (layer, label) pairs and its edges as (upper, lower) vertex indices."""
+
+    __slots__ = ()
 
 
 def _graph_single(lam: Bipartition) -> LoewyGraph:
@@ -394,22 +397,29 @@ def res_right_d(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a simple label; entries are ("D"|"K", bipartition)."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
-    f, lab = _classify_cross(lam, m, n)
-    return _res_d(lam, f, lab, m, n)
+    _classify_cross(lam, m, n)
+    return GrothVector(restriction_items(("D", lam), m, n))
 
 
-def _res_d(lam: Bipartition, f: int, lab: AtypicalLabel | None, m: int, n: int) -> GrothVector:
-    """`res_right_d` past its validation, given the defect and the atypical
-    label that `_classify_cross` read off lam."""
+def restriction_items(term: XTerm, m: int, n: int):
+    """Restriction of an X-term down one right strand, as (term, mult)
+    items: `res_right_d` of a "D" term, `res_right_k` of a "K" term.
+
+    The label is checked against the atypical set and the exceptional rows
+    first, and only those labels go through their displays.  A generic
+    typical label gives its ("D", mu) items with multiplicity one, since
+    the generic rule never yields a label twice, and builds no vector.  The
+    caller vouches for the term: `res_right_d` and `res_right_k` validate
+    it first, and the induction identities pass the bimodule's own terms.
+    """
+    kind, lam = term
+    lab = atypical_set(m, n).get(lam)
     if lab is not None:
-        return _res_d_atypical(lab, m, n)
+        return (_res_k_atypical if kind == "K" else _res_d_atypical)(lab, m, n).items()
     special = _match_exceptional_d(lam, m, n)
     if special is not None:
-        return special
-    out = GrothVector()
-    for mu in _generic_restriction(lam, f):
-        out.add(("D", mu))
-    return out
+        return special.items()
+    return [(("D", mu), 1) for mu in _generic_restriction(lam, lambda_f(lam, m, n))]
 
 
 def _res_k_atypical(lab: AtypicalLabel, m: int, n: int) -> GrothVector:
@@ -591,10 +601,8 @@ def res_right_k(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of a projective label; ("K", mu) entries stay projective."""
     if n < 1:
         raise NIsZero("right restriction needs n >= 1")
-    f, lab = _classify_cross(lam, m, n)
-    if lab is None:
-        return _res_d(lam, f, None, m, n)
-    return _res_k_atypical(lab, m, n)
+    _classify_cross(lam, m, n)
+    return GrothVector(restriction_items(("K", lam), m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from mixedchain.bimod import (
     p_weighted_against_chain,
     projections_match,
     table_csv,
-    verify_identity_proj,
-    verify_identity_tensor,
+    verify_identities,
 )
 from mixedchain.chainrep import ChainContext, check_centralizer, check_qwb_relations
 from mixedchain.fusion import chain_decompose, dim_of_groth, fuse_with_f, fuse_with_v
@@ -114,8 +113,7 @@ def test_criterion_5_weight_multiset_oracle():
 
 def test_criterion_6_verification_identities():
     for m, n in _grid(12, m_min=1):
-        assert verify_identity_tensor(m, n), ("tensor", m, n)
-        assert verify_identity_proj(m, n), ("proj", m, n)
+        assert verify_identities(m, n) == (True, True), (m, n)
     print("\nACCEPTANCE 6 induction identities (m+n<=12): PASS")
 
 

@@ -1,3 +1,8 @@
+import pytest
+
+import mixedchain.bimod as bm
+import mixedchain.fusion as fu
+import mixedchain.xcat as xc
 from mixedchain.bimod import (
     atypical_part,
     closed_form_p,
@@ -11,12 +16,12 @@ from mixedchain.bimod import (
     q_flattened,
     semisimple_part,
     table_csv,
-    verify_identity_proj,
-    verify_identity_tensor,
+    verify_identities,
 )
-from mixedchain.fusion import chain_decompose
+from mixedchain.fusion import chain_decompose, fuse_with_v
 from mixedchain.partitions import atyp, atypical_bipartition, atypical_columns, cross_set, gswap
-from mixedchain.labels import bar, gbar
+from mixedchain.labels import bar, bar_to_plain, gbar, simple_subquotients
+from mixedchain.xcat import q_functor, res_right_d, res_right_k
 
 bip = atypical_bipartition
 
@@ -186,10 +191,12 @@ def test_dimension_audit_examples():
 
 
 def test_identities_small():
-    assert verify_identity_tensor(1, 0)
-    assert verify_identity_tensor(2, 1)
-    assert verify_identity_proj(1, 1)
-    assert verify_identity_proj(3, 2)
+    assert verify_identities(1, 0)[0]
+    assert verify_identities(2, 1)[0]
+    assert verify_identities(1, 1)[1]
+    assert verify_identities(3, 2)[1]
+    with pytest.raises(ValueError):
+        verify_identities(0, 3)
 
 
 def test_identities_full_reported_range():
@@ -197,8 +204,123 @@ def test_identities_full_reported_range():
     for total in range(13, 26):
         for m in range(1, total + 1):
             n = total - m
-            assert verify_identity_tensor(m, n), (m, n)
-            assert verify_identity_proj(m, n), (m, n)
+            assert verify_identities(m, n) == (True, True), (m, n)
+
+
+# The two identity checks that the one-pass check replaced, kept as its
+# oracle.  Each assembles both of its sides in full, through the public
+# flattening, fusion and restriction functions.
+def _restricted(term, m, n):
+    return (res_right_k if term[0] == "K" else res_right_d)(term[1], m, n).items()
+
+
+def _nonzero(acc):
+    return {key: mult for key, mult in acc.items() if mult}
+
+
+def oracle_identity_tensor(m, n):
+    """Tensoring the q-flattened chain with the dual fundamental module
+    matches restriction of the next chain, flattened again."""
+    lhs = {}
+    for (term, z), mult in q_flattened(m, n).items():
+        for w, wm in fuse_with_v(bar_to_plain(z)).items():
+            lhs[(term, w)] = lhs.get((term, w), 0) + mult * wm
+    rhs = {}
+    for (term, z), mult in q_flattened(m, n + 1).items():
+        w = bar_to_plain(z)
+        for rterm, rm in _restricted(term, m, n + 1):
+            for dterm, dm in q_functor(rterm, m, n).items():
+                rhs[(dterm, w)] = rhs.get((dterm, w), 0) + mult * rm * dm
+    return _nonzero(lhs) == _nonzero(rhs)
+
+
+def oracle_identity_proj(m, n):
+    """Quantum-side flattening of (chain x dual fundamental) matches the
+    restricted p-flattened next chain."""
+    lhs = {}
+    for (term, z), mult in p_flattened(m, n).items():
+        for w, wm in fuse_with_v(bar_to_plain(z)).items():
+            for sub in simple_subquotients(w):
+                lhs[(term, sub)] = lhs.get((term, sub), 0) + mult * wm
+    rhs = {}
+    for (term, z), mult in p_flattened(m, n + 1).items():
+        w = bar_to_plain(z)
+        for rterm, rm in _restricted(term, m, n + 1):
+            rhs[(rterm, w)] = rhs.get((rterm, w), 0) + mult * rm
+    return _nonzero(lhs) == _nonzero(rhs)
+
+
+def _identity_contexts(max_total):
+    return [(m, total - m) for total in range(1, max_total + 1) for m in range(1, total + 1)]
+
+
+def test_identities_match_the_two_pass_oracle():
+    for m, n in _identity_contexts(25):
+        want = (oracle_identity_tensor(m, n), oracle_identity_proj(m, n))
+        assert want == (True, True), (m, n)
+        assert verify_identities(m, n) == want, (m, n)
+
+
+def _clear_label_memos():
+    """Forget every memo that a planted fault could have filled."""
+    for memo in (bm._fused, fu.chain_content, xc.dims_for):
+        memo.cache_clear()
+
+
+def _drop_generic_term(lam):
+    generic = xc._generic_restriction
+
+    def planted(mu, f):
+        out = generic(mu, f)
+        return out[1:] if mu == lam else out
+    return "_generic_restriction", planted
+
+
+def _bump_fusion_mult(x):
+    fused = fu._fused_with_v
+
+    def planted(label, alpha2, beta2):
+        items = fused(label, alpha2, beta2)
+        if label != x:
+            return items
+        (w, wm), *rest = items
+        return ((w, wm + 1), *rest)
+    return "_fused_with_v", planted
+
+
+def _drop_exceptional_row(name):
+    rows = xc._exceptional_rows
+
+    def planted(m, n):
+        return {key: found for key, found in rows(m, n).items()
+                if all(row_name != name for row_name, _terms in found)}
+    return "_exceptional_rows", planted
+
+
+@pytest.mark.parametrize("module, plant", [
+    (xc, lambda: _drop_generic_term(((2,), (2,)))),
+    (fu, lambda: _bump_fusion_mult(bar_to_plain(semisimple_part(3, 2)[0][1]))),
+    (xc, lambda: _drop_exceptional_row("X.bd.wall")),
+], ids=["generic-term", "fusion-mult", "exceptional-row"])
+def test_planted_faults_fail_the_same_contexts(monkeypatch, module, plant):
+    # each fault is seen by the one-pass check and by the oracle, at the same
+    # contexts and for the same identities, and not everywhere
+    contexts = _identity_contexts(15)
+    name, planted = plant()
+    _clear_label_memos()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(module, name, planted)
+            failing = []
+            for m, n in contexts:
+                got = verify_identities(m, n)
+                assert got == (oracle_identity_tensor(m, n), oracle_identity_proj(m, n)), (m, n)
+                if got != (True, True):
+                    failing.append((m, n))
+    finally:
+        _clear_label_memos()
+    assert 0 < len(failing) < len(contexts), failing
+    assert all(verify_identities(m, n) == (True, True) for m, n in failing)
 
 
 def test_flattened_shapes():
@@ -246,18 +368,15 @@ def test_memoised_results_are_fresh_vectors():
 
 def test_label_memos_stay_bounded():
     # the identity sweep holds per-context tables for at most two contexts,
-    # and per-label memos are LRU caches of a fixed size, whatever the bound;
+    # and per-label memos are LRU caches of 8192 labels, whatever the bound;
     # the per-context ledgers keep 64 contexts, and the sweep memos at most
     # 128, enough for a sweep to compute each context once, the mirror
     # lookups semisimple_part(n, m) included
-    import mixedchain.bimod as bm
-    import mixedchain.fusion as fu
     import mixedchain.labels as la
     import mixedchain.partitions as pa
-    import mixedchain.xcat as xc
     from mixedchain.cli import _verify_dims, _verify_identities
 
-    per_context = [xc._exceptional_rows, bm._restrictions]
+    per_context = [xc._exceptional_rows]
     per_label = [fu._fused_with_v, bm._fused, la.bar_to_plain]
     ledgers = [bm.semisimple_part, xc.dims_for]
     sweep = [pa.atypical_columns, pa.atypical_set, bm._q_atypical_items,
@@ -278,6 +397,11 @@ def test_label_memos_stay_bounded():
             assert min(1, want) <= info.currsize <= info.maxsize, (memo.__name__, info)
             assert info.misses == want, (memo.__name__, info)
 
+    def assert_no_thrash(memo):
+        # every label missed once: nothing was evicted and read again
+        info = memo.cache_info()
+        assert 0 < info.misses == info.currsize < info.maxsize, (memo.__name__, info)
+
     for memo in per_context + per_label + ledgers + sweep:
         memo.cache_clear()
     assert all(row["ok"] for row in _verify_identities(20))
@@ -286,7 +410,7 @@ def test_label_memos_stay_bounded():
         assert 1 <= info.currsize <= 2 and info.maxsize == 2, (memo.__name__, info)
     for memo in per_label:
         info = memo.cache_info()
-        assert info.maxsize is not None and info.maxsize <= 1024, (memo.__name__, info)
+        assert info.maxsize == 8192, (memo.__name__, info)
         assert 1 <= info.currsize <= info.maxsize, (memo.__name__, info)
     assert_bounded([bm.semisimple_part], {bm.semisimple_part: contexts}, 64)
     # restrictions classify labels of the contexts with a right strand
@@ -304,3 +428,20 @@ def test_label_memos_stay_bounded():
     one_each[pa.atypical_set] = with_columns
     assert_bounded(sweep, one_each, 128)
     assert bm.atypical_part.cache_info().maxsize == 2
+
+    # a cold chain_content(40, 20) fuses each label of the chains it builds,
+    # (0, k) for k < 40 and (40, k) for k < 20, once
+    fu._fused_with_v.cache_clear()
+    fu.chain_content.cache_clear()
+    fu.chain_content(40, 20)
+    built = [(0, k) for k in range(40)] + [(40, k) for k in range(20)]
+    distinct = {x for m, n in built for x in fu.chain_content(m, n)}
+    assert fu._fused_with_v.cache_info().misses == len(distinct)
+    assert_no_thrash(fu._fused_with_v)
+
+    # a sweep to 25 fuses and translates each barred label once
+    for memo in per_label + ledgers + sweep:
+        memo.cache_clear()
+    assert all(row["ok"] for row in _verify_identities(25))
+    for memo in per_label:
+        assert_no_thrash(memo)

@@ -441,6 +441,39 @@ def test_each_window_class_is_computed_once(monkeypatch, memo, checker, classes)
     assert memo.misses == len(memo) == classes
 
 
+def test_memo_hits_on_the_chain_factors_compare_no_scalar(monkeypatch):
+    # the fundamental factors and the chain params are built once per process,
+    # with the factor keys, so a hit compares its key by identity
+    ops = fundamental_ops()
+    assert all(a is b for a, b in zip(fundamental_ops(), ops))
+    assert chain_params() is chain_params()
+    for x in ops:
+        assert _factor_key(x) is _factor_key(x)
+        # a copy, like a planted factor, is keyed by its content anew
+        copy = SparseMatrix(x.nrows, x.ncols, {(r, c): v for r, c, v in x.entries()})
+        assert _factor_key(copy) == _factor_key(x) and _factor_key(copy) is not _factor_key(x)
+    point = eval_points(seed=20177)[0]
+    contexts = [ChainContext(m, total - m) for total in range(2, 7) for m in range(total + 1)]
+
+    def sweep():
+        for ctx in contexts:
+            for pt in (None, point):
+                assert all(r.ok for r in check_qwb_relations(ctx, point=pt))
+                assert all(r.ok for r in check_centralizer(ctx, pt))
+
+    sweep()  # every class is computed here, or was before
+    compared = []
+    eq = QScalar.__eq__
+
+    def counted(self, other):
+        compared.append(1)
+        return eq(self, other)
+
+    monkeypatch.setattr(QScalar, "__eq__", counted)
+    sweep()
+    assert not compared
+
+
 def _failures(results):
     return [r.relation for r in results if not r.ok]
 

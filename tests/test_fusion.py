@@ -8,7 +8,6 @@ from mixedchain.fusion import (
     dim_of_groth,
     fuse_with_f,
     fuse_with_v,
-    fuse_vector,
     gv,
 )
 from mixedchain.labels import THREE, THREE_BAR, R, Z, ZLabel, dim_label, dual
@@ -150,6 +149,15 @@ def test_rule_dimension_multiplicativity():
         for x in all_labels(s):
             assert dim_of_groth(fuse_with_f(x)) == 3 * dim_label(x), x
             assert dim_of_groth(fuse_with_v(x)) == 3 * dim_label(x), x
+
+
+def fuse_vector(v, fuse):
+    """Each summand of v tensored by `fuse`, summed."""
+    acc = {}
+    for label, mult in v.items():
+        for w, wm in fuse(label).items():
+            acc[w] = acc.get(w, 0) + mult * wm
+    return acc
 
 
 def test_fusion_order_independence():

@@ -33,9 +33,7 @@ PUBLIC = {
     "uqmod": ("build_projective", "build_simple", "weight_multiset"),
 }
 
-_REPORT = ("import json, sys\n"
-           "print(json.dumps(sorted(m[len('mixedchain.'):] for m in sys.modules\n"
-           "                        if m.startswith('mixedchain.'))))\n")
+_REPORT = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
 
 def package_imports(path: Path) -> set:
@@ -79,23 +77,33 @@ def test_label_layer_never_imports_the_matrix_layers(module):
     assert not reachable(module) & MATRIX_LAYERS, reachable(module)
 
 
-def loaded_after(statement: str) -> set:
-    """The mixedchain submodules a fresh interpreter holds after `statement`."""
+def modules_after(statement: str) -> set:
+    """Every module a fresh interpreter holds after `statement`."""
     proc = subprocess.run([sys.executable, "-c", statement + "\n" + _REPORT],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def loaded_after(statement: str) -> set:
+    """The mixedchain submodules a fresh interpreter holds after `statement`."""
+    return {name[len("mixedchain."):] for name in modules_after(statement)
+            if name.startswith("mixedchain.")}
+
+
+def _command(argv) -> str:
+    """A statement that runs one CLI command, which must exit 0."""
+    return ("import contextlib, io, sys\n"
+            "from mixedchain.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({list(argv)!r})\n"
+            "if code:\n"
+            "    sys.exit(code)")
+
+
 def loaded_by_command(*argv: str) -> set:
     """The submodules loaded by one CLI command, which must exit 0."""
-    return loaded_after(
-        "import contextlib, io, sys\n"
-        "from mixedchain.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({list(argv)!r})\n"
-        "if code:\n"
-        "    sys.exit(code)")
+    return loaded_after(_command(argv))
 
 
 def test_package_import_loads_no_submodule():
@@ -135,6 +143,18 @@ def test_label_commands_skip_the_chain_layer(argv):
     loaded = loaded_by_command(*argv)
     assert "bimod" in loaded
     assert not loaded & MATRIX_LAYERS, loaded
+
+
+@pytest.mark.parametrize("argv", [("decompose", "3", "2"), ("bimodule", "3", "2"),
+                                  ("table", "3", "2"),
+                                  ("verify", "identities", "--max-mn", "3"),
+                                  ("verify", "dims", "--max-mn", "3")])
+def test_label_commands_load_no_dataclasses(argv):
+    # the label layer stores its records as tagged tuples; dataclasses would
+    # also load inspect, which the label commands never need
+    loaded = modules_after(_command(argv))
+    assert "mixedchain.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, loaded & {"dataclasses", "inspect"}
 
 
 def test_every_public_name_resolves_to_its_submodule_object():
