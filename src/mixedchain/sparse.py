@@ -4,6 +4,10 @@ Entries are stored row-indexed as {row: {col: value}} with no stored zeros.
 The scalar type only needs +, -, *, and truthiness; both QScalar and
 fractions.Fraction qualify.  The chain checks multiply QScalar matrices;
 Fraction matrices come from evaluating one at a rational point.
+
+A `DiagonalMatrix` keeps a square diagonal matrix as the list of its
+diagonal values (zeros allowed) and builds the row dicts only when `rows`
+is read; its entry readers work on the list, and it cannot be edited.
 """
 
 from __future__ import annotations
@@ -134,6 +138,48 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+class DiagonalMatrix(SparseMatrix):
+    """diag(values) as its list of diagonal values; the row dicts are built
+    on first read of `rows`.  Immutable: `set` and `add_to` raise."""
+
+    __slots__ = ("diag", "_rows")
+
+    def __init__(self, diag: list):
+        self.nrows = self.ncols = len(diag)
+        self.diag = diag
+        self._rows = None
+
+    @property
+    def rows(self) -> dict[int, dict[int, object]]:
+        if self._rows is None:
+            self._rows = {i: {i: v} for i, v in enumerate(self.diag) if v}
+        return self._rows
+
+    def set(self, r: int, c: int, v) -> None:
+        raise TypeError("a DiagonalMatrix cannot be edited")
+
+    add_to = set
+
+    def get(self, r: int, c: int):
+        if r != c or not 0 <= r < self.nrows:
+            return None
+        return self.diag[r] or None
+
+    def nnz(self) -> int:
+        return sum(1 for v in self.diag if v)
+
+    def is_zero(self) -> bool:
+        return not any(self.diag)
+
+    def entries(self):
+        for i, v in enumerate(self.diag):
+            if v:
+                yield i, i, v
+
+    def diagonal(self) -> list:
+        return [v or None for v in self.diag]
 
 
 def embed_factor(op: SparseMatrix, left_dim: int, right_dim: int) -> SparseMatrix:

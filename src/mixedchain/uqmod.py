@@ -5,11 +5,18 @@ A simple module is built on its gl(2)-blocks (`labels.blocks`): E, F, K, k
 act inside each block and the two fermionic generators move between them.
 A projective cover is glued from the builds of its four simple subquotients
 (`labels.proj_subquotients`) along its diamond Loewy graph; the gluing maps
-and edge constants are hard data below, and `relation_residuals` checks
-every defining relation as an exact matrix identity over Q(q).  The
-builders `build_simple` and `build_projective` are memoised in bounded LRU
-caches.  The labels themselves, and all that is read off them alone, live
-in `labels`, which needs no scalar and no matrix.
+and edge constants are hard data below.  Every module is a weight module:
+its Cartan generators K, Kinv, k and kinv are `sparse.DiagonalMatrix`
+weight lists, and a cover's lists are the concatenation of its
+subquotients'.  Every entry a builder stores passes through one bounded
+interning memo (`_shared`), so equal scalars of the memoised modules are
+one shared object.  `relation_residuals` checks every defining relation as
+an exact matrix identity over Q(q): a relation with a Cartan factor is a
+condition on weights and is checked entry by entry from the weight lists
+(`cartan_weights`), the others by sparse products.  The builders
+`build_simple` and `build_projective` are memoised in bounded LRU caches.
+The labels themselves, and all that is read off them alone, live in
+`labels`, which needs no scalar and no matrix.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from functools import lru_cache
 
 from .labels import R, Z  # re-exported only because perfbench/ops.py imports them from here
 from .labels import RLabel, ZLabel, blocks, proj_subquotients
-from .qarith import MINUS_ONE, ONE, Q, QINV, QScalar, qint, qpow
-from .sparse import SparseMatrix
+from .qarith import MINUS_ONE, ONE, Q, QINV, ZERO, QScalar, qint, qpow
+from .sparse import DiagonalMatrix, SparseMatrix
 
 
 class UnsupportedLabel(ValueError):
@@ -34,6 +41,23 @@ MAX_SPIN = 400  # guard for explicit matrix construction
 # ---------------------------------------------------------------------------
 
 GENERATORS = ("E", "F", "K", "Kinv", "k", "kinv", "B", "C")
+CARTAN = ("K", "Kinv", "k", "kinv")
+
+
+@lru_cache(maxsize=4096)
+def _shared(v: QScalar) -> QScalar:
+    """The first-stored scalar equal to v.  Scalars are immutable, so the
+    builders store this one object for every equal entry; a module sweep
+    to spin 5 stores 183 distinct values."""
+    return v
+
+
+def _share_entries(mat: SparseMatrix) -> SparseMatrix:
+    """mat with each entry replaced, in place, by its shared equal."""
+    for row in mat.rows.values():
+        for c in row:
+            row[c] = _shared(row[c])
+    return mat
 
 
 class ExplicitRep:
@@ -98,16 +122,15 @@ def build_simple(z: ZLabel) -> ExplicitRep:
         offs[blk.name] = dim
         basis.extend((blk.name, i) for i in range(blk.size))
         dim += blk.size
-    mats = {g: SparseMatrix(dim, dim) for g in GENERATORS}
+    mats = {g: SparseMatrix(dim, dim) for g in GENERATORS if g not in CARTAN}
+    weights = {g: [] for g in CARTAN}
     for blk in nonempty:
         off = offs[blk.name]
         for i in range(blk.size):
             kK = qpow(blk.size - 1 - 2 * i, blk.alpha)
             kk = qpow(i - blk.roff, blk.keff)
-            mats["K"].set(off + i, off + i, kK)
-            mats["Kinv"].set(off + i, off + i, kK.invert())
-            mats["k"].set(off + i, off + i, kk)
-            mats["kinv"].set(off + i, off + i, kk.invert())
+            for g, v in (("K", kK), ("Kinv", kK.invert()), ("k", kk), ("kinv", kk.invert())):
+                weights[g].append(_shared(v))
             if i + 1 < blk.size:
                 mats["F"].set(off + i + 1, off + i, ONE)
             if i > 0:
@@ -125,6 +148,8 @@ def build_simple(z: ZLabel) -> ExplicitRep:
                 j, coeff = fn(i)
                 if 0 <= j < sizes[dst] and coeff:
                     mats[gen].set(offs[dst] + j, offs[src] + i, coeff)
+    mats = {g: DiagonalMatrix(weights[g]) if g in CARTAN else _share_entries(mats[g])
+            for g in GENERATORS}
     return ExplicitRep(z, dim, basis, mats, [blk.gl2 for blk in nonempty])
 
 
@@ -231,8 +256,8 @@ def build_projective(rl: RLabel) -> ExplicitRep:
         offs.append(dim)
         basis.extend((name,) + tag for tag in rep.basis)
         dim += rep.dim
-    mats = {g: SparseMatrix(dim, dim) for g in GENERATORS}
-    for g in GENERATORS:
+    mats = {g: SparseMatrix(dim, dim) for g in GENERATORS if g not in CARTAN}
+    for g in mats:
         for idx, rep in enumerate(reps):
             off = offs[idx]
             for r_, c_, v in rep.mats[g].entries():
@@ -255,6 +280,8 @@ def build_projective(rl: RLabel) -> ExplicitRep:
             c_ = _stored_index(reps[0], "beta", n)
             if r_ is not None and c_ is not None:
                 mats["C"].add_to(offs[3] + r_, offs[0] + c_, ONE)
+    mats = {g: DiagonalMatrix([v for rep in reps for v in cartan_weights(rep, g)])
+            if g in CARTAN else _share_entries(mats[g]) for g in GENERATORS}
     return ExplicitRep(rl, dim, basis, mats, [g for rep in reps for g in rep.gl2])
 
 
@@ -263,38 +290,95 @@ def build_rep(label) -> ExplicitRep:
 
 
 # ---------------------------------------------------------------------------
-# defining relations
+# weights and defining relations
 # ---------------------------------------------------------------------------
 
+def cartan_weights(rep: ExplicitRep, gen: str) -> list:
+    """The diagonal of the Cartan generator `gen` of `rep`, as a list.
+
+    A `DiagonalMatrix` hands over its own list (to be read only); a plain
+    `SparseMatrix` is scanned, and any entry off its diagonal raises
+    ValueError, as the relation checks and weights below read the diagonal
+    alone."""
+    mat = rep.mats[gen]
+    if (mat.nrows, mat.ncols) != (rep.dim, rep.dim):
+        raise ValueError(f"{gen} of {rep.label} is {mat.nrows}x{mat.ncols}, not {rep.dim}x{rep.dim}")
+    if isinstance(mat, DiagonalMatrix):
+        return mat.diag
+    for r, c, _ in mat.entries():
+        if r != c:
+            raise ValueError(f"{gen} of {rep.label} is not diagonal: entry at ({r}, {c})")
+    return [v or ZERO for v in mat.diagonal()]
+
+
+def _diagonal(values: list) -> SparseMatrix:
+    return SparseMatrix(len(values), len(values),
+                        {(i, i): v for i, v in enumerate(values)})
+
+
+def _weight_residual(x: SparseMatrix, left: list, right: list, c: QScalar) -> SparseMatrix:
+    """diag(left) X - c X diag(right), entry by entry: (left_i - c right_j) X_ij.
+
+    The scalars form a field, so an entry is zero exactly where its weight
+    factor is, which on a weight module is every entry."""
+    shifted = [c * v for v in right]
+    out = SparseMatrix(x.nrows, x.ncols)
+    for r, row in x.rows.items():
+        d = left[r]
+        acc = {}
+        for col, v in row.items():
+            w = d - shifted[col]
+            if w:
+                acc[col] = w * v
+        if acc:
+            out.rows[r] = acc
+    return out
+
+
+def _minus_weights(mat: SparseMatrix, left: list, right: list, s: QScalar) -> SparseMatrix:
+    """mat - s (diag(left) - diag(right)), in place."""
+    for i, (a, b) in enumerate(zip(left, right)):
+        v = (a - b) * s
+        if v:
+            mat.add_to(i, i, -v)
+    return mat
+
+
 def relation_residuals(rep: ExplicitRep) -> dict[str, SparseMatrix]:
-    """Residual matrices of all defining relations; all must be zero."""
-    E, F = rep.mats["E"], rep.mats["F"]
-    K, Kinv = rep.mats["K"], rep.mats["Kinv"]
-    k, kinv = rep.mats["k"], rep.mats["kinv"]
-    B, C = rep.mats["B"], rep.mats["C"]
-    ident = SparseMatrix.identity(rep.dim, ONE)
+    """Residual matrices of all defining relations; all must be zero.
+
+    The relations with a Cartan factor are read off the weight lists: for
+    diagonal K, K X - c X K' has entries (K_i - c K'_j) X_ij, and the
+    Cartan terms of EF and BC are diagonal.  Only E, F, B and C are
+    multiplied, 20 sparse products in all; the Serre relations share
+    F B, B F, E C and C E."""
+    E, F, B, C = (rep.mats[g] for g in ("E", "F", "B", "C"))
+    if any((x.nrows, x.ncols) != (rep.dim, rep.dim) for x in (E, F, B, C)):
+        raise ValueError(f"E, F, B and C of {rep.label} must be {rep.dim}x{rep.dim}")
+    K, Kinv, k, kinv = (cartan_weights(rep, g) for g in CARTAN)
     inv_qmq = (Q - QINV).invert()
     two = qint(2)
+    FB, BF, EC, CE = F * B, B * F, E * C, C * E
     return {
-        "K_Kinv": K * Kinv - ident,
-        "k_kinv": k * kinv - ident,
-        "KF": K * F - (F * K).scale(qpow(-2)),
-        "KE": K * E - (E * K).scale(qpow(2)),
-        "EF": E * F - F * E - (K - Kinv).scale(inv_qmq),
-        "kF": k * F - (F * k).scale(Q),
-        "kE": k * E - (E * k).scale(QINV),
-        "kK": k * K - K * k,
-        "kB": k * B + B * k,
-        "KB": K * B - (B * K).scale(Q),
-        "kC": k * C + C * k,
-        "KC": K * C - (C * K).scale(QINV),
+        "K_Kinv": _diagonal([a * b - ONE for a, b in zip(K, Kinv)]),
+        "k_kinv": _diagonal([a * b - ONE for a, b in zip(k, kinv)]),
+        "KF": _weight_residual(F, K, K, qpow(-2)),
+        "KE": _weight_residual(E, K, K, qpow(2)),
+        "EF": _minus_weights(E * F - F * E, K, Kinv, inv_qmq),
+        "kF": _weight_residual(F, k, k, Q),
+        "kE": _weight_residual(E, k, k, QINV),
+        "kK": SparseMatrix(rep.dim, rep.dim),  # diagonal matrices commute
+        "kB": _weight_residual(B, k, k, MINUS_ONE),
+        "KB": _weight_residual(B, K, K, Q),
+        "kC": _weight_residual(C, k, k, MINUS_ONE),
+        "KC": _weight_residual(C, K, K, QINV),
         "BB": B * B,
         "CC": C * C,
-        "BC": B * C - C * B - (k - kinv).scale(inv_qmq),
+        "BC": _minus_weights(B * C - C * B, k, kinv, inv_qmq),
         "FC": F * C - C * F,
         "BE": B * E - E * B,
-        "serreF": F * F * B - (F * B * F).scale(two) + B * F * F,
-        "serreE": E * E * C - (E * C * E).scale(two) + C * E * E,
+        "serreF": F * FB - (FB * F).scale(two) + BF * F,
+        "serreE": E * EC - (EC * E).scale(two) + CE * E,
     }
 
 
@@ -303,16 +387,10 @@ def check_relations(rep: ExplicitRep) -> list[str]:
     return [name for name, res in relation_residuals(rep).items() if not res.is_zero()]
 
 
-# ---------------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------------
-
 def weight_multiset(rep: ExplicitRep) -> dict[tuple[QScalar, QScalar], int]:
     """Joint (K, k) eigenvalue pairs with multiplicities."""
     out: dict[tuple[QScalar, QScalar], int] = {}
-    Kd = rep.mats["K"].diagonal()
-    kd = rep.mats["k"].diagonal()
-    for a, b in zip(Kd, kd):
+    for a, b in zip(cartan_weights(rep, "K"), cartan_weights(rep, "k")):
         key = (a, b)
         out[key] = out.get(key, 0) + 1
     return out

@@ -1,12 +1,16 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mixedchain.fusion import GrothVector
-from mixedchain.qarith import MINUS_ONE, ONE, Q, QINV
+from mixedchain.qarith import MINUS_ONE, ONE, Q, QINV, QScalar, qint, qpow
 from mixedchain.labels import (
     THREE,
     THREE_BAR,
@@ -30,10 +34,14 @@ from mixedchain.labels import (
     plain_to_bar,
     proj_subquotients,
 )
+from mixedchain.sparse import DiagonalMatrix, SparseMatrix
 from mixedchain.uqmod import (
+    CARTAN,
+    ExplicitRep,
     build_projective,
     build_rep,
     build_simple,
+    cartan_weights,
     check_relations,
     relation_residuals,
     weight_multiset,
@@ -304,6 +312,158 @@ def test_canonical_memo_is_bounded_and_hit():
 
 
 # ---------------------------------------------------------------------------
+# the entrywise relation checker against the product form
+# ---------------------------------------------------------------------------
+
+# the product-form checker that the entrywise one replaced, kept verbatim
+def _product_residuals(rep: ExplicitRep) -> dict[str, SparseMatrix]:
+    """Residual matrices of all defining relations; all must be zero."""
+    E, F = rep.mats["E"], rep.mats["F"]
+    K, Kinv = rep.mats["K"], rep.mats["Kinv"]
+    k, kinv = rep.mats["k"], rep.mats["kinv"]
+    B, C = rep.mats["B"], rep.mats["C"]
+    ident = SparseMatrix.identity(rep.dim, ONE)
+    inv_qmq = (Q - QINV).invert()
+    two = qint(2)
+    return {
+        "K_Kinv": K * Kinv - ident,
+        "k_kinv": k * kinv - ident,
+        "KF": K * F - (F * K).scale(qpow(-2)),
+        "KE": K * E - (E * K).scale(qpow(2)),
+        "EF": E * F - F * E - (K - Kinv).scale(inv_qmq),
+        "kF": k * F - (F * k).scale(Q),
+        "kE": k * E - (E * k).scale(QINV),
+        "kK": k * K - K * k,
+        "kB": k * B + B * k,
+        "KB": K * B - (B * K).scale(Q),
+        "kC": k * C + C * k,
+        "KC": K * C - (C * K).scale(QINV),
+        "BB": B * B,
+        "CC": C * C,
+        "BC": B * C - C * B - (k - kinv).scale(inv_qmq),
+        "FC": F * C - C * F,
+        "BE": B * E - E * B,
+        "serreF": F * F * B - (F * B * F).scale(two) + B * F * F,
+        "serreE": E * E * C - (E * C * E).scale(two) + C * E * E,
+    }
+
+
+def _criterion3_labels():
+    """Acceptance criterion 3's modules: the simples of spin <= 5 with
+    r in [-3, s+3] and the covers of spin <= 4, all four signs."""
+    out = []
+    for a, b in itertools.product(SIGNS, SIGNS):
+        out += [Z(a, b, s, r) for s in range(1, 6) for r in range(-3, s + 4)]
+        out += [R(a, b, s, r) for s in range(1, 5) for r in (0, s)]
+    return out
+
+
+def _planted(rep: ExplicitRep, fault: str) -> ExplicitRep:
+    """rep with one generator changed: "E*2" doubles E, "E+1" adds the
+    identity to E, "K*q" scales K's diagonal by q, "Kinv=K" puts K in place
+    of Kinv, and "plain" stores every Cartan generator as a plain
+    SparseMatrix (no fault)."""
+    mats = dict(rep.mats)
+    if fault == "Kinv=K":
+        mats["Kinv"] = mats["K"]
+    elif fault.endswith("+1"):
+        mats[fault[0]] = mats[fault[0]] + SparseMatrix.identity(rep.dim, ONE)
+    elif fault == "plain":
+        for g in CARTAN:
+            mats[g] = SparseMatrix(rep.dim, rep.dim, {(r, c): v for r, c, v in mats[g].entries()})
+    else:
+        gen, factor = fault.split("*")
+        mats[gen] = mats[gen].scale(QScalar.const(2) if factor == "2" else Q)
+    return ExplicitRep(rep.label, rep.dim, rep.basis, mats, rep.gl2)
+
+
+def _assert_matches_product_form(rep: ExplicitRep) -> list[str]:
+    want = _product_residuals(rep)
+    got = relation_residuals(rep)
+    assert list(got) == list(want), rep.label
+    for name, res in want.items():
+        assert got[name] == res, (rep.label, name)
+    failures = check_relations(rep)
+    assert failures == [name for name, res in want.items() if not res.is_zero()], rep.label
+    return failures
+
+
+def test_residuals_match_the_product_form():
+    labels = _criterion3_labels()
+    assert len(labels) == 232
+    for x in labels:
+        assert _assert_matches_product_form(build_rep(x)) == [], x
+
+
+FAULTS = ("E*2", "F*2", "B*2", "C*2", "E+1", "B+1", "K*q", "Kinv*q", "k*q", "kinv*q", "Kinv=K",
+          "plain")
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_planted_faults_fail_as_in_the_product_form(fault):
+    # criterion 3's labels up to spin 3: every sign, simples with r below 0,
+    # at 0, inside (0, s), at s and beyond, and both kinds of cover
+    labels = [x for x in _criterion3_labels() if x.s <= 3]
+    failing = 0
+    for x in labels:
+        failing += bool(_assert_matches_product_form(_planted(build_rep(x), fault)))
+    if fault == "plain":
+        assert failing == 0
+    else:
+        assert failing > len(labels) // 2, (fault, failing)
+
+
+def test_doubled_e_fails_only_ef():
+    rep = build_simple(Z(-1, 1, 4, 2))
+    assert check_relations(_planted(rep, "E*2")) == ["EF"]
+    assert check_relations(rep) == []
+
+
+_OFF_DIAGONAL = r"""
+import pytest
+from mixedchain.labels import THREE
+from mixedchain.qarith import ONE
+from mixedchain.sparse import SparseMatrix
+from mixedchain.uqmod import (ExplicitRep, build_simple, cartan_weights, check_relations,
+                              relation_residuals, weight_multiset)
+
+rep = build_simple(THREE)
+for gen in ("K", "Kinv", "k", "kinv"):
+    bad = SparseMatrix(rep.dim, rep.dim, {(r, c): v for r, c, v in rep.mats[gen].entries()})
+    bad.set(0, 1, ONE)
+    planted = ExplicitRep(rep.label, rep.dim, rep.basis, dict(rep.mats, **{gen: bad}), rep.gl2)
+    calls = [relation_residuals, check_relations, lambda r: cartan_weights(r, gen)]
+    if gen in ("K", "k"):
+        calls.append(weight_multiset)
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^{gen} of .* not diagonal: entry at \(0, 1\)"):
+            call(planted)
+print("raised")
+"""
+
+
+def test_off_diagonal_cartan_entry_raises():
+    exec(compile(_OFF_DIAGONAL, "<off-diagonal>", "exec"), {})
+    # not an assert: an optimised interpreter raises as well
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", _OFF_DIAGONAL],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"]
+
+
+def test_weights_of_a_plain_diagonal_cartan_matrix():
+    for x in (THREE, Z(1, -1, 3, 2), R(-1, 1, 2, 0)):
+        rep = build_rep(x)
+        plain = _planted(rep, "plain")
+        for g in CARTAN:
+            assert isinstance(rep.mats[g], DiagonalMatrix)
+            assert cartan_weights(plain, g) == cartan_weights(rep, g)
+        assert weight_multiset(plain) == weight_multiset(rep)
+
+
+# ---------------------------------------------------------------------------
 # the label representation
 # ---------------------------------------------------------------------------
 
@@ -380,16 +540,33 @@ def test_labels_are_immutable():
 def test_builders_are_bounded_memos():
     # a module sweep builds every simple of spin <= 5 and every cover of
     # spin <= 4; a cover reads its four simple subquotients off the memo
+    from mixedchain import uqmod
+
     build_simple.cache_clear()
     build_projective.cache_clear()
     simples = [Z(a, b, s, r) for a, b in itertools.product(SIGNS, SIGNS)
                for s in range(1, 6) for r in range(-3, s + 4)]
     covers = [R(a, b, s, r) for a, b in itertools.product(SIGNS, SIGNS)
               for s in range(1, 5) for r in (0, s)]
+    uqmod._shared.cache_clear()
     for x in covers + simples:
-        build_rep(x)
+        assert check_relations(build_rep(x)) == [], x
     reached = set(simples) | {z for x in covers for z in proj_subquotients(x)}
     for memo, built in ((build_simple, reached), (build_projective, covers)):
         info = memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, info
         assert info.misses == len(built), (memo.__name__, info)
+    # the checks read the Cartan generators as weight lists, and equal
+    # entries of the memoised modules are one object
+    memoised = [build_simple(z) for z in reached] + [build_projective(x) for x in covers]
+    entries = []
+    for rep in memoised:
+        for g in CARTAN:
+            assert type(rep.mats[g]) is DiagonalMatrix and rep.mats[g]._rows is None, (rep, g)
+        entries += [v for mat in rep.mats.values() for _, _, v in mat.entries()]
+    values = set(entries)
+    assert len({id(v) for v in entries}) == len(values)
+    shared = uqmod._shared.cache_info()
+    assert shared.maxsize == 4096 and shared.currsize == len(values), shared
+    assert build_simple.cache_info().misses == len(reached)
+    assert build_projective.cache_info().misses == len(covers)
