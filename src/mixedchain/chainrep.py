@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .labels import THREE, THREE_BAR
 from .qarith import MINUS_ONE, ONE, Q, EvalPoint, QScalar, qpow
-from .sparse import SparseMatrix, embed_factor, embed_with_diags
+from .sparse import DiagonalMatrix, SparseMatrix, embed_factor, embed_with_diags
 from .uqmod import build_simple
 
 
@@ -210,11 +210,7 @@ class ChainContext:
         facs = self.factors()
         N = self.nsites
         if gen in ("K", "Kinv", "k", "kinv"):
-            diag = self._diag(gen, slice(0, N))
-            mat = SparseMatrix(self.dim, self.dim)
-            for i, v in enumerate(diag):
-                mat.set(i, i, v)
-            self._cache[key] = mat
+            mat = self._cache[key] = DiagonalMatrix(self._diag(gen, slice(0, N)))
             return mat
         # twists: E picks up K on the right, F picks K^-1 on the left,
         # B picks k^-1 on the left, C picks k on the right.
@@ -277,7 +273,9 @@ def _at_point(res: SparseMatrix, point: EvalPoint | None) -> SparseMatrix:
 class _ResidualMemo:
     """A process-level LRU memo of at most maxsize window residuals, keyed by
     class; a miss calls the caller's compute(), which may use per-call data.
-    Every caller gets the same residual, and must only read it."""
+    Every caller gets the same residual, and must only read it.  A hit hashes
+    its key twice: once to take the entry out and once to put it back as the
+    most recently used."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
@@ -293,11 +291,11 @@ class _ResidualMemo:
 
     def get(self, key, compute) -> SparseMatrix:
         values = self._values
-        if key in values:
-            values[key] = value = values.pop(key)  # now the most recently used
-            return value
-        self.misses += 1
-        values[key] = value = compute()
+        value = values.pop(key, None)
+        if value is None:
+            self.misses += 1
+            value = compute()
+        values[key] = value  # now the most recently used
         if len(values) > self.maxsize:
             del values[next(iter(values))]
         return value

@@ -13,6 +13,12 @@ Q(q).  `--backend eval` reports, at each of three seeded rational points,
 whether that same exact residual vanishes there: it is implied by the
 symbolic check, and it is neither probabilistic nor cheaper.
 
+`verify` runs in this one process, one context after another, through one
+loop for all four suites (`_SUITES`, `_sweep`); it starts no worker
+process, since each chain window class is computed once per process and a
+later context only looks it up.  `--jobs N` is still parsed and must be at
+least 1, but has no effect.
+
 At module level this file imports only the standard library.  Each command
 imports the layers it runs inside its handler, so a chain sweep never loads
 the label layer (`fusion`, `partitions`, `xcat`, `bimod`), `dump-rep` never
@@ -28,6 +34,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 
 _LABEL_RE = re.compile(r"^([ZR])\[(-?1),(-?1);(\d+),(-?\d+)\]$")
 
@@ -106,89 +113,57 @@ def _rep_payload(label):
     }
 
 
-def _chain_check_task(task):
-    """Every check of one (m,n) context, at every eval point (the exact
-    residuals evaluated there), against one ChainContext; runs in a worker
-    process.  Every task has m+n >= 2, so it
-    has at least one operator.  Like every handler, it imports the layers it
-    runs itself, so no other command loads the chain layer."""
+def _chain_checks(kind: str, m: int, n: int, backend: str, seed: int):
+    """Every check of one (m,n) context with m+n >= 2, so it has at least
+    one operator: exact, or at each eval point the exact residuals
+    evaluated there."""
     from .chainrep import ChainContext, check_centralizer, check_qwb_relations
     from .qarith import eval_points
 
-    kind, m, n, backend, seed = task
     ctx = ChainContext(m, n)
     points = [None] if backend == "symbolic" else eval_points(seed)
     checker = check_qwb_relations if kind == "relations" else check_centralizer
-    return [{"relation": r.relation, "m": m, "n": n, "backend": r.backend,
-             "ok": r.ok} for point in points for r in checker(ctx, point=point)]
+    return [(r.relation, r.backend, r.ok) for point in points for r in checker(ctx, point=point)]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _chain_sweep(kind: str, max_mn: int, backend: str, seed: int, jobs: int):
-    tasks = [(kind, m, total - m, backend, seed)
-             for total in range(2, max_mn + 1) for m in range(0, total + 1)]
-    # the executor starts every worker up front, so ask for no more than can run
-    workers = min(jobs, len(tasks), _usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chain_check_task, tasks))
-    else:
-        chunks = [_chain_check_task(t) for t in tasks]
-    return [item for chunk in chunks for item in chunk]
-
-
-def _verify_identities(max_mn: int):
+def _identity_checks(m: int, n: int, backend: str, seed: int):
     from .bimod import verify_identities
 
-    report = []
-    for total in range(1, max_mn + 1):
-        for m in range(1, total + 1):
-            n = total - m
-            tensor, proj = verify_identities(m, n)
-            report.append({"relation": "induction-tensor", "m": m, "n": n,
-                           "backend": "labels", "ok": tensor})
-            report.append({"relation": "induction-proj", "m": m, "n": n,
-                           "backend": "labels", "ok": proj})
-    return report
+    tensor, proj = verify_identities(m, n)
+    return [("induction-tensor", "labels", tensor), ("induction-proj", "labels", proj)]
 
 
-def _verify_dims(max_mn: int):
+def _dims_checks(m: int, n: int, backend: str, seed: int):
     from .bimod import dimension_audit, p_weighted_against_chain, projections_match
 
-    report = []
-    for total in range(1, max_mn + 1):
-        for m in range(0, total + 1):
-            n = total - m
-            ok = (dimension_audit(m, n) and projections_match(m, n)
-                  and p_weighted_against_chain(m, n))
-            report.append({"relation": "bimodule-audit", "m": m, "n": n,
-                           "backend": "labels", "ok": ok})
-    return report
+    return [("bimodule-audit", "labels", dimension_audit(m, n) and projections_match(m, n)
+             and p_weighted_against_chain(m, n))]
 
 
-_SUITE_DEFAULT_MAX = {"relations": 5, "centralizer": 5, "identities": 12, "dims": 12}
+# suite -> (default --max-mn, first m+n, first m, the checks of one (m,n) context)
+_SUITES = {
+    "relations": (5, 2, 0, partial(_chain_checks, "relations")),
+    "centralizer": (5, 2, 0, partial(_chain_checks, "centralizer")),
+    "identities": (12, 1, 1, _identity_checks),
+    "dims": (12, 1, 0, _dims_checks),
+}
+
+
+def _sweep(suite: str, max_mn: int, backend: str = "symbolic", seed: int = 20177):
+    """One report row per check of `suite`, over its contexts with
+    m+n <= max_mn in order of m+n, then m."""
+    _, first_total, first_m, checks = _SUITES[suite]
+    return [{"relation": relation, "m": m, "n": total - m, "backend": label, "ok": ok}
+            for total in range(first_total, max_mn + 1) for m in range(first_m, total + 1)
+            for relation, label, ok in checks(m, total - m, backend, seed)]
 
 
 def _run_verify(args) -> int:
-    suites = ["relations", "centralizer", "identities", "dims"] \
-        if args.suite == "all" else [args.suite]
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     report = []
     for suite in suites:
-        max_mn = _SUITE_DEFAULT_MAX[suite] if args.max_mn is None else args.max_mn
-        if suite in ("relations", "centralizer"):
-            rows = _chain_sweep(suite, max_mn, args.backend, args.seed, args.jobs)
-        elif suite == "identities":
-            rows = _verify_identities(max_mn)
-        else:
-            rows = _verify_dims(max_mn)
+        max_mn = _SUITES[suite][0] if args.max_mn is None else args.max_mn
+        rows = _sweep(suite, max_mn, args.backend, args.seed)
         if not rows:
             # a bound that admits no context would otherwise pass with zero checks
             raise ValueError(f"--max-mn {max_mn} admits no context for the {suite} suite")
@@ -250,7 +225,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("symbolic", "eval"), default="symbolic")
     p.add_argument("--seed", type=int, default=20177)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for verification sweeps")
+                   help="accepted (N >= 1) but ignored: sweeps run in one process")
     p.add_argument("--max-mn", type=int, default=None)
     return parser
 

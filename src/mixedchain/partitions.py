@@ -36,14 +36,6 @@ class NotInLambda(ValueError):
     pass
 
 
-def is_partition(mu) -> bool:
-    if not isinstance(mu, tuple):
-        return False
-    return all(isinstance(p, int) and p > 0 for p in mu) and all(
-        mu[i] >= mu[i + 1] for i in range(len(mu) - 1)
-    )
-
-
 def size(mu: Partition) -> int:
     return sum(mu)
 

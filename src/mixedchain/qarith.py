@@ -51,10 +51,11 @@ class LaurentPoly:
     """A Laurent polynomial sum(c_k * q^k) stored as {k: c_k}, no zero c_k.
 
     Instances are immutable by convention: no method mutates self after
-    construction, so values are safe to share between workers.
+    construction, and every ``c`` is assigned before the value is used, so
+    the hash is computed on first use and kept in ``_hash``.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_hash")
 
     def __init__(self, coeffs=None):
         c = {}
@@ -83,7 +84,11 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.c.items()))
+            return h
 
     def __add__(self, other):
         c = dict(self.c)

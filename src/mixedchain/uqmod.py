@@ -311,11 +311,6 @@ def cartan_weights(rep: ExplicitRep, gen: str) -> list:
     return [v or ZERO for v in mat.diagonal()]
 
 
-def _diagonal(values: list) -> SparseMatrix:
-    return SparseMatrix(len(values), len(values),
-                        {(i, i): v for i, v in enumerate(values)})
-
-
 def _weight_residual(x: SparseMatrix, left: list, right: list, c: QScalar) -> SparseMatrix:
     """diag(left) X - c X diag(right), entry by entry: (left_i - c right_j) X_ij.
 
@@ -360,8 +355,8 @@ def relation_residuals(rep: ExplicitRep) -> dict[str, SparseMatrix]:
     two = qint(2)
     FB, BF, EC, CE = F * B, B * F, E * C, C * E
     return {
-        "K_Kinv": _diagonal([a * b - ONE for a, b in zip(K, Kinv)]),
-        "k_kinv": _diagonal([a * b - ONE for a, b in zip(k, kinv)]),
+        "K_Kinv": DiagonalMatrix([a * b - ONE for a, b in zip(K, Kinv)]),
+        "k_kinv": DiagonalMatrix([a * b - ONE for a, b in zip(k, kinv)]),
         "KF": _weight_residual(F, K, K, qpow(-2)),
         "KE": _weight_residual(E, K, K, qpow(2)),
         "EF": _minus_weights(E * F - F * E, K, Kinv, inv_qmq),

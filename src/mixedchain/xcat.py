@@ -42,7 +42,6 @@ from .partitions import (
     classify_atypical,
     gswap_label,
     is_cross21,
-    is_partition,
     lambda_f,
     rem_boxes,
 )
@@ -193,9 +192,10 @@ def _hookp(a: int, s: int):
 
 
 def _pair(left, right) -> Bipartition | None:
+    """(left, right), or None if either half is.  Every half comes from
+    `_row`, `_col`, `_hookp` or `_two_row`, or is (), so it is a partition
+    or None."""
     if left is None or right is None:
-        return None
-    if not is_partition(left) or not is_partition(right):
         return None
     return (left, right)
 

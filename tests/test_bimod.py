@@ -374,7 +374,7 @@ def test_label_memos_stay_bounded():
     # lookups semisimple_part(n, m) included
     import mixedchain.labels as la
     import mixedchain.partitions as pa
-    from mixedchain.cli import _verify_dims, _verify_identities
+    from mixedchain.cli import _sweep
 
     per_context = [xc._exceptional_rows]
     per_label = [fu._fused_with_v, bm._fused, la.bar_to_plain]
@@ -404,7 +404,7 @@ def test_label_memos_stay_bounded():
 
     for memo in per_context + per_label + ledgers + sweep:
         memo.cache_clear()
-    assert all(row["ok"] for row in _verify_identities(20))
+    assert all(row["ok"] for row in _sweep("identities", 20))
     for memo in per_context:
         info = memo.cache_info()
         assert 1 <= info.currsize <= 2 and info.maxsize == 2, (memo.__name__, info)
@@ -420,7 +420,7 @@ def test_label_memos_stay_bounded():
 
     for memo in ledgers + sweep:
         memo.cache_clear()
-    rows = _verify_dims(20)
+    rows = _sweep("dims", 20)
     assert len(rows) == contexts and all(row["ok"] for row in rows)
     assert_bounded(ledgers, dict.fromkeys(ledgers, contexts), 64)
     one_each = dict.fromkeys(sweep, contexts)
@@ -442,6 +442,6 @@ def test_label_memos_stay_bounded():
     # a sweep to 25 fuses and translates each barred label once
     for memo in per_label + ledgers + sweep:
         memo.cache_clear()
-    assert all(row["ok"] for row in _verify_identities(25))
+    assert all(row["ok"] for row in _sweep("identities", 25))
     for memo in per_label:
         assert_no_thrash(memo)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import mixedchain.chainrep as chainrep
+import mixedchain.qarith as qarith
 from mixedchain.chainrep import (
     ChainContext,
     IndexOutOfRange,
@@ -443,7 +444,8 @@ def test_each_window_class_is_computed_once(monkeypatch, memo, checker, classes)
 
 def test_memo_hits_on_the_chain_factors_compare_no_scalar(monkeypatch):
     # the fundamental factors and the chain params are built once per process,
-    # with the factor keys, so a hit compares its key by identity
+    # with the factor keys, so a hit compares its key by identity; a Laurent
+    # polynomial keeps its hash, so hashing a key again builds no frozenset
     ops = fundamental_ops()
     assert all(a is b for a, b in zip(fundamental_ops(), ops))
     assert chain_params() is chain_params()
@@ -469,9 +471,19 @@ def test_memo_hits_on_the_chain_factors_compare_no_scalar(monkeypatch):
         compared.append(1)
         return eq(self, other)
 
+    built = []
+
+    def counted_frozenset(items):
+        built.append(1)
+        return frozenset(items)
+
     monkeypatch.setattr(QScalar, "__eq__", counted)
+    monkeypatch.setattr(qarith, "frozenset", counted_frozenset, raising=False)
     sweep()
     assert not compared
+    assert not built
+    hash(LaurentPoly({1: 2}))  # a fresh polynomial is hashed through the counter
+    assert built == [1]
 
 
 def _failures(results):

@@ -152,48 +152,78 @@ def test_help_exits_zero(capsys):
         assert out.startswith("usage: mixedchain")
 
 
-@pytest.mark.parametrize("backend", ["symbolic", "eval"])
-def test_verify_worker_pool_matches_serial(capsys, backend):
-    argv = ("verify", "relations", "--max-mn", "3", "--json", "--backend", backend)
-    code1, out1, _ = run(capsys, *argv, "--jobs", "1")
-    code2, out2, _ = run(capsys, *argv, "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2 and json.loads(out1)
+_JOBS_RUN = """
+import contextlib, io, json, sys
+from mixedchain.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main({argv!r})
+print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
+"""
 
 
-def test_worker_pool_is_bounded_by_tasks_and_cpus(capsys, monkeypatch):
-    import concurrent.futures
+@pytest.mark.parametrize("argv", [("relations", "--max-mn", "3"),
+                                  ("centralizer", "--max-mn", "3", "--backend", "eval")],
+                         ids=["symbolic", "eval"])
+def test_jobs_starts_no_worker_pool(argv):
+    # every N prints the same report from one process, in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    outputs = []
+    for jobs in ("1", "2", "5000"):
+        statement = _JOBS_RUN.format(argv=["verify", *argv, "--json", "--jobs", jobs])
+        proc = subprocess.run([sys.executable, "-c", statement], env=env,
+                              capture_output=True, text=True, check=True)
+        code, out, modules = json.loads(proc.stdout)
+        assert code == 0 and json.loads(out), jobs
+        assert "concurrent.futures.process" not in modules, jobs
+        assert "multiprocessing" not in modules, jobs
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
-    import mixedchain.cli as cli
 
-    started = []
+def _relation_names(m, n):
+    """The walled-Brauer relations checked on (m,n), in report order."""
+    g, h = range(1, m), range(1, n)
+    names = [f"quad_g{j}" for j in g] + [f"quad_h{i}" for i in h]
+    names += [f"comm_g{j}_h{i}" for j in g for i in h]
+    names += [f"comm_g{a}_g{b}" for a in g for b in g if b - a > 1]
+    names += [f"comm_h{a}_h{b}" for a in h for b in h if b - a > 1]
+    names += [f"braid_g{j}" for j in range(1, m - 1)]
+    names += [f"braid_h{i}" for i in range(1, n - 1)]
+    if m >= 1 and n >= 1:
+        names += ["ee"] + ["ege"] * (m >= 2) + ["ehe"] * (n >= 2)
+        names += [f"comm_e_g{j}" for j in range(2, m)]
+        names += [f"comm_e_h{i}" for i in range(2, n)]
+        names += ["eghinv_right", "eghinv_left"] * (m >= 2 and n >= 2)
+    return names
 
-    class FakePool:
-        """Records the pool size and runs the tasks in this process."""
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
+def _centralizer_names(m, n):
+    """Each chain operator against each coproduct generator, in report order."""
+    ops = [f"g{j}" for j in range(1, m)] + [f"h{i}" for i in range(1, n)]
+    ops += ["e"] * (m >= 1 and n >= 1)
+    return [f"[{op},{gen}]" for op in ops for gen in ("E", "F", "K", "k", "B", "C")]
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+# suite -> (first m+n, first m, backend, the check names of one context)
+_DOCUMENTED = {
+    "relations": (2, 0, "symbolic", _relation_names),
+    "centralizer": (2, 0, "symbolic", _centralizer_names),
+    "identities": (1, 1, "labels", lambda m, n: ["induction-tensor", "induction-proj"]),
+    "dims": (1, 0, "labels", lambda m, n: ["bimodule-audit"]),
+}
 
-        def map(self, fn, items):
-            return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    argv = ("verify", "relations", "--max-mn", "2", "--json")
-    _, serial, _ = run(capsys, *argv, "--jobs", "1")
-    # --max-mn 2 has three contexts: (0,2), (1,1) and (2,0)
-    for jobs, cpus, expect in (("5000", 8, [3]), ("2", 8, [2]), ("5000", 2, [2]),
-                               ("5000", 1, [])):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
-        started.clear()
-        code, out, _ = run(capsys, *argv, "--jobs", jobs)
-        assert code == 0 and out == serial, (jobs, cpus)
-        assert started == expect, (jobs, cpus)
+@pytest.mark.parametrize("suite", sorted(_DOCUMENTED))
+def test_suite_rows_cover_exactly_the_documented_contexts(capsys, suite):
+    first_total, first_m, backend, names = _DOCUMENTED[suite]
+    bound = 5
+    code, out, _ = run(capsys, "verify", suite, "--max-mn", str(bound), "--json")
+    assert code == 0
+    want = [{"relation": name, "m": m, "n": total - m, "backend": backend, "ok": True}
+            for total in range(first_total, bound + 1) for m in range(first_m, total + 1)
+            for name in names(m, total - m)]
+    assert json.loads(out) == want
 
 
 def test_verify_smallest_bounds_run_checks(capsys):
@@ -209,17 +239,17 @@ def test_unknown_label_errors(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import mixedchain.cli as cli
+    import mixedchain.bimod as bimod
 
-    def broken(max_mn):
-        return [{"relation": "induction-tensor", "m": 1, "n": 0,
-                 "backend": "labels", "ok": False}]
+    def broken(m, n):
+        return (m, n) != (1, 0), True
 
-    monkeypatch.setattr(cli, "_verify_identities", broken)
+    monkeypatch.setattr(bimod, "verify_identities", broken)
     code, out, err = run(capsys, "verify", "identities")
     assert code == 1
     assert "FAIL" in out
-    assert json.loads(err)["error"] == "verification failed"
+    assert json.loads(err) == {"error": "verification failed", "failures": [
+        {"relation": "induction-tensor", "m": 1, "n": 0, "backend": "labels", "ok": False}]}
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -575,3 +575,22 @@ def test_exceptional_index_keeps_both_row_checks(monkeypatch):
     monkeypatch.setattr(xc, "_exceptional_rows", lambda m, n: {lam: bad})
     with pytest.raises(AssertionError, match="projective output invalid"):
         _match_exceptional_d(lam, 2, 3)
+
+
+def _is_partition(mu) -> bool:
+    return (type(mu) is tuple and all(type(p) is int and p > 0 for p in mu)
+            and all(a >= b for a, b in zip(mu, mu[1:])))
+
+
+def test_row_helpers_return_a_partition_or_none():
+    # _pair trusts its halves: each comes from these helpers, or is ()
+    grid = range(-4, 9)
+    results = [_row(k) for k in grid] + [_col(k) for k in grid]
+    results += [f(a, b) for f in (_hookp, _two_row) for a in grid for b in grid]
+    assert all(mu is None or _is_partition(mu) for mu in results), results
+    assert () in results and (3, 1, 1) in results and (4, 2) in results
+    assert sum(mu is None for mu in results) > 0
+    for left in results + [()]:
+        for right in (None, (), (2, 1)):
+            pair = _pair(left, right)
+            assert pair == (None if left is None or right is None else (left, right))
