@@ -11,11 +11,14 @@ restriction; these are the headline checks of the artifact.
 
 `verify_identities` checks both identities of a context in one pass: the
 two flattenings share the semisimple part, so each of its simples is fused
-and restricted once, and only the projective terms and the atypical parts
-are read per identity.  The fusion of each barred label is memoised in an
-LRU cache of 8192 labels (`_fused`), like the fusion table and
-`labels.bar_to_plain` it reads, which holds every label of a sweep to
-m+n = 25.  The dimension audits read the ledger `xcat.dims_for` once per
+and restricted once into one signed remainder, and only the projective
+terms and the atypical parts are added per identity.  The fusion of each
+barred label is memoised in an LRU cache of 8192 labels (`_fused`), like
+the fusion table and `labels.bar_to_plain` it reads, which holds every
+label of a sweep to m+n = 25.  The per-context tables (`semisimple_part`
+and the flattened atypical parts) keep 4 contexts: a sweep visits the
+contexts column by column, so a context is read again only by the next
+one.  The dimension audits read the ledger `xcat.dims_for` once per
 context.  The vertices and the graph of the atypical part are
 `TaggedTuple` records, so this layer imports no `dataclasses`.
 """
@@ -53,6 +56,7 @@ from .xcat import (
     extra_vertex_label,
     proj_structure,
     q_functor,
+    restrict_simples,
     restriction_items,
 )
 
@@ -66,15 +70,21 @@ def _hook(k: int, ones: int) -> tuple:
     return (k,) + (1,) * ones
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def semisimple_part(m: int, n: int) -> tuple[SemisimplePair, ...]:
-    """All (bipartition, typical quantum label) pairs of the semisimple part."""
+    """All (bipartition, typical quantum label) pairs of the semisimple part.
+    A mirror context (m < n) is built from the uncached pairs of (n, m)."""
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
+    if m < n:
+        return tuple((gswap(lam), gbar(z)) for lam, z in _semisimple_pairs(n, m))
+    return _semisimple_pairs(m, n)
+
+
+def _semisimple_pairs(m: int, n: int) -> tuple[SemisimplePair, ...]:
+    """The pairs of `semisimple_part` for m >= n, uncached."""
     if m + n == 0:
         return ()
-    if m < n:
-        return tuple((gswap(lam), gbar(z)) for lam, z in semisimple_part(n, m))
     # (bipartition, p, t, r) of each simple barred label Zbar[p; t, r]
     cells: list[tuple[Bipartition, int, int, int]] = []
     a = m - n
@@ -304,17 +314,18 @@ def closed_form_p(m: int, n: int) -> GrothVector:
 # flattened bimodule and the induction identities
 # ---------------------------------------------------------------------------
 
-# The identity sweep flattens (m, n+1) on one diagonal and (m, n) again on
-# the next, up to 2(m+n) contexts of the same side later; 128 contexts per
-# side keep a sweep to 40 at one miss per context (64 do not).  Only the
-# atypical part, O(m+n) items, is kept: the semisimple part has O((m+n)^2).
+# The identity check of (m, n) flattens (m, n) and (m, n+1), and a sweep
+# visits the contexts column by column, so the next context reads (m, n+1)
+# again and no later one does: 4 contexts per side keep a sweep at one miss
+# per context.  Only the atypical part, O(m+n) items, is kept: the
+# semisimple part has O((m+n)^2).
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=4)
 def _q_atypical_items(m: int, n: int) -> tuple:
     return tuple(q_atypical(m, n).items())
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=4)
 def _p_atypical_items(m: int, n: int) -> tuple:
     return tuple(p_atypical(m, n).items())
 
@@ -356,18 +367,25 @@ def _fused(z: BarLabel) -> tuple[tuple, tuple, tuple]:
     return tuple(simples), tuple(covers), tuple(subs.items())
 
 
+def _shift(acc: dict, key, delta: int) -> None:
+    """Add delta to acc[key], deleting the entry when it reaches zero."""
+    new = acc.get(key, 0) + delta
+    if new:
+        acc[key] = new
+    else:
+        del acc[key]
+
+
 def _add(acc: dict, term, items, mult: int = 1) -> None:
     """Add mult times each (label, m) item to acc[(term, label)]."""
     for label, lm in items:
-        key = (term, label)
-        acc[key] = acc.get(key, 0) + mult * lm
+        _shift(acc, (term, label), mult * lm)
 
 
 def _add_terms(acc: dict, items, w, mult: int = 1) -> None:
     """Add mult times each (term, m) item to acc[(term, w)]."""
     for term, tm in items:
-        key = (term, w)
-        acc[key] = acc.get(key, 0) + mult * tm
+        _shift(acc, (term, w), mult * tm)
 
 
 def verify_identities(m: int, n: int) -> tuple[bool, bool]:
@@ -378,66 +396,75 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     proj: the p-flattened chain tensored with it, each summand replaced by
     its simple subquotients, matches the restricted p-flattened next chain.
 
-    The two flattenings share the semisimple part, so each of its simples
-    is fused and restricted once.  A simple summand of a fusion counts the
-    same on both left sides; only a projective summand differs, kept for
-    tensor and expanded into its subquotients for proj.  A simple term of a
+    Each identity is checked as one signed difference, left side minus
+    right side, that must vanish; every multiplicity of either side is
+    positive, so it vanishes exactly when the two sides are equal.  The two
+    flattenings share the semisimple part, so each of its simples is fused
+    and restricted once.  A simple summand of a fusion counts the same on
+    both left sides; only a projective summand differs, kept for tensor and
+    expanded into its subquotients for proj.  A simple term of a
     restriction counts the same on both right sides; only the projective
     terms of exceptional rows differ, flattened for tensor and kept for
-    proj.  Each identity then adds its own flattening of the atypical part.
-    Within the semisimple part no key repeats: its bipartitions are
-    distinct, and so are their quantum labels (one per table cell), so its
-    entries are set, not summed.  Every multiplicity is positive, so no
-    entry of either side sums to zero.
+    proj.  So the shared terms go into one remainder, which mostly cancels;
+    each identity then adds its own terms, and its flattening of the
+    atypical part, to a copy of that remainder.  Within the semisimple part
+    no left key repeats: its bipartitions are distinct, so its entries are
+    set, not summed.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    # left sides: (m, n) tensored with the dual fundamental module
-    lhs_p: dict = {}
+    shared: dict = {}
+    # left side: (m, n) tensored with the dual fundamental module
     split = []
     for lam, z in semisimple_part(m, n):
         term = ("D", lam)
         simples, covers, subs = _fused(z)
         for w, wm in simples:
-            lhs_p[(term, w)] = wm
+            shared[(term, w)] = wm
         if covers:
             split.append((term, covers, subs))
-    lhs_t = dict(lhs_p)
-    for term, covers, subs in split:
-        _add(lhs_t, term, covers)
-        _add(lhs_p, term, subs)
-    for (term, z), mult in _q_atypical_items(m, n):
-        simples, covers, _subs = _fused(z)
-        _add(lhs_t, term, simples, mult)
-        _add(lhs_t, term, covers, mult)
-    for (term, z), mult in _p_atypical_items(m, n):
-        simples, _covers, subs = _fused(z)
-        _add(lhs_p, term, simples, mult)
-        _add(lhs_p, term, subs, mult)
-
-    # right sides: (m, n+1) restricted down one right strand
-    rhs_p: dict = {}
+    # right side: (m, n+1) restricted down one right strand
+    pairs = semisimple_part(m, n + 1)
     projective = []
-    for lam, z in semisimple_part(m, n + 1):
+    for (_lam, z), items in zip(pairs, restrict_simples([lam for lam, _z in pairs], m, n + 1)):
         w = bar_to_plain(z)
-        for rterm, rm in restriction_items(("D", lam), m, n + 1):
+        for rterm, rm in items:
             if rterm[0] == "D":
-                rhs_p[(rterm, w)] = rm
+                key = (rterm, w)
+                left = shared.pop(key, 0) - rm
+                if left:
+                    shared[key] = left
             else:
                 projective.append((rterm, w, rm))
-    rhs_t = dict(rhs_p)
+
+    tensor = dict(shared)
+    for term, covers, _subs in split:
+        _add(tensor, term, covers)
+    for (term, z), mult in _q_atypical_items(m, n):
+        simples, covers, _subs = _fused(z)
+        _add(tensor, term, simples, mult)
+        _add(tensor, term, covers, mult)
     for rterm, w, rm in projective:
-        _add_terms(rhs_p, ((rterm, 1),), w, rm)
-        _add_terms(rhs_t, q_functor(rterm, m, n).items(), w, rm)
+        _add_terms(tensor, q_functor(rterm, m, n).items(), w, -rm)
     for (term, z), mult in _q_atypical_items(m, n + 1):
         w = bar_to_plain(z)
         for rterm, rm in restriction_items(term, m, n + 1):
             # a simple term is its own flattening
             flat = ((rterm, 1),) if rterm[0] == "D" else q_functor(rterm, m, n).items()
-            _add_terms(rhs_t, flat, w, mult * rm)
+            _add_terms(tensor, flat, w, -mult * rm)
+
+    proj = shared
+    for term, _covers, subs in split:
+        _add(proj, term, subs)
+    for (term, z), mult in _p_atypical_items(m, n):
+        simples, _covers, subs = _fused(z)
+        _add(proj, term, simples, mult)
+        _add(proj, term, subs, mult)
+    for rterm, w, rm in projective:
+        _shift(proj, (rterm, w), -rm)
     for (term, z), mult in _p_atypical_items(m, n + 1):
-        _add_terms(rhs_p, restriction_items(term, m, n + 1), bar_to_plain(z), mult)
-    return lhs_t == rhs_t, lhs_p == rhs_p
+        _add_terms(proj, restriction_items(term, m, n + 1), bar_to_plain(z), -mult)
+    return not tensor, not proj
 
 
 def _semisimple_content(m: int, n: int, ledger: dict) -> dict:

@@ -151,11 +151,18 @@ _SUITES = {
 
 def _sweep(suite: str, max_mn: int, backend: str = "symbolic", seed: int = 20177):
     """One report row per check of `suite`, over its contexts with
-    m+n <= max_mn in order of m+n, then m."""
+    m+n <= max_mn in order of m+n, then m.
+
+    The contexts are computed column by column, m in the outer loop and n in
+    the inner one, so the next reader of a context's memoised tables is the
+    very next context; the rows are then sorted into the reported order,
+    each context's checks kept in theirs."""
     _, first_total, first_m, checks = _SUITES[suite]
-    return [{"relation": relation, "m": m, "n": total - m, "backend": label, "ok": ok}
-            for total in range(first_total, max_mn + 1) for m in range(first_m, total + 1)
-            for relation, label, ok in checks(m, total - m, backend, seed)]
+    rows = [{"relation": relation, "m": m, "n": n, "backend": label, "ok": ok}
+            for m in range(first_m, max_mn + 1)
+            for n in range(max(first_total - m, 0), max_mn - m + 1)
+            for relation, label, ok in checks(m, n, backend, seed)]
+    return sorted(rows, key=lambda row: (row["m"] + row["n"], row["m"]))
 
 
 def _run_verify(args) -> int:

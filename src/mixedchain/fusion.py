@@ -136,31 +136,45 @@ def fuse_with_f(x: Label, alpha2: int = 1, beta2: int = -1) -> GrothVector:
     return _dual_vector(fuse_with_v(dual(x), alpha2, -beta2))
 
 
-@lru_cache(maxsize=128)
+def _next_content(v) -> MappingProxyType:
+    """The content of a chain one dual fundamental module longer than v: the
+    memoised items of each label of v, summed with no vector per label."""
+    out: dict = {}
+    for label, mult in v.items():
+        for w, wm in _fused_with_v(label, 1, 1):
+            out[w] = out.get(w, 0) + mult * wm
+    return MappingProxyType(dict(sorted_labels(out)))
+
+
+_EMPTY_CHAIN = MappingProxyType({Z(1, 1, 1, 0): 1})  # the trivial module
+
+
+@lru_cache(maxsize=4)
+def _chain_head(k: int) -> MappingProxyType:
+    """The content of 3bar^k, the (0, k) chain, built from 3bar^(k-1).  A
+    column head (m, 0) of a sweep is its dual, so each head is one fusion
+    step from the one before it."""
+    return _next_content(_chain_head(k - 1)) if k else _EMPTY_CHAIN
+
+
+@lru_cache(maxsize=4)
 def chain_content(m: int, n: int) -> MappingProxyType:
     """Indecomposable content of the m,n mixed chain as a read-only mapping,
     memoised and shared by every caller.
 
-    (m, n) is built from (m, n-1), and (m, 0) from (0, m), so one context
-    computes each of up to m+n+2 contexts once.  A sweep over the diagonals
-    m+n = T reads each context again on the next diagonal, up to 2T other
-    contexts later; 128 contexts keep a sweep to 40 at one miss per
-    context (64 do not).  A context sums the memoised items of each label of
-    the one before it, with no vector per label."""
+    (m, n) is built from (m, n-1), and (m, 0) is the dual of 3bar^m
+    (`_chain_head`), so one context computes each of up to m+n+2 contexts
+    once.  A sweep visits the contexts column by column, so (m, n-1) is the
+    context read just before (m, n), and 4 contexts keep it at one miss per
+    context."""
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    if m + n == 0:
-        # empty chain: the trivial one-dimensional module
-        v = gv((Z(1, 1, 1, 0), 1))
-    elif n == 0:
+    if n:
+        return _next_content(chain_content(m, n - 1))
+    if m:
         # 3^m is the dual of 3bar^m
-        v = _dual_vector(chain_content(0, m))
-    else:
-        v = {}
-        for label, mult in chain_content(m, n - 1).items():
-            for w, wm in _fused_with_v(label, 1, 1):
-                v[w] = v.get(w, 0) + mult * wm
-    return MappingProxyType(dict(sorted_labels(v)))
+        return MappingProxyType(dict(sorted_labels(_dual_vector(_chain_head(m)))))
+    return _EMPTY_CHAIN
 
 
 def chain_decompose(m: int, n: int) -> GrothVector:

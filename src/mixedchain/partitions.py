@@ -203,23 +203,15 @@ def atypical_bipartition(label: AtypicalLabel) -> Bipartition:
     return pair
 
 
-# A label sweep reads the column layout of a context, its mirror (n, m) and
-# its neighbours one strand up or down, and comes back one diagonal later;
-# 128 contexts keep a sweep to 40 at one miss per context (96 do not).
+# A label sweep visits the contexts column by column, so the layout of a
+# context is read by that context and the next one only: 4 contexts keep a
+# sweep at one miss per context.  A mirror context (m < n) is built from the
+# uncached layout of (n, m), which no later context of the sweep reads.
 
-@lru_cache(maxsize=128)
-def atypical_columns(m: int, n: int):
-    """Ordered column labels of the atypical part, plus the extra vertex.
-
-    Returns (columns, extra, host): `columns` is the ordered list of
-    atypical labels whose projective covers chain into the zig-zag,
-    `extra` is the lone label glued into column `host` (None when there
-    are no columns; then `extra` stands alone).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("need m, n >= 0")
+def _columns(m: int, n: int):
+    """The column layout of `atypical_columns`, uncached."""
     if m < n:
-        cols, extra, host = atypical_columns(n, m)
+        cols, extra, host = _columns(n, m)
         return [gswap_label(c) for c in cols], gswap_label(extra), host
     a = m - n
     if n == 0:
@@ -236,7 +228,21 @@ def atypical_columns(m: int, n: int):
     return cols, atyp("delta", False, a, 0), n - 1
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=4)
+def atypical_columns(m: int, n: int):
+    """Ordered column labels of the atypical part, plus the extra vertex.
+
+    Returns (columns, extra, host): `columns` is the ordered list of
+    atypical labels whose projective covers chain into the zig-zag,
+    `extra` is the lone label glued into column `host` (None when there
+    are no columns; then `extra` stands alone).
+    """
+    if m < 0 or n < 0:
+        raise ValueError("need m, n >= 0")
+    return _columns(m, n)
+
+
+@lru_cache(maxsize=4)
 def atypical_set(m: int, n: int) -> dict[Bipartition, AtypicalLabel]:
     """The atypical bipartitions of the (m,n) context, keyed by bipartition:
     the column labels of the zig-zag and its extra vertex.  Shared; read only."""

@@ -18,7 +18,9 @@ stored under its label and asserts that exactly one matched, so both
 checks fire for the same labels as a row-by-row probe.  The induction
 identities restrict the labels of a bimodule through `restriction_items`,
 which checks a label against the atypical set and the exceptional rows
-first, so a generic typical label builds no vector.  A handful of displays
+first, so a generic typical label builds no vector; `restrict_simples`
+does the same for a whole semisimple part, reading the two tables of its
+context once.  A handful of displays
 extend the source tables to small contexts the original guards leave out;
 each such extension is pinned by the dimension-consistency and
 bimodule-projection tests.
@@ -385,8 +387,11 @@ def _exceptional_rows(m: int, n: int) -> dict[Bipartition, list[tuple[str, tuple
 def _match_exceptional_d(lam: Bipartition, m: int, n: int) -> GrothVector | None:
     """The exceptional row of a typical label, or None when no row re-glues it."""
     found = _exceptional_rows(m, n).get(lam)
-    if found is None:
-        return None
+    return None if found is None else _exceptional_d(lam, found, m, n)
+
+
+def _exceptional_d(lam: Bipartition, found, m: int, n: int) -> GrothVector:
+    """Validate the rows `found` stored under lam; exactly one must match."""
     rows = _Rows(m, n - 1)
     for name, terms in found:
         rows.row(name, *terms)
@@ -413,12 +418,25 @@ def restriction_items(term: XTerm, m: int, n: int):
     it first, and the induction identities pass the bimodule's own terms.
     """
     kind, lam = term
-    lab = atypical_set(m, n).get(lam)
+    return _restrict(kind, lam, m, n, atypical_set(m, n), _exceptional_rows(m, n))
+
+
+def restrict_simples(lams, m: int, n: int):
+    """`restriction_items(("D", lam), m, n)` of each lam in turn, reading
+    the context's atypical set and exceptional rows once for all of them:
+    the induction identities restrict a whole semisimple part this way."""
+    atypical, rows = atypical_set(m, n), _exceptional_rows(m, n)
+    for lam in lams:
+        yield _restrict("D", lam, m, n, atypical, rows)
+
+
+def _restrict(kind: str, lam: Bipartition, m: int, n: int, atypical: dict, rows: dict):
+    lab = atypical.get(lam)
     if lab is not None:
         return (_res_k_atypical if kind == "K" else _res_d_atypical)(lab, m, n).items()
-    special = _match_exceptional_d(lam, m, n)
-    if special is not None:
-        return special.items()
+    found = rows.get(lam)
+    if found is not None:
+        return _exceptional_d(lam, found, m, n).items()
     return [(("D", mu), 1) for mu in _generic_restriction(lam, lambda_f(lam, m, n))]
 
 
@@ -609,11 +627,12 @@ def res_right_k(lam: Bipartition, m: int, n: int) -> GrothVector:
 # dimension ledger
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def dims_for(m: int, n: int) -> dict[Bipartition, int]:
     """Dimensions of all simple labels at (m,n), read off the chain content.
 
     The dict is memoised and shared by every caller, who must only read it.
+    The dimension audits read it once per context, so 4 contexts are kept.
     """
     from .bimod import semisimple_part  # local import to avoid a cycle
 

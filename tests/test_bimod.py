@@ -200,11 +200,21 @@ def test_identities_small():
 
 
 def test_identities_full_reported_range():
-    # the induction identities over the full range they were ever reported for
-    for total in range(13, 26):
-        for m in range(1, total + 1):
-            n = total - m
-            assert verify_identities(m, n) == (True, True), (m, n)
+    # the induction identities over the full range they were ever reported
+    # for: two rows for each of the 820 contexts with m >= 1 and m+n <= 40
+    from mixedchain.cli import _sweep
+
+    rows = _sweep("identities", 40)
+    assert len(rows) == 1640 and all(row["ok"] for row in rows)
+
+
+def test_dims_full_reported_range():
+    # the bimodule dimension audits over the same range: one row for each
+    # of the 860 contexts with 1 <= m+n <= 40
+    from mixedchain.cli import _sweep
+
+    rows = _sweep("dims", 40)
+    assert len(rows) == 860 and all(row["ok"] for row in rows)
 
 
 # The two identity checks that the one-pass check replaced, kept as its
@@ -367,72 +377,77 @@ def test_memoised_results_are_fresh_vectors():
 
 
 def test_label_memos_stay_bounded():
-    # the identity sweep holds per-context tables for at most two contexts,
-    # and per-label memos are LRU caches of 8192 labels, whatever the bound;
-    # the per-context ledgers keep 64 contexts, and the sweep memos at most
-    # 128, enough for a sweep to compute each context once, the mirror
-    # lookups semisimple_part(n, m) included
+    # a label sweep computes its contexts column by column, so each
+    # per-context memo keeps 4 contexts (the exceptional rows and the
+    # atypical graph 2) and still misses exactly once per context it
+    # reaches, whatever the bound; per-label memos are LRU caches of 8192
+    # labels.  A mirror context (m < n) is built uncached, and a column
+    # head (m, 0) is one fusion step from the one before it.
     import mixedchain.labels as la
     import mixedchain.partitions as pa
     from mixedchain.cli import _sweep
 
-    per_context = [xc._exceptional_rows]
     per_label = [fu._fused_with_v, bm._fused, la.bar_to_plain]
-    ledgers = [bm.semisimple_part, xc.dims_for]
-    sweep = [pa.atypical_columns, pa.atypical_set, bm._q_atypical_items,
-             bm._p_atypical_items, bm.atypical_part, fu.chain_content]
-    # all (m,n) with 1 <= m+n <= 20: each is one context of a sweep to 20
-    swept = {(m, total - m) for total in range(1, 21) for m in range(total + 1)}
-    # the identities at (m,n) read (m,n) and (m,n+1), all with m >= 1
-    reached = {(m, n) for m, n in swept | {(m, n + 1) for m, n in swept} if m >= 1}
-    contexts = len(swept)
-    # the dims audit classifies labels only where the atypical part has columns
-    with_columns = sum(1 for m, n in swept if pa.atypical_columns(m, n)[0])
+    tables = [bm.semisimple_part, bm._q_atypical_items, bm._p_atypical_items,
+              pa.atypical_columns]
+    per_context = tables + [pa.atypical_set, xc._exceptional_rows, xc.dims_for,
+                            fu.chain_content, fu._chain_head, bm.atypical_part]
+    maxsize = dict.fromkeys(per_context, 4)
+    maxsize[xc._exceptional_rows] = maxsize[bm.atypical_part] = 2
 
-    def assert_bounded(memos, misses, maxsize):
-        for memo in memos:
-            info = memo.cache_info()
-            want = misses.get(memo, 0)
-            assert info.maxsize is not None and info.maxsize <= maxsize, (memo.__name__, info)
-            assert min(1, want) <= info.currsize <= info.maxsize, (memo.__name__, info)
-            assert info.misses == want, (memo.__name__, info)
+    def misses(suite, swept):
+        if suite == "identities":
+            # the identities at (m,n) read (m,n) and (m,n+1), all with m >= 1
+            reached = {(m, n) for m, n in swept | {(m, n + 1) for m, n in swept} if m >= 1}
+            want = dict.fromkeys(tables, len(reached))
+            # restrictions classify labels of the contexts with a right strand
+            with_strand = sum(1 for m, n in reached if n >= 1)
+            want[pa.atypical_set] = want[xc._exceptional_rows] = with_strand
+            return want
+        want = dict.fromkeys(tables + [xc.dims_for, bm.atypical_part], len(swept))
+        want[fu.chain_content] = len(swept) + 1  # the empty chain (0,0) too
+        want[fu._chain_head] = max(m for m, n in swept) + 1  # 3bar^m per column m, and 3bar^0
+        # the dims audit classifies labels only where the atypical part has columns
+        want[pa.atypical_set] = sum(1 for m, n in swept if pa._columns(m, n)[0])
+        return want
 
     def assert_no_thrash(memo):
         # every label missed once: nothing was evicted and read again
         info = memo.cache_info()
         assert 0 < info.misses == info.currsize < info.maxsize, (memo.__name__, info)
 
-    for memo in per_context + per_label + ledgers + sweep:
-        memo.cache_clear()
-    assert all(row["ok"] for row in _sweep("identities", 20))
-    for memo in per_context:
-        info = memo.cache_info()
-        assert 1 <= info.currsize <= 2 and info.maxsize == 2, (memo.__name__, info)
-    for memo in per_label:
-        info = memo.cache_info()
-        assert info.maxsize == 8192, (memo.__name__, info)
-        assert 1 <= info.currsize <= info.maxsize, (memo.__name__, info)
-    assert_bounded([bm.semisimple_part], {bm.semisimple_part: contexts}, 64)
-    # restrictions classify labels of the contexts with a right strand
-    one_each = {memo: len(reached) for memo in sweep[:4]}
-    one_each[pa.atypical_set] = len({(m, n) for m, n in reached if n >= 1})
-    assert_bounded(sweep, one_each, 128)
-
-    for memo in ledgers + sweep:
-        memo.cache_clear()
-    rows = _sweep("dims", 20)
-    assert len(rows) == contexts and all(row["ok"] for row in rows)
-    assert_bounded(ledgers, dict.fromkeys(ledgers, contexts), 64)
-    one_each = dict.fromkeys(sweep, contexts)
-    one_each[fu.chain_content] = contexts + 1  # the empty chain (0,0) too
-    one_each[pa.atypical_set] = with_columns
-    assert_bounded(sweep, one_each, 128)
-    assert bm.atypical_part.cache_info().maxsize == 2
+    currsize = {}
+    for suite in ("identities", "dims"):
+        for bound in (20, 30):
+            for memo in per_label + per_context:
+                memo.cache_clear()
+            rows = _sweep(suite, bound)
+            # all (m,n) with 1 <= m+n <= bound; the identities skip m = 0
+            swept = {(m, total - m) for total in range(1, bound + 1) for m in range(total + 1)}
+            if suite == "identities":
+                assert len(rows) == 2 * sum(1 for m, n in swept if m >= 1)
+            else:
+                assert len(rows) == len(swept)
+            assert all(row["ok"] for row in rows)
+            want = misses(suite, swept)
+            for memo in per_context:
+                info = memo.cache_info()
+                assert info.maxsize == maxsize[memo], (memo.__name__, info)
+                assert info.misses == want.get(memo, 0), (suite, bound, memo.__name__, info)
+                assert min(1, info.misses) <= info.currsize <= info.maxsize, (memo.__name__, info)
+                # a wider sweep keeps no more contexts
+                assert info.currsize <= currsize.get((suite, memo), info.maxsize), (
+                    suite, memo.__name__, info)
+                currsize[suite, memo] = info.currsize
+            for memo in per_label:
+                info = memo.cache_info()
+                assert info.maxsize == 8192, (memo.__name__, info)
+                assert min(1, info.misses) <= info.currsize <= info.maxsize, (memo.__name__, info)
 
     # a cold chain_content(40, 20) fuses each label of the chains it builds,
     # (0, k) for k < 40 and (40, k) for k < 20, once
-    fu._fused_with_v.cache_clear()
-    fu.chain_content.cache_clear()
+    for memo in (fu._fused_with_v, fu.chain_content, fu._chain_head):
+        memo.cache_clear()
     fu.chain_content(40, 20)
     built = [(0, k) for k in range(40)] + [(40, k) for k in range(20)]
     distinct = {x for m, n in built for x in fu.chain_content(m, n)}
@@ -440,7 +455,7 @@ def test_label_memos_stay_bounded():
     assert_no_thrash(fu._fused_with_v)
 
     # a sweep to 25 fuses and translates each barred label once
-    for memo in per_label + ledgers + sweep:
+    for memo in per_label + per_context:
         memo.cache_clear()
     assert all(row["ok"] for row in _sweep("identities", 25))
     for memo in per_label:

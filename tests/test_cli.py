@@ -226,6 +226,24 @@ def test_suite_rows_cover_exactly_the_documented_contexts(capsys, suite):
     assert json.loads(out) == want
 
 
+def _diagonal_sweep(suite, max_mn, backend="symbolic", seed=20177):
+    """The sweep loop as it was before the contexts were computed column by
+    column: diagonal by diagonal, already in report order."""
+    from mixedchain.cli import _SUITES
+
+    _, first_total, first_m, checks = _SUITES[suite]
+    return [{"relation": relation, "m": m, "n": total - m, "backend": label, "ok": ok}
+            for total in range(first_total, max_mn + 1) for m in range(first_m, total + 1)
+            for relation, label, ok in checks(m, total - m, backend, seed)]
+
+
+@pytest.mark.parametrize("suite", ["relations", "centralizer", "identities", "dims"])
+def test_sweep_rows_match_the_diagonal_order(suite):
+    from mixedchain.cli import _sweep
+
+    assert _sweep(suite, 9) == _diagonal_sweep(suite, 9)
+
+
 def test_verify_smallest_bounds_run_checks(capsys):
     for suite, bound in (("relations", "2"), ("identities", "1"), ("dims", "1")):
         code, out, _ = run(capsys, "verify", suite, "--max-mn", bound, "--json")
