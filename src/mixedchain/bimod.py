@@ -14,13 +14,16 @@ two flattenings share the semisimple part, so each of its simples is fused
 and restricted once into one signed remainder, and only the projective
 terms and the atypical parts are added per identity.  The fusion of each
 barred label is memoised in an LRU cache of 8192 labels (`_fused`), like
-the fusion table and `labels.bar_to_plain` it reads, which holds every
-label of a sweep to m+n = 25.  The per-context tables (`semisimple_part`
-and the flattened atypical parts) keep 4 contexts: a sweep visits the
-contexts column by column, so a context is read again only by the next
-one.  The dimension audits read the ledger `xcat.dims_for` once per
-context.  The vertices and the graph of the atypical part are
-`TaggedTuple` records, so this layer imports no `dataclasses`.
+`labels.bar_to_plain`, which holds every label of a sweep to m+n = 25; it
+reads the fusion rule table uncached, so a label's fusion is kept once.
+The per-context tables (`semisimple_part` and the flattened atypical parts)
+keep 4 contexts: a sweep visits the contexts column by column, so a context
+is read again only by the next one.  The dims check of a context
+(`bimodule_audit`) reads the ledger `xcat.dims_for` and builds the
+semisimple content once for both audits, and compares the memoised
+flattened atypical parts with their closed forms.  The vertices and the
+graph of the atypical part are `TaggedTuple` records, so this layer imports
+no `dataclasses`.
 """
 
 from __future__ import annotations
@@ -354,8 +357,8 @@ def _fused(z: BarLabel) -> tuple[tuple, tuple, tuple]:
     """z (x) the dual fundamental module as (label, mult) items, split for
     the two identities: its simple summands, its projective summands, and
     the simple subquotients of those projective summands.  Memoised per
-    label like the fusion memo it reads: a sweep to m+n = 25 fuses 1,869
-    barred labels, and 8192 hold them all."""
+    label, the one fusion memo of the identities: a sweep to m+n = 25 fuses
+    1,869 barred labels, and 8192 hold them all."""
     simples, covers, subs = [], [], {}
     for w, wm in fuse_with_v(bar_to_plain(z)).items():
         if isinstance(w, RLabel):
@@ -467,53 +470,57 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     return not tensor, not proj
 
 
-def _semisimple_content(m: int, n: int, ledger: dict) -> dict:
-    """The semisimple part as quantum content: each plain label weighted by
-    the X-dimension of its bipartition."""
-    out: dict = {}
+def _audits(m: int, n: int) -> tuple[bool, bool]:
+    """(`dimension_audit`, `p_weighted_against_chain`) of (m,n), sharing one
+    ledger and one semisimple content: each plain label weighted by the
+    X-dimension of its bipartition."""
+    ledger = dims_for(m, n)
+    total = sum(ledger[v.x] * dim_bar(v.z) for v in atypical_part(m, n).vertices)
+    semisimple: dict = {}
     for lam, z in semisimple_part(m, n):
         w = bar_to_plain(z)
-        out[w] = out.get(w, 0) + ledger[lam]
-    return out
-
-
-def dimension_audit(m: int, n: int) -> bool:
-    """Total bimodule dimension, and quantum content against the chain."""
-    ledger = dims_for(m, n)
-    total = sum(ledger[lam] * dim_bar(z) for lam, z in semisimple_part(m, n))
-    total += sum(ledger[v.x] * dim_bar(v.z) for v in atypical_part(m, n).vertices)
-    if total != 3 ** (m + n):
-        return False
-    expected = _semisimple_content(m, n, ledger)
+        semisimple[w] = semisimple.get(w, 0) + ledger[lam]
+        total += ledger[lam] * dim_bar(z)
+    q_side, p_side = dict(semisimple), semisimple
     for (term, z), mult in _q_atypical_items(m, n):
         w = bar_to_plain(z)
-        expected[w] = expected.get(w, 0) + mult * ledger[term[1]]
-    return expected == chain_content(m, n)
-
-
-def p_weighted_against_chain(m: int, n: int) -> bool:
-    """p-flattened bimodule, weighted by X-dimensions, against the
-    subquotient content of the chain."""
-    ledger = dims_for(m, n)
-    lhs = _semisimple_content(m, n, ledger)
-    for (term, z), mult in _p_atypical_items(m, n):
-        kind, lam = term
+        q_side[w] = q_side.get(w, 0) + mult * ledger[term[1]]
+    for ((kind, lam), z), mult in _p_atypical_items(m, n):
         if kind == "D":
             dim = ledger[lam]
         else:
             dim = sum(ledger[v] for _, v in proj_structure(lam, m, n).vertices)
         w = bar_to_plain(z)
-        lhs[w] = lhs.get(w, 0) + mult * dim
-    rhs: dict = {}
-    for x, mult in chain_content(m, n).items():
+        p_side[w] = p_side.get(w, 0) + mult * dim
+    content = chain_content(m, n)
+    subquotients: dict = {}
+    for x, mult in content.items():
         for sub in simple_subquotients(x):
-            rhs[sub] = rhs.get(sub, 0) + mult
-    return lhs == rhs
+            subquotients[sub] = subquotients.get(sub, 0) + mult
+    return total == 3 ** (m + n) and q_side == content, p_side == subquotients
+
+
+def dimension_audit(m: int, n: int) -> bool:
+    """Total bimodule dimension, and quantum content against the chain."""
+    return _audits(m, n)[0]
+
+
+def p_weighted_against_chain(m: int, n: int) -> bool:
+    """p-flattened bimodule, weighted by X-dimensions, against the
+    subquotient content of the chain."""
+    return _audits(m, n)[1]
 
 
 def projections_match(m: int, n: int) -> bool:
-    return (p_atypical(m, n) == closed_form_p(m, n)
-            and q_atypical(m, n) == closed_form_q(m, n))
+    """The memoised flattened atypical parts against their closed forms."""
+    return (dict(_p_atypical_items(m, n)) == closed_form_p(m, n)
+            and dict(_q_atypical_items(m, n)) == closed_form_q(m, n))
+
+
+def bimodule_audit(m: int, n: int) -> bool:
+    """The dims check of one context: both audits and the closed forms."""
+    dims_ok, p_ok = _audits(m, n)
+    return dims_ok and projections_match(m, n) and p_ok
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,11 @@ def _permuted(mat: SparseMatrix, perm) -> SparseMatrix:
     return out
 
 
+@lru_cache(maxsize=2)
 def factor_matrices(dual: bool) -> dict[str, SparseMatrix]:
+    """The generators on the fundamental module (dual=False) or its dual, in
+    the chain basis.  Built once per process for each side and shared by
+    every `ChainContext`; callers must only read them."""
     rep = build_simple(THREE_BAR if dual else THREE)
     perm = _PERM_RIGHT if dual else _PERM_LEFT
     return {g: _permuted(m, perm) for g, m in rep.mats.items()}
@@ -372,11 +376,11 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
     if not gpd:
         raise SingularParams("gamma + delta = 0")
     x9 = dict(zip("geh", fundamental_ops()))
-    given = (tuple(_factor_key(x) for x in x9.values()), params)
+    # the shared chain params are keyed by identity, through a fixed token
+    # that hashes no scalar; any other params, a planted delta among them, by content
+    given = (tuple(_factor_key(x) for x in x9.values()),
+             "chain_params" if params is chain_params() else params)
     memo: dict = {}
-
-    def first_site(kind, index):
-        return {"g": m - index - 1, "h": m + index - 1, "e": m - 1}[kind]
 
     def window(w, placed):
         """The placed operators (kind, pos) embedded in a w-site window, and its identity."""
@@ -417,9 +421,11 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
         return (g1 - h1) * core(ew, g1, h1, ident)
 
     def residual(form, *ops):
-        sites = sorted({first_site(*op) + d for op in ops for d in (0, 1)})
+        # first sites: g_j at m-j-1, h_i at m+i-1, e (index 0) at m-1
+        firsts = [m - 1 - index if kind == "g" else m - 1 + index for kind, index in ops]
+        sites = sorted({f + d for f in firsts for d in (0, 1)})
         w = len(sites)
-        placed = tuple((kind, sites.index(first_site(kind, index))) for kind, index in ops)
+        placed = tuple((kind, sites.index(f)) for (kind, _), f in zip(ops, firsts))
 
         def compute():
             mats, ident = window(w, placed)

@@ -134,10 +134,9 @@ def _identity_checks(m: int, n: int, backend: str, seed: int):
 
 
 def _dims_checks(m: int, n: int, backend: str, seed: int):
-    from .bimod import dimension_audit, p_weighted_against_chain, projections_match
+    from .bimod import bimodule_audit
 
-    return [("bimodule-audit", "labels", dimension_audit(m, n) and projections_match(m, n)
-             and p_weighted_against_chain(m, n))]
+    return [("bimodule-audit", "labels", bimodule_audit(m, n))]
 
 
 # suite -> (default --max-mn, first m+n, first m, the checks of one (m,n) context)

@@ -8,10 +8,11 @@ low-spin cases first, then the regular families, and insists that exactly
 one rule fires.  Tensoring with (1,1) needs no table of its own:
 Z^{a,b}_{1,1} is the contragredient of Z^{a,-b}_{2,0}, so x (x) Z^{a,b}_{1,1}
 is the dual of x* (x) Z^{a,-b}_{2,0}, read through `labels.dual`; likewise
-the chain 3^m is the dual of 3bar^m.  Tensoring with (2,0) is memoised per
-label in an LRU cache of 8192 immutable item tuples, which holds every label
-that one chain with m+n <= 60 fuses (at most 4,880, at (58, 2)); every call
-returns a fresh vector.  Multiplicities are positive, so a sum of them
+the chain 3^m is the dual of 3bar^m.  `fuse_with_v` reads the rule table
+on every call and returns a fresh vector; the chain content memoises
+x (x) 3bar per label in an LRU cache of 8192 immutable item tuples, which
+holds every label that one chain with m+n <= 60 fuses (at most 4,880, at
+(58, 2)).  Multiplicities are positive, so a sum of them
 is never zero.
 """
 
@@ -111,18 +112,17 @@ def _dispatch(x: Label, rules) -> GrothVector:
     return hits[0]
 
 
-@lru_cache(maxsize=8192)
-def _fused_with_v(x: Label, alpha2: int, beta2: int) -> tuple[tuple[Label, int], ...]:
-    """The rule table's decomposition as items, memoised per label (see the
-    module docstring for the bound)."""
-    a, b = x.alpha * alpha2, x.beta * beta2
-    return tuple(_dispatch(x, _rules_with_v(x, a, b)).items())
-
-
 def fuse_with_v(x: Label, alpha2: int = 1, beta2: int = 1) -> GrothVector:
-    """Tensor with the dual fundamental module Z^{alpha2,beta2}_{2,0};
-    memoised, and every call returns a fresh vector."""
-    return GrothVector(_fused_with_v(x, alpha2, beta2))
+    """Tensor with the dual fundamental module Z^{alpha2,beta2}_{2,0}, read
+    off the rule table on every call, as a fresh vector."""
+    return _dispatch(x, _rules_with_v(x, x.alpha * alpha2, x.beta * beta2))
+
+
+@lru_cache(maxsize=8192)
+def _fused_with_v(x: Label) -> tuple[tuple[Label, int], ...]:
+    """x (x) 3bar as items, memoised per label for the chain content (see
+    the module docstring for the bound)."""
+    return tuple(fuse_with_v(x).items())
 
 
 def _dual_vector(v) -> GrothVector:
@@ -141,7 +141,7 @@ def _next_content(v) -> MappingProxyType:
     memoised items of each label of v, summed with no vector per label."""
     out: dict = {}
     for label, mult in v.items():
-        for w, wm in _fused_with_v(label, 1, 1):
+        for w, wm in _fused_with_v(label):
             out[w] = out.get(w, 0) + mult * wm
     return MappingProxyType(dict(sorted_labels(out)))
 

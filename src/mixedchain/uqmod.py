@@ -8,20 +8,17 @@ A projective cover is glued from the builds of its four simple subquotients
 and edge constants are hard data below.  Every module is a weight module:
 its Cartan generators K, Kinv, k and kinv are `sparse.DiagonalMatrix`
 weight lists, and a cover's lists are the concatenation of its
-subquotients'.  Every entry a builder stores passes through one bounded
-interning memo (`_shared`), so equal scalars of the memoised modules are
-one shared object.  `relation_residuals` checks every defining relation as
+subquotients'.  `relation_residuals` checks every defining relation as
 an exact matrix identity over Q(q): a relation with a Cartan factor is a
 condition on weights and is checked entry by entry from the weight lists
 (`cartan_weights`), the others by sparse products.  The builders
-`build_simple` and `build_projective` are memoised in bounded LRU caches.
+`build_simple` and `build_projective` keep nothing: each call builds a
+fresh module, so a module sweep holds one module at a time.
 The labels themselves, and all that is read off them alone, live in
 `labels`, which needs no scalar and no matrix.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .labels import R, Z  # re-exported only because perfbench/ops.py imports them from here
 from .labels import RLabel, ZLabel, blocks, proj_subquotients
@@ -42,22 +39,6 @@ MAX_SPIN = 400  # guard for explicit matrix construction
 
 GENERATORS = ("E", "F", "K", "Kinv", "k", "kinv", "B", "C")
 CARTAN = ("K", "Kinv", "k", "kinv")
-
-
-@lru_cache(maxsize=4096)
-def _shared(v: QScalar) -> QScalar:
-    """The first-stored scalar equal to v.  Scalars are immutable, so the
-    builders store this one object for every equal entry; a module sweep
-    to spin 5 stores 183 distinct values."""
-    return v
-
-
-def _share_entries(mat: SparseMatrix) -> SparseMatrix:
-    """mat with each entry replaced, in place, by its shared equal."""
-    for row in mat.rows.values():
-        for c in row:
-            row[c] = _shared(row[c])
-    return mat
 
 
 class ExplicitRep:
@@ -105,13 +86,9 @@ def _fermion_maps(z: ZLabel):
     return B, C
 
 
-@lru_cache(maxsize=256)
 def build_simple(z: ZLabel) -> ExplicitRep:
-    """Generator matrices of a simple module in its gl(2)-adapted basis.
-
-    Memoised: a cover is glued from its four simple subquotients, which a
-    module sweep also builds on their own; 256 labels hold every simple of
-    spin <= 5 (200 of them)."""
+    """Generator matrices of a simple module in its gl(2)-adapted basis,
+    built fresh on every call."""
     if z.s > MAX_SPIN:
         raise UnsupportedLabel(f"spin {z.s} exceeds the build bound {MAX_SPIN}")
     nonempty = [blk for blk in blocks(z) if blk.size > 0]
@@ -130,7 +107,7 @@ def build_simple(z: ZLabel) -> ExplicitRep:
             kK = qpow(blk.size - 1 - 2 * i, blk.alpha)
             kk = qpow(i - blk.roff, blk.keff)
             for g, v in (("K", kK), ("Kinv", kK.invert()), ("k", kk), ("kinv", kk.invert())):
-                weights[g].append(_shared(v))
+                weights[g].append(v)
             if i + 1 < blk.size:
                 mats["F"].set(off + i + 1, off + i, ONE)
             if i > 0:
@@ -148,8 +125,7 @@ def build_simple(z: ZLabel) -> ExplicitRep:
                 j, coeff = fn(i)
                 if 0 <= j < sizes[dst] and coeff:
                     mats[gen].set(offs[dst] + j, offs[src] + i, coeff)
-    mats = {g: DiagonalMatrix(weights[g]) if g in CARTAN else _share_entries(mats[g])
-            for g in GENERATORS}
+    mats = {g: DiagonalMatrix(weights[g]) if g in CARTAN else mats[g] for g in GENERATORS}
     return ExplicitRep(z, dim, basis, mats, [blk.gl2 for blk in nonempty])
 
 
@@ -240,10 +216,9 @@ def _proj_edges(rl: RLabel):
     ]
 
 
-@lru_cache(maxsize=64)
 def build_projective(rl: RLabel) -> ExplicitRep:
     """Generator matrices of a projective cover on its four Loewy
-    subquotients.  Memoised; 64 labels hold every cover of spin <= 4 (32)."""
+    subquotients, each built here; a fresh module on every call."""
     if rl.s > MAX_SPIN:
         raise UnsupportedLabel(f"spin {rl.s} exceeds the build bound {MAX_SPIN}")
     slots = proj_subquotients(rl)
@@ -281,7 +256,7 @@ def build_projective(rl: RLabel) -> ExplicitRep:
             if r_ is not None and c_ is not None:
                 mats["C"].add_to(offs[3] + r_, offs[0] + c_, ONE)
     mats = {g: DiagonalMatrix([v for rep in reps for v in cartan_weights(rep, g)])
-            if g in CARTAN else _share_entries(mats[g]) for g in GENERATORS}
+            if g in CARTAN else mats[g] for g in GENERATORS}
     return ExplicitRep(rl, dim, basis, mats, [g for rep in reps for g in rep.gl2])
 
 

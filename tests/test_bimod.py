@@ -273,7 +273,7 @@ def test_identities_match_the_two_pass_oracle():
 
 def _clear_label_memos():
     """Forget every memo that a planted fault could have filled."""
-    for memo in (bm._fused, fu.chain_content, xc.dims_for):
+    for memo in (bm._fused, fu._fused_with_v, fu.chain_content, xc.dims_for):
         memo.cache_clear()
 
 
@@ -287,15 +287,15 @@ def _drop_generic_term(lam):
 
 
 def _bump_fusion_mult(x):
-    fused = fu._fused_with_v
+    # the rule table read that both the one-pass check and the oracle go through
+    dispatch = fu._dispatch
 
-    def planted(label, alpha2, beta2):
-        items = fused(label, alpha2, beta2)
-        if label != x:
-            return items
-        (w, wm), *rest = items
-        return ((w, wm + 1), *rest)
-    return "_fused_with_v", planted
+    def planted(label, rules):
+        out = dispatch(label, rules)
+        if label == x:
+            out[next(iter(out))] += 1
+        return out
+    return "_dispatch", planted
 
 
 def _drop_exceptional_row(name):
@@ -376,6 +376,28 @@ def test_memoised_results_are_fresh_vectors():
         assert fn(*args) == want, (fn.__name__, args)
 
 
+def test_dims_check_builds_each_context_once(monkeypatch):
+    # the dims check of a context reads its ledger once and flattens its
+    # atypical part once per side, through the memoised items
+    from mixedchain.cli import _sweep
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(m, n):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(m, n)
+        monkeypatch.setattr(bm, name, wrapper)
+
+    for name in ("dims_for", "p_atypical", "q_atypical"):
+        counted(name, getattr(bm, name))
+    for memo in (bm._p_atypical_items, bm._q_atypical_items):
+        memo.cache_clear()
+    rows = _sweep("dims", 12)
+    assert rows and all(row["ok"] for row in rows)
+    assert calls == dict.fromkeys(("dims_for", "p_atypical", "q_atypical"), len(rows))
+
+
 def test_label_memos_stay_bounded():
     # a label sweep computes its contexts column by column, so each
     # per-context memo keeps 4 contexts (the exceptional rows and the
@@ -454,9 +476,12 @@ def test_label_memos_stay_bounded():
     assert fu._fused_with_v.cache_info().misses == len(distinct)
     assert_no_thrash(fu._fused_with_v)
 
-    # a sweep to 25 fuses and translates each barred label once
+    # a sweep to 25 fuses and translates each barred label once, and reads
+    # the fusion rule table uncached, so the chain content's memo stays empty
     for memo in per_label + per_context:
         memo.cache_clear()
     assert all(row["ok"] for row in _sweep("identities", 25))
-    for memo in per_label:
+    for memo in (bm._fused, la.bar_to_plain):
         assert_no_thrash(memo)
+    info = fu._fused_with_v.cache_info()
+    assert info.misses == info.hits == info.currsize == 0, info

@@ -444,7 +444,8 @@ def test_each_window_class_is_computed_once(monkeypatch, memo, checker, classes)
 
 def test_memo_hits_on_the_chain_factors_compare_no_scalar(monkeypatch):
     # the fundamental factors and the chain params are built once per process,
-    # with the factor keys, so a hit compares its key by identity; a Laurent
+    # with the factor keys, so a hit compares its key by identity; the chain
+    # params enter the key as a token, so a hit hashes no scalar, and a Laurent
     # polynomial keeps its hash, so hashing a key again builds no frozenset
     ops = fundamental_ops()
     assert all(a is b for a, b in zip(fundamental_ops(), ops))
@@ -454,6 +455,10 @@ def test_memo_hits_on_the_chain_factors_compare_no_scalar(monkeypatch):
         # a copy, like a planted factor, is keyed by its content anew
         copy = SparseMatrix(x.nrows, x.ncols, {(r, c): v for r, c, v in x.entries()})
         assert _factor_key(copy) == _factor_key(x) and _factor_key(copy) is not _factor_key(x)
+    # other params equal to the chain params are keyed by their content
+    same = QwbParams(*(getattr(chain_params(), f) for f in ("gamma", "delta", "theta")))
+    assert same == chain_params() and same is not chain_params()
+    assert all(r.ok for r in check_qwb_relations(ChainContext(2, 2), same))
     point = eval_points(seed=20177)[0]
     contexts = [ChainContext(m, total - m) for total in range(2, 7) for m in range(total + 1)]
 
@@ -477,11 +482,20 @@ def test_memo_hits_on_the_chain_factors_compare_no_scalar(monkeypatch):
         built.append(1)
         return frozenset(items)
 
+    hashed = []
+    scalar_hash = QScalar.__hash__
+
+    def counted_hash(self):
+        hashed.append(1)
+        return scalar_hash(self)
+
     monkeypatch.setattr(QScalar, "__eq__", counted)
+    monkeypatch.setattr(QScalar, "__hash__", counted_hash)
     monkeypatch.setattr(qarith, "frozenset", counted_frozenset, raising=False)
     sweep()
     assert not compared
     assert not built
+    assert not hashed
     hash(LaurentPoly({1: 2}))  # a fresh polynomial is hashed through the counter
     assert built == [1]
 

@@ -537,36 +537,39 @@ def test_labels_are_immutable():
         assert not hasattr(x, "__dict__")
 
 
-def test_builders_are_bounded_memos():
-    # a module sweep builds every simple of spin <= 5 and every cover of
-    # spin <= 4; a cover reads its four simple subquotients off the memo
-    from mixedchain import uqmod
+def test_module_sweep_keeps_no_module():
+    # criterion 3 builds every simple of spin <= 5 and every cover of spin
+    # <= 4 and checks all their relations; the builders keep nothing, so
+    # the sweep leaves no module alive
+    import gc
 
-    build_simple.cache_clear()
-    build_projective.cache_clear()
     simples = [Z(a, b, s, r) for a, b in itertools.product(SIGNS, SIGNS)
                for s in range(1, 6) for r in range(-3, s + 4)]
     covers = [R(a, b, s, r) for a, b in itertools.product(SIGNS, SIGNS)
               for s in range(1, 5) for r in (0, s)]
-    uqmod._shared.cache_clear()
-    for x in covers + simples:
-        assert check_relations(build_rep(x)) == [], x
-    reached = set(simples) | {z for x in covers for z in proj_subquotients(x)}
-    for memo, built in ((build_simple, reached), (build_projective, covers)):
-        info = memo.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize, info
-        assert info.misses == len(built), (memo.__name__, info)
-    # the checks read the Cartan generators as weight lists, and equal
-    # entries of the memoised modules are one object
-    memoised = [build_simple(z) for z in reached] + [build_projective(x) for x in covers]
-    entries = []
-    for rep in memoised:
+    assert (len(simples), len(covers)) == (200, 32)
+
+    def live_modules():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if isinstance(obj, ExplicitRep))
+
+    before = live_modules()
+    for x in simples + covers:
+        rep = build_rep(x)
+        assert check_relations(rep) == [], x
+        # the checks read the Cartan generators as weight lists
         for g in CARTAN:
-            assert type(rep.mats[g]) is DiagonalMatrix and rep.mats[g]._rows is None, (rep, g)
-        entries += [v for mat in rep.mats.values() for _, _, v in mat.entries()]
-    values = set(entries)
-    assert len({id(v) for v in entries}) == len(values)
-    shared = uqmod._shared.cache_info()
-    assert shared.maxsize == 4096 and shared.currsize == len(values), shared
-    assert build_simple.cache_info().misses == len(reached)
-    assert build_projective.cache_info().misses == len(covers)
+            assert type(rep.mats[g]) is DiagonalMatrix and rep.mats[g]._rows is None, (x, g)
+    del rep
+    assert live_modules() <= before
+
+
+def test_builds_of_one_label_are_equal_and_fresh():
+    for x in (Z(1, 1, 1, 0), Z(-1, 1, 4, 2), Z(1, -1, 3, 7), R(1, -1, 1, 1), R(-1, 1, 3, 0)):
+        a, b = build_rep(x), build_rep(x)
+        assert a is not b and a.label == b.label == x
+        assert a.dim == b.dim and a.basis == b.basis and a.gl2 == b.gl2, x
+        assert list(a.mats) == list(b.mats), x
+        for g in a.mats:
+            assert a.mats[g] is not b.mats[g], (x, g)
+            assert sorted(a.mats[g].entries()) == sorted(b.mats[g].entries()), (x, g)
