@@ -11,8 +11,10 @@ rational evaluation points.  Each walled-Brauer relation is checked on
 its window, the at most four sites its operators touch, and each centralizer
 commutator on its operator's window plus one neighbouring site on each side;
 both are exact for every (m, n) (see `qwb_relation_residuals` and
-`centralizer_residuals`).  A chain operator carries its window; any other
-matrix handed to the centralizer check is checked on the whole chain.
+`centralizer_residuals`), and each window residual is a function of its
+class, memoised for the whole process.  A chain operator carries its
+window; any other matrix handed to the centralizer check is checked on the
+whole chain.
 """
 
 from __future__ import annotations
@@ -274,47 +276,15 @@ def _at_point(res: SparseMatrix, point: EvalPoint | None) -> SparseMatrix:
     return res if point is None or res.is_zero() else _as_backend(res, point)
 
 
-class _ResidualMemo:
-    """A process-level LRU memo of at most maxsize window residuals, keyed by
-    class; a miss calls the caller's compute(), which may use per-call data.
-    Every caller gets the same residual, and must only read it.  A hit hashes
-    its key twice: once to take the entry out and once to put it back as the
-    most recently used."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.misses = 0
-        self._values: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def clear(self) -> None:
-        self._values.clear()
-        self.misses = 0
-
-    def get(self, key, compute) -> SparseMatrix:
-        values = self._values
-        value = values.pop(key, None)
-        if value is None:
-            self.misses += 1
-            value = compute()
-        values[key] = value  # now the most recently used
-        if len(values) > self.maxsize:
-            del values[next(iter(values))]
-        return value
-
-
-# 14 relation classes and 16 x 6 centralizer classes for each set of window
-# factors and params, shared by every backend; the rest is room for planted
-# factors and off-spec params.
-_RELATION_RESIDUALS = _ResidualMemo(maxsize=256)
-_CENTRALIZER_RESIDUALS = _ResidualMemo(maxsize=512)
-
-
 def _content_key(x: SparseMatrix):
     """Everything a window residual reads of a factor: its size and entries."""
     return x.nrows, frozenset(x.entries())
+
+
+def _from_key(key) -> SparseMatrix:
+    """The factor whose content key (`_content_key`) is key."""
+    size, entries = key
+    return SparseMatrix(size, size, {(r, c): v for r, c, v in entries})
 
 
 # id -> (factor, key) for the process-wide fundamental factors, filled once
@@ -331,6 +301,59 @@ def _factor_key(x: SparseMatrix):
     if known is not None and known[0] is x:
         return known[1]
     return _content_key(x)
+
+
+def _relation_form(form: str, mats: list, ident: SparseMatrix,
+                   params: QwbParams) -> SparseMatrix:
+    """The residual of the walled-Brauer relation form on the placed
+    operators mats of a window whose identity is ident."""
+    gam, dlt = params.gamma, params.delta
+    if form == "quad":
+        x, = mats
+        return (x - ident.scale(gam)) * (x - ident.scale(dlt))
+    if form == "comm":
+        x, y = mats
+        return x * y - y * x
+    if form == "braid":
+        x, y = mats
+        return x * y * x - y * x * y
+    if form == "ee":
+        ew, = mats
+        return ew * ew - ew.scale((params.theta + ONE) / (gam + dlt))
+    if form == "sandwich":
+        ew, x = mats
+        return ew * x * ew - ew
+    # eghinv_right and eghinv_left, with h1^-1 from the quadratic relation:
+    # h^-1 = (h - (gamma+delta)) / (-gamma delta)
+    ew, g1, h1 = mats
+    h1inv = (h1 - ident.scale(gam + dlt)).scale((-(gam * dlt)).invert())
+    core = ew * g1 * h1inv * ew
+    return core * (g1 - h1) if form == "eghinv_right" else (g1 - h1) * core
+
+
+# 14 relation and 16 x 6 centralizer classes per set of factors and params,
+# shared by every backend and read only; the rest is room for planted faults
+@lru_cache(maxsize=256)
+def _relation_residual(form: str, w: int, placed: tuple, factors: tuple,
+                       params: QwbParams | None) -> SparseMatrix:
+    """The residual of one relation class over Q(q): the placed operators
+    (kind, pos), kind one of g, e and h with the factor keys in factors, on
+    a w-site window.  params None stands for `chain_params()`."""
+    x9 = dict(zip("geh", map(_from_key, factors)))
+    mats = [embed_factor(x9[kind], 3 ** pos, 3 ** (w - pos - 2)) for kind, pos in placed]
+    return _relation_form(form, mats, SparseMatrix.identity(3 ** w, ONE),
+                          chain_params() if params is None else params)
+
+
+@lru_cache(maxsize=512)
+def _centralizer_residual(shape: tuple, offset: int, xkey: tuple, gen: str) -> SparseMatrix:
+    """[X', Delta_sub(gen)] over Q(q) on the sub-chain of the given shape,
+    with X' the factor keyed xkey placed at site offset."""
+    x = _from_key(xkey)
+    sub = ChainContext(*shape)
+    xs = embed_factor(x, 3 ** offset, sub.dim // (3 ** offset * x.nrows))
+    gmat = sub.quantum_group_action(gen)
+    return xs * gmat - gmat * xs
 
 
 def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
@@ -353,10 +376,12 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
 
     A window residual depends only on its class: the relation's form, the
     window size and its operators' kinds and positions in the window, given
-    the three 9x9 factors and the params.  Residuals are computed over Q(q)
-    for every backend and memoised by class for the whole process
-    (`_RELATION_RESIDUALS`), keyed by all of these, factor entries included;
-    the embedded factors are kept per call.
+    the three 9x9 factors and the params.  So it is a function of its class
+    key, `_relation_residual`, computed over Q(q) for every backend and
+    memoised for the whole process.  The key holds the factors' content
+    keys and the params (None for the shared `chain_params()`, so a hit
+    hashes no scalar); a miss rebuilds the factors from their keys and
+    embeds them in the window.
 
     At a point p each residual is the exact one evaluated at p (`_at_point`).
     That is the residual computed over Q at p: evaluation at p is a ring
@@ -367,116 +392,66 @@ def qwb_relation_residuals(ctx: ChainContext, params: QwbParams,
     1/(gamma delta)).
     """
     m, n = ctx.m, ctx.n
-    gam, dlt, tht = params.gamma, params.delta, params.theta
     if point is not None:
-        gam_p, dlt_p, _ = (x.eval_at(point) for x in (gam, dlt, tht))
+        gam_p, dlt_p, _ = (x.eval_at(point) for x in (params.gamma, params.delta, params.theta))
         if not gam_p + dlt_p:
             raise SingularParams("gamma + delta = 0")
-    gpd = gam + dlt
-    if not gpd:
+    if not params.gamma + params.delta:
         raise SingularParams("gamma + delta = 0")
-    x9 = dict(zip("geh", fundamental_ops()))
-    # the shared chain params are keyed by identity, through a fixed token
-    # that hashes no scalar; any other params, a planted delta among them, by content
-    given = (tuple(_factor_key(x) for x in x9.values()),
-             "chain_params" if params is chain_params() else params)
-    memo: dict = {}
-
-    def window(w, placed):
-        """The placed operators (kind, pos) embedded in a w-site window, and its identity."""
-        mats = []
-        for kind, pos in placed:
-            key = (kind, pos, w)
-            if key not in memo:
-                memo[key] = embed_factor(x9[kind], 3 ** pos, 3 ** (w - pos - 2))
-            mats.append(memo[key])
-        if w not in memo:
-            memo[w] = SparseMatrix.identity(3 ** w, ONE)
-        return mats, memo[w]
-
-    def quad(x, ident):
-        return (x - ident.scale(gam)) * (x - ident.scale(dlt))
-
-    def comm(x, y, _):
-        return x * y - y * x
-
-    def braid(x, y, _):
-        return x * y * x - y * x * y
-
-    def ee(ew, _):
-        return ew * ew - ew.scale((tht + ONE) / gpd)
-
-    def sandwich(ew, x, _):
-        return ew * x * ew - ew
-
-    def core(ew, g1, h1, ident):
-        # h1^-1 from the quadratic relation: h^-1 = (h - (gamma+delta)) / (-gamma delta)
-        h1inv = (h1 - ident.scale(gpd)).scale((-(gam * dlt)).invert())
-        return ew * g1 * h1inv * ew
-
-    def eghinv_right(ew, g1, h1, ident):
-        return core(ew, g1, h1, ident) * (g1 - h1)
-
-    def eghinv_left(ew, g1, h1, ident):
-        return (g1 - h1) * core(ew, g1, h1, ident)
+    factors = tuple(_factor_key(x) for x in fundamental_ops())
+    given = None if params is chain_params() else params
 
     def residual(form, *ops):
         # first sites: g_j at m-j-1, h_i at m+i-1, e (index 0) at m-1
         firsts = [m - 1 - index if kind == "g" else m - 1 + index for kind, index in ops]
         sites = sorted({f + d for f in firsts for d in (0, 1)})
-        w = len(sites)
         placed = tuple((kind, sites.index(f)) for (kind, _), f in zip(ops, firsts))
-
-        def compute():
-            mats, ident = window(w, placed)
-            return form(*mats, ident)
-
-        return _at_point(_RELATION_RESIDUALS.get((form.__name__, w, placed) + given, compute),
-                         point)
+        return _at_point(_relation_residual(form, len(sites), placed, factors, given), point)
 
     g, h, e = range(1, m), range(1, n), ("e", 0)
     for j in g:
-        yield f"quad_g{j}", residual(quad, ("g", j))
+        yield f"quad_g{j}", residual("quad", ("g", j))
     for i in h:
-        yield f"quad_h{i}", residual(quad, ("h", i))
+        yield f"quad_h{i}", residual("quad", ("h", i))
     for j in g:
         for i in h:
-            yield f"comm_g{j}_h{i}", residual(comm, ("g", j), ("h", i))
+            yield f"comm_g{j}_h{i}", residual("comm", ("g", j), ("h", i))
     for j1 in g:
         for j2 in g:
             if j2 - j1 > 1:
-                yield f"comm_g{j1}_g{j2}", residual(comm, ("g", j1), ("g", j2))
+                yield f"comm_g{j1}_g{j2}", residual("comm", ("g", j1), ("g", j2))
     for i1 in h:
         for i2 in h:
             if i2 - i1 > 1:
-                yield f"comm_h{i1}_h{i2}", residual(comm, ("h", i1), ("h", i2))
+                yield f"comm_h{i1}_h{i2}", residual("comm", ("h", i1), ("h", i2))
     for j in range(1, m - 1):
-        yield f"braid_g{j}", residual(braid, ("g", j), ("g", j + 1))
+        yield f"braid_g{j}", residual("braid", ("g", j), ("g", j + 1))
     for i in range(1, n - 1):
-        yield f"braid_h{i}", residual(braid, ("h", i), ("h", i + 1))
+        yield f"braid_h{i}", residual("braid", ("h", i), ("h", i + 1))
     if m >= 1 and n >= 1:
-        yield "ee", residual(ee, e)
+        yield "ee", residual("ee", e)
         if m >= 2:
-            yield "ege", residual(sandwich, e, ("g", 1))
+            yield "ege", residual("sandwich", e, ("g", 1))
         if n >= 2:
-            yield "ehe", residual(sandwich, e, ("h", 1))
+            yield "ehe", residual("sandwich", e, ("h", 1))
         for j in g:
             if j >= 2:
-                yield f"comm_e_g{j}", residual(comm, e, ("g", j))
+                yield f"comm_e_g{j}", residual("comm", e, ("g", j))
         for i in h:
             if i >= 2:
-                yield f"comm_e_h{i}", residual(comm, e, ("h", i))
+                yield f"comm_e_h{i}", residual("comm", e, ("h", i))
         if m >= 2 and n >= 2:
             if point is not None and not gam_p * dlt_p:
                 raise ZeroDivisionError("h1^-1 has a pole at the point: gamma delta = 0")
             ops = (e, ("g", 1), ("h", 1))
-            yield "eghinv_right", residual(eghinv_right, *ops)
-            yield "eghinv_left", residual(eghinv_left, *ops)
+            yield "eghinv_right", residual("eghinv_right", *ops)
+            yield "eghinv_left", residual("eghinv_left", *ops)
 
 
-def _timed_results(ctx, backend, residuals) -> list[CheckResult]:
+def _timed_results(ctx, point, residuals) -> list[CheckResult]:
     import time
 
+    backend = "symbolic" if point is None else f"eval(q={point.value})"
     out = []
     t0 = time.monotonic()
     for name, res in residuals:
@@ -490,8 +465,7 @@ def _timed_results(ctx, backend, residuals) -> list[CheckResult]:
 def check_qwb_relations(ctx: ChainContext, params: QwbParams | None = None,
                         point: EvalPoint | None = None) -> list[CheckResult]:
     params = params or chain_params()
-    backend = "symbolic" if point is None else f"eval(q={point.value})"
-    return _timed_results(ctx, backend, qwb_relation_residuals(ctx, params, point))
+    return _timed_results(ctx, point, qwb_relation_residuals(ctx, params, point))
 
 
 def _operator_window(op: SparseMatrix, nsites: int):
@@ -535,44 +509,29 @@ def centralizer_residuals(ctx: ChainContext, point: EvalPoint | None = None):
     The chain's own operators have w = 2, so no matrix larger than 81x81 and
     no coproduct on more than four sites is built.  A residual depends only
     on its class: the sub-chain shape, X's offset in it, X's entries and the
-    generator.  Residuals are computed over Q(q) for every backend and
-    memoised by class for the whole process (`_CENTRALIZER_RESIDUALS`), so
-    interior g_j and h_i, every context after the first few, and every
-    evaluation point share one computation.  At a point each residual is
-    the exact one evaluated there (`_at_point`), which is the residual over
-    Q at that point, as the entries of the chain's operators and coproducts
-    are Laurent polynomials (see `qwb_relation_residuals`).  Sub-chain coproducts and
-    embedded X are kept per call; a whole-chain operator's sub-chain is the
-    chain itself and uses ctx.
+    generator.  So it is a function of its class key,
+    `_centralizer_residual`, computed over Q(q) for every backend and
+    memoised for the whole process: interior g_j and h_i, every context
+    after the first few, and every evaluation point share one computation.
+    A miss rebuilds X from its content key and builds the sub-chain's
+    coproduct afresh.  At a point each residual is the exact one evaluated
+    there (`_at_point`), which is the residual over Q at that point, as the
+    entries of the chain's operators and coproducts are Laurent polynomials
+    (see `qwb_relation_residuals`).
     """
-    m, n, nsites = ctx.m, ctx.n, ctx.nsites
-    memo: dict = {("ctx", m, n): ctx}
-
-    def cached(key, build):
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
-
+    m, nsites = ctx.m, ctx.nsites
     for opname, op in ctx.operators():
         a, w, x = _operator_window(op, nsites)
         lo, hi = max(a - 1, 0), min(a + w + 1, nsites)
         shape = (max(0, min(hi, m) - lo), max(0, hi - max(lo, m)))
-        key = (shape, a - lo, _factor_key(x))
-        for gname in ("E", "F", "K", "k", "B", "C"):
-            def compute():
-                sub = cached(("ctx",) + shape, lambda: ChainContext(*shape))
-                xs = cached(("op",) + key, lambda: embed_factor(
-                    x, 3 ** (a - lo), 3 ** (hi - a - w)))
-                gmat = sub.quantum_group_action(gname)
-                return xs * gmat - gmat * xs
-
-            res = _CENTRALIZER_RESIDUALS.get(key + (gname,), compute)
-            yield f"[{opname},{gname}]", _at_point(res, point)
+        xkey = _factor_key(x)
+        for gen in ("E", "F", "K", "k", "B", "C"):
+            yield f"[{opname},{gen}]", _at_point(_centralizer_residual(shape, a - lo, xkey, gen),
+                                                 point)
 
 
 def check_centralizer(ctx: ChainContext, point: EvalPoint | None = None) -> list[CheckResult]:
-    backend = "symbolic" if point is None else f"eval(q={point.value})"
-    return _timed_results(ctx, backend, centralizer_residuals(ctx, point))
+    return _timed_results(ctx, point, centralizer_residuals(ctx, point))
 
 
 # ---------------------------------------------------------------------------

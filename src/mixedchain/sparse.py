@@ -74,21 +74,21 @@ class SparseMatrix:
             return False
         return self.rows == other.rows
 
-    def __add__(self, other):
+    def _sum(self, other, negate: bool):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix sum")
         out = SparseMatrix(self.nrows, self.ncols)
         out.rows = {r: dict(row) for r, row in self.rows.items()}
         for r, row in other.rows.items():
             for c, v in row.items():
-                out.add_to(r, c, v)
+                out.add_to(r, c, -v if negate else v)
         return out
 
+    def __add__(self, other):
+        return self._sum(other, False)
+
     def __sub__(self, other):
-        out = SparseMatrix(self.nrows, self.ncols)
-        out.rows = {r: dict(row) for r, row in self.rows.items()}
-        for r, row in other.rows.items():
-            for c, v in row.items():
-                out.add_to(r, c, -v)
-        return out
+        return self._sum(other, True)
 
     def __neg__(self):
         out = SparseMatrix(self.nrows, self.ncols)

@@ -275,7 +275,7 @@ def test_relations_never_build_a_chain_operator(monkeypatch):
     def refuse(self, which, index=0):
         raise AssertionError(f"built the chain operator {which}{index}")
 
-    chainrep._RELATION_RESIDUALS.clear()  # compute every class here
+    chainrep._relation_residual.cache_clear()  # compute every class here
     monkeypatch.setattr(ChainContext, "chain_operator", refuse)
     results = check_qwb_relations(ChainContext(5, 5))
     assert results and all(r.ok for r in results)
@@ -356,7 +356,7 @@ def test_centralizer_builds_no_full_chain_coproduct(monkeypatch):
             raise AssertionError(f"multiplied {left} by {right}")
         return product(left, right)
 
-    chainrep._CENTRALIZER_RESIDUALS.clear()  # compute every class here
+    chainrep._centralizer_residual.cache_clear()  # compute every class here
     monkeypatch.setattr(ChainContext, "quantum_group_action", small_coproduct)
     monkeypatch.setattr(SparseMatrix, "__mul__", small_product)
     monkeypatch.setattr(chainrep, "embed_factor", small_embedding)
@@ -403,20 +403,24 @@ def test_chain_operators_carry_their_window():
 
 
 def test_residual_memos_are_bounded_lrus():
-    for memo in (chainrep._RELATION_RESIDUALS, chainrep._CENTRALIZER_RESIDUALS):
-        assert 0 < memo.maxsize <= 1024
-    memo = chainrep._ResidualMemo(maxsize=2)
-    for key in ("a", "b", "a", "c"):
-        memo.get(key, lambda key=key: key.upper())
-    assert len(memo) == 2 and memo.misses == 3
-    assert memo.get("a", lambda: "recomputed") == "A"  # "b" was the least recent
-    assert memo.get("b", lambda: "recomputed") == "recomputed"
+    for memo in (chainrep._relation_residual, chainrep._centralizer_residual):
+        assert 0 < memo.cache_info().maxsize <= 1024
 
 
-@pytest.mark.parametrize("memo, checker, classes", [
-    (chainrep._RELATION_RESIDUALS, check_qwb_relations, 14),
-    (chainrep._CENTRALIZER_RESIDUALS, check_centralizer, 16 * 6),
+# each residual memo, the check that reads it, and the classes of a valid sweep
+WINDOW_MEMOS = pytest.mark.parametrize("memo, checker, classes", [
+    (chainrep._relation_residual, check_qwb_relations, 14),
+    (chainrep._centralizer_residual, check_centralizer, 16 * 6),
 ], ids=["relations", "centralizer"])
+
+
+def _computed(memo):
+    """How many residuals the memo has computed, and how many it holds."""
+    info = memo.cache_info()
+    return info.misses, info.currsize
+
+
+@WINDOW_MEMOS
 def test_each_window_class_is_computed_once(monkeypatch, memo, checker, classes):
     def sweep(bound, points):
         for total in range(2, bound + 1):
@@ -431,15 +435,34 @@ def test_each_window_class_is_computed_once(monkeypatch, memo, checker, classes)
     # a valid sweep has only zero residuals, which are never evaluated
     monkeypatch.setattr(chainrep, "_as_backend", refuse)
     # every class is present by m+n = 4; larger chains and the eval points only repeat them
-    memo.clear()
+    memo.cache_clear()
     sweep(10, eval_points(seed=20177))
-    assert memo.misses == len(memo) == classes
-    memo.clear()
+    assert _computed(memo) == (classes, classes)
+    memo.cache_clear()
     for bound in (4, 10):
         sweep(bound, [None])
-        assert memo.misses == len(memo) == classes, bound
+        assert _computed(memo) == (classes, classes), bound
     sweep(10, eval_points(seed=1))
-    assert memo.misses == len(memo) == classes
+    assert _computed(memo) == (classes, classes)
+
+
+@WINDOW_MEMOS
+def test_a_reverse_sweep_computes_the_same_classes(memo, checker, classes):
+    # a residual is a function of its class alone, so the order of the
+    # contexts changes neither the classes computed nor any verdict
+    contexts = [(m, total - m) for total in range(2, 7) for m in range(total + 1)]
+
+    def verdicts(order):
+        return {(m, n): [(r.relation, r.ok) for r in checker(ChainContext(m, n))]
+                for m, n in order}
+
+    memo.cache_clear()
+    backward = verdicts(reversed(contexts))
+    assert _computed(memo) == (classes, classes)
+    forward = verdicts(contexts)
+    assert _computed(memo) == (classes, classes)  # the forward sweep only looks them up
+    assert forward == backward
+    assert all(ok for rows in forward.values() for _, ok in rows)
 
 
 def test_memo_hits_on_the_chain_factors_compare_no_scalar(monkeypatch):

@@ -1,10 +1,11 @@
-"""Golden outputs: the exact bytes that the label commands print.
+"""Golden outputs: the exact bytes that the label commands and the chain
+sweeps print.
 
 Each command runs in process through `cli.main`.  The test pins the sha256
-of its stdout and its exit code, so a refactor of the label layer that
-changes one byte of a report, a table or a decomposition fails here.  A
-change that means to alter one of these outputs updates its digest, and
-says why.
+of its stdout and its exit code, so a refactor of the label layer or of the
+chain checks that changes one byte of a report, a table or a decomposition
+fails here.  A change that means to alter one of these outputs updates its
+digest, and says why.
 """
 
 import contextlib
@@ -26,6 +27,14 @@ GOLDEN = {
     "decompose 20 40": "656f49f9adfe9bf4b9651e481a3f3983928306c559f308d68c49eb8ddc700874",
     "table 17 13 --json": "7f1f32f000e0126634f3ef2229f7280884e748393e00da2a0ea20f7543cc0ae7",
     "table 4 9": "7de5df32bff06eb53eab994d1193e303c50c0dce0a7b798fbde0e83cfdb1ae0f",
+    "verify relations --max-mn 10 --json":
+        "3aadf56887669a1683367c2ae1f9ff1d026a77f83eaff06e4b9b8f374d74645d",
+    "verify centralizer --max-mn 8 --json":
+        "fe5feff955bff85c947170ccd8a194299ee4781b911bd822e7e9ffd7e7cf2da2",
+    "verify relations --backend eval --max-mn 7 --json":
+        "27b1b1c35916df8ca2e9ced84368f912581989285c540d80cb06fcf65a94d47a",
+    "verify centralizer --backend eval --seed 3 --max-mn 5 --json":
+        "8716d98a7325ccd1e281d9b434a649d66f7bc2da0ef79c492ee7266fd18bacd5",
 }
 
 

@@ -63,3 +63,19 @@ def test_diagonal_matrix_is_immutable():
         d.set(0, 1, ZERO)
     assert d.diag == [ONE, Q]
 
+
+
+@pytest.mark.parametrize("other", [
+    SparseMatrix(3, 3, {(2, 2): ONE}),
+    SparseMatrix(2, 3, {(0, 2): ONE}),
+    SparseMatrix(3, 2),
+    DiagonalMatrix([ONE, Q, ONE]),
+], ids=["larger", "wide", "tall", "diagonal"])
+def test_sum_of_mismatched_shapes_is_refused(other):
+    square = SparseMatrix(2, 2, {(0, 1): Q})
+    for left, right in ((square, other), (other, square)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            left + right
+        with pytest.raises(ValueError, match="shape mismatch"):
+            left - right
+    assert square + SparseMatrix(2, 2) == square == square - SparseMatrix(2, 2)
