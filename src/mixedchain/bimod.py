@@ -12,7 +12,9 @@ restriction; these are the headline checks of the artifact.
 `verify_identities` checks both identities of a context in one pass: the
 two flattenings share the semisimple part, so each of its simples is fused
 and restricted once into one signed remainder, and only the projective
-terms and the atypical parts are added per identity.  The fusion of each
+terms and the atypical parts are added per identity.  Each sum is a
+`GrothVector` built by its `add`, one call per item, except the one hot
+loop, the semisimple restriction, which subtracts inline.  The fusion of each
 barred label is memoised in an LRU cache of 8192 labels (`_fused`), like
 `labels.bar_to_plain`, which holds every label of a sweep to m+n = 25; it
 reads the fusion rule table uncached, so a label's fusion is kept once.
@@ -364,27 +366,6 @@ def _fused(z: BarLabel) -> tuple[tuple, tuple, tuple]:
     return tuple(simples), tuple(covers), tuple(subs.items())
 
 
-def _shift(acc: dict, key, delta: int) -> None:
-    """Add delta to acc[key], deleting the entry when it reaches zero."""
-    new = acc.get(key, 0) + delta
-    if new:
-        acc[key] = new
-    else:
-        del acc[key]
-
-
-def _add(acc: dict, term, items, mult: int = 1) -> None:
-    """Add mult times each (label, m) item to acc[(term, label)]."""
-    for label, lm in items:
-        _shift(acc, (term, label), mult * lm)
-
-
-def _add_terms(acc: dict, items, w, mult: int = 1) -> None:
-    """Add mult times each (term, m) item to acc[(term, w)]."""
-    for term, tm in items:
-        _shift(acc, (term, w), mult * tm)
-
-
 def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     """Both induction identities at (m,n), in one pass: (tensor, proj).
 
@@ -406,11 +387,15 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     each identity then adds its own terms, and its flattening of the
     atypical part, to a copy of that remainder.  Within the semisimple part
     no left key repeats: its bipartitions are distinct, so its entries are
-    set, not summed.
+    set, not summed.  Every other term is summed by `GrothVector.add`, one
+    call per item, so a repeated key is never overwritten, except in the
+    restriction of the semisimple part: about 90,000 items in a sweep to
+    m+n = 25, subtracted inline, since a call per item made that sweep
+    about 4% slower (CPU time, 15 paired runs).
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    shared: dict = {}
+    shared = GrothVector()
     # left side: (m, n) tensored with the dual fundamental module
     split = []
     for lam, z in semisimple_part(m, n):
@@ -427,6 +412,7 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
         w = bar_to_plain(z)
         for rterm, rm in items:
             if rterm[0] == "D":
+                # inline, not `shared.add`: the hot loop of a sweep
                 key = (rterm, w)
                 left = shared.pop(key, 0) - rm
                 if left:
@@ -434,33 +420,39 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
             else:
                 projective.append((rterm, w, rm))
 
-    tensor = dict(shared)
+    tensor = GrothVector(shared)
     for term, covers, _subs in split:
-        _add(tensor, term, covers)
+        for w, wm in covers:
+            tensor.add((term, w), wm)
     for (term, z), mult in _q_atypical_items(m, n):
         simples, covers, _subs = _fused(z)
-        _add(tensor, term, simples, mult)
-        _add(tensor, term, covers, mult)
+        for w, wm in simples + covers:
+            tensor.add((term, w), mult * wm)
     for rterm, w, rm in projective:
-        _add_terms(tensor, q_functor(rterm, m, n).items(), w, -rm)
+        for dterm, dm in q_functor(rterm, m, n).items():
+            tensor.add((dterm, w), -rm * dm)
     for (term, z), mult in _q_atypical_items(m, n + 1):
         w = bar_to_plain(z)
         for rterm, rm in restriction_items(term, m, n + 1):
             # a simple term is its own flattening
             flat = ((rterm, 1),) if rterm[0] == "D" else q_functor(rterm, m, n).items()
-            _add_terms(tensor, flat, w, -mult * rm)
+            for dterm, dm in flat:
+                tensor.add((dterm, w), -mult * rm * dm)
 
     proj = shared
     for term, _covers, subs in split:
-        _add(proj, term, subs)
+        for w, wm in subs:
+            proj.add((term, w), wm)
     for (term, z), mult in _p_atypical_items(m, n):
         simples, _covers, subs = _fused(z)
-        _add(proj, term, simples, mult)
-        _add(proj, term, subs, mult)
+        for w, wm in simples + subs:
+            proj.add((term, w), mult * wm)
     for rterm, w, rm in projective:
-        _shift(proj, (rterm, w), -rm)
+        proj.add((rterm, w), -rm)
     for (term, z), mult in _p_atypical_items(m, n + 1):
-        _add_terms(proj, restriction_items(term, m, n + 1), bar_to_plain(z), -mult)
+        w = bar_to_plain(z)
+        for rterm, rm in restriction_items(term, m, n + 1):
+            proj.add((rterm, w), -mult * rm)
     return not tensor, not proj
 
 

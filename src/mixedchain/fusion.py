@@ -12,7 +12,8 @@ the chain 3^m is the dual of 3bar^m.  `fuse_with_v` reads the rule table
 on every call and returns a fresh vector; the chain content memoises
 x (x) 3bar per label in an LRU cache of 8192 immutable item tuples, which
 holds every label that one chain with m+n <= 60 fuses (at most 4,880, at
-(58, 2)).  The content of a context is a field of its record (`labelctx`).
+(58, 2)).  The content of a context is a field of its record (`labelctx`):
+an unordered, read-only multiset; only `decompose` sorts it, to print it.
 Multiplicities are positive, so a sum of them is never zero.
 """
 
@@ -28,25 +29,19 @@ Label = ZLabel | RLabel
 
 
 class GrothVector(dict):
-    """Multiset of labels with positive integer multiplicities."""
+    """Multiset of labels with integer multiplicities, no zero entries:
+    the label layer's one signed accumulator."""
 
     def add(self, label, mult: int = 1) -> None:
-        if mult == 0:
-            return
         new = self.get(label, 0) + mult
         if new:
             self[label] = new
         else:
-            del self[label]
+            self.pop(label, None)
 
     def add_all(self, other: "GrothVector", mult: int = 1) -> None:
         for label, m in other.items():
             self.add(label, m * mult)
-
-    def __add__(self, other):
-        out = GrothVector(self)
-        out.add_all(other)
-        return out
 
     def total_dim(self) -> int:
         return sum(m * dim_label(x) for x, m in self.items())
@@ -144,7 +139,7 @@ def _next_content(v) -> MappingProxyType:
     for label, mult in v.items():
         for w, wm in _fused_with_v(label):
             out[w] = out.get(w, 0) + mult * wm
-    return MappingProxyType(dict(sorted_labels(out)))
+    return MappingProxyType(out)
 
 
 _EMPTY_CHAIN = MappingProxyType({Z(1, 1, 1, 0): 1})  # the trivial module
@@ -152,8 +147,8 @@ _EMPTY_CHAIN = MappingProxyType({Z(1, 1, 1, 0): 1})  # the trivial module
 
 @field
 def chain_content(m: int, n: int) -> MappingProxyType:
-    """Indecomposable content of the m,n mixed chain as a read-only mapping,
-    shared by every caller.
+    """Indecomposable content of the m,n mixed chain as an unordered,
+    read-only mapping, shared by every caller.
 
     A sweep visits the contexts column by column, so the record of (m, n-1)
     holds its content, and (m, n) is one fusion step from it.  Otherwise the
@@ -166,14 +161,15 @@ def chain_content(m: int, n: int) -> MappingProxyType:
     for _ in range(m):  # 3bar^m
         content = _next_content(content)
     if m:  # 3^m is the dual of 3bar^m
-        content = MappingProxyType(dict(sorted_labels(_dual_vector(content))))
+        content = MappingProxyType(_dual_vector(content))
     for _ in range(n):
         content = _next_content(content)
     return content
 
 
 def chain_decompose(m: int, n: int) -> GrothVector:
-    """Indecomposable content of the m,n mixed chain, as a fresh vector."""
+    """Indecomposable content of the m,n mixed chain, as a fresh vector in
+    insertion order."""
     return GrothVector(chain_content(m, n))
 
 

@@ -22,11 +22,11 @@ from mixedchain.bimod import (
     table_csv,
     verify_identities,
 )
-from mixedchain.fusion import chain_decompose, fuse_with_v
+from mixedchain.fusion import GrothVector, chain_decompose, fuse_with_v
 from mixedchain.partitions import atyp, atypical_bipartition, atypical_columns, cross_set, gswap
 from mixedchain.labelctx import LabelContext, context
 from mixedchain.labels import bar, bar_to_plain, gbar, simple_subquotients
-from mixedchain.xcat import q_functor, res_right_d, res_right_k
+from mixedchain.xcat import res_right_d, res_right_k
 
 bip = atypical_bipartition
 
@@ -244,7 +244,7 @@ def oracle_identity_tensor(m, n):
     for (term, z), mult in q_flattened(m, n + 1).items():
         w = bar_to_plain(z)
         for rterm, rm in _restricted(term, m, n + 1):
-            for dterm, dm in q_functor(rterm, m, n).items():
+            for dterm, dm in xc.q_functor(rterm, m, n).items():
                 rhs[(dterm, w)] = rhs.get((dterm, w), 0) + mult * rm * dm
     return _nonzero(lhs) == _nonzero(rhs)
 
@@ -312,20 +312,48 @@ def _drop_exceptional_row(name):
     return "_exceptional_rows", planted
 
 
-@pytest.mark.parametrize("module, plant", [
-    (xc, lambda: _drop_generic_term(((2,), (2,)))),
-    (fu, lambda: _bump_fusion_mult(bar_to_plain(semisimple_part(3, 2)[0][1]))),
-    (xc, lambda: _drop_exceptional_row("X.bd.wall")),
-], ids=["generic-term", "fusion-mult", "exceptional-row"])
-def test_planted_faults_fail_the_same_contexts(monkeypatch, module, plant):
+def _extra_k_restriction_term(lab):
+    res_k = xc._res_k_atypical
+
+    def planted(label, m, n):
+        out = GrothVector(res_k(label, m, n))
+        if label == lab:
+            out.add(("D", ((), ())))
+        return out
+    return "_res_k_atypical", planted
+
+
+def _bump_flattening_mult(lam):
+    flatten = xc.q_functor
+
+    def planted(term, m, n):
+        out = flatten(term, m, n)
+        if term == ("K", lam):
+            out[next(iter(out))] += 1
+        return out
+    return "q_functor", planted
+
+
+@pytest.mark.parametrize("plant", [
+    lambda: _drop_generic_term(((2,), (2,))),
+    lambda: _bump_fusion_mult(bar_to_plain(semisimple_part(3, 2)[0][1])),
+    lambda: _drop_exceptional_row("X.bd.wall"),
+    lambda: _extra_k_restriction_term(atyp("delta", True, 2, 1)),
+    lambda: _bump_flattening_mult(((1,), (1, 1))),
+], ids=["generic-term", "fusion-mult", "exceptional-row", "k-restriction-term",
+        "flattening-mult"])
+def test_planted_faults_fail_the_same_contexts(monkeypatch, plant):
     # each fault is seen by the one-pass check and by the oracle, at the same
-    # contexts and for the same identities, and not everywhere
+    # contexts and for the same identities, and not everywhere; it is
+    # planted in every label module that binds the faulty function's name
     contexts = _identity_contexts(15)
     name, planted = plant()
     _clear_label_memos()
     try:
         with monkeypatch.context() as patched:
-            patched.setattr(module, name, planted)
+            for module in (fu, xc, bm):
+                if hasattr(module, name):
+                    patched.setattr(module, name, planted)
             failing = []
             for m, n in contexts:
                 got = verify_identities(m, n)

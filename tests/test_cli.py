@@ -66,6 +66,20 @@ def test_decompose_deterministic(capsys):
     assert out1 == out2
 
 
+def test_decompose_prints_summands_in_label_order(capsys):
+    # the chain content is unordered; the renderer is the one place that sorts
+    from mixedchain.fusion import _label_sort_key
+
+    for m in range(21):
+        for n in range(max(1 - m, 0), 21 - m):
+            code, out, _ = run(capsys, "decompose", str(m), str(n))
+            assert code == 0, (m, n)
+            summands = json.loads(out)["summands"]
+            keys = [_label_sort_key(parse_label(s["label"])) for s in summands]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys), (m, n)
+            assert sum(s["mult"] * s["dim"] for s in summands) == 3 ** (m + n), (m, n)
+
+
 def test_decompose_usage_error(capsys):
     code, _, err = run(capsys, "decompose", "0", "0")
     assert code == 2
