@@ -13,8 +13,7 @@ restriction; these are the headline checks of the artifact.
 two flattenings share the semisimple part, so each of its simples is fused
 and restricted once into one signed remainder, and only the projective
 terms and the atypical parts are added per identity.  Each sum is a
-`GrothVector` built by its `add`, one call per item, except the one hot
-loop, the semisimple restriction, which subtracts inline.  The fusion of each
+`GrothVector` built by its `add`, one call per item.  The fusion of each
 barred label is memoised in an LRU cache of 8192 labels (`_fused`), like
 `labels.bar_to_plain`, which holds every label of a sweep to m+n = 25; it
 reads the fusion rule table uncached, so a label's fusion is kept once.
@@ -388,10 +387,7 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     atypical part, to a copy of that remainder.  Within the semisimple part
     no left key repeats: its bipartitions are distinct, so its entries are
     set, not summed.  Every other term is summed by `GrothVector.add`, one
-    call per item, so a repeated key is never overwritten, except in the
-    restriction of the semisimple part: about 90,000 items in a sweep to
-    m+n = 25, subtracted inline, since a call per item made that sweep
-    about 4% slower (CPU time, 15 paired runs).
+    call per item, so a repeated key is never overwritten.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
@@ -408,15 +404,12 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     # right side: (m, n+1) restricted down one right strand
     pairs = semisimple_part(m, n + 1)
     projective = []
+    add = shared.add
     for (_lam, z), items in zip(pairs, restrict_simples([lam for lam, _z in pairs], m, n + 1)):
         w = bar_to_plain(z)
         for rterm, rm in items:
             if rterm[0] == "D":
-                # inline, not `shared.add`: the hot loop of a sweep
-                key = (rterm, w)
-                left = shared.pop(key, 0) - rm
-                if left:
-                    shared[key] = left
+                add((rterm, w), -rm)
             else:
                 projective.append((rterm, w, rm))
 

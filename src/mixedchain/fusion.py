@@ -33,11 +33,10 @@ class GrothVector(dict):
     the label layer's one signed accumulator."""
 
     def add(self, label, mult: int = 1) -> None:
-        new = self.get(label, 0) + mult
+        # pop first: a sum that cancels hashes its label once
+        new = self.pop(label, 0) + mult
         if new:
             self[label] = new
-        else:
-            self.pop(label, None)
 
     def add_all(self, other: "GrothVector", mult: int = 1) -> None:
         for label, m in other.items():
@@ -169,7 +168,7 @@ def chain_content(m: int, n: int) -> MappingProxyType:
 
 def chain_decompose(m: int, n: int) -> GrothVector:
     """Indecomposable content of the m,n mixed chain, as a fresh vector in
-    insertion order."""
+    insertion order; `sorted_labels` gives it in label order."""
     return GrothVector(chain_content(m, n))
 
 

@@ -44,8 +44,6 @@ def _norm(v):
 
 def _div(a, b):
     """The exact quotient of two coefficients (a bare ``/`` of ints is a float)."""
-    if type(a) is int and type(b) is int and b and not a % b:
-        return a // b
     return _norm(Fraction(a, b))
 
 

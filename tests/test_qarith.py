@@ -16,7 +16,6 @@ from mixedchain.qarith import (
     PoleAtPoint,
     QScalar,
     _div,
-    _norm,
     _ONE_LP,
     _poly_divmod,
     eval_points,
@@ -105,27 +104,6 @@ def test_qint_addition_identity():
             lhs = qint(n + m) * d
             rhs = qpow(m) * qint(n) * d + qpow(-n) * qint(m) * d
             assert lhs == rhs
-
-
-coefficients = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
-                         st.fractions(max_denominator=60))
-
-
-@settings(max_examples=500, deadline=None)
-@given(coefficients, st.one_of(st.sampled_from([1, -1]), coefficients).filter(bool),
-       st.booleans())
-@example(Fraction(6), -3, False)
-@example(-7, 7, False)
-@example(0, -5, False)
-def test_div_matches_the_fraction_quotient(a, b, exact):
-    # the int fast path must give the value and type of the Fraction path
-    if exact:
-        a *= b  # an exact quotient whenever both are ints
-    want = _norm(Fraction(a, b))
-    got = _div(a, b)
-    assert got == want and type(got) is type(want), (a, b)
-    with pytest.raises(ZeroDivisionError):
-        _div(a, 0)
 
 
 scalars = st.builds(
