@@ -9,65 +9,67 @@ reproduces closed-form sums, and the whole decomposition satisfies two
 induction identities tying tensoring with the dual fundamental module to
 restriction; these are the headline checks of the artifact.
 
+This layer owns the quantum-group side of the bimodule, and computes it in
+plain module labels (`ZLabel`, `RLabel`); a mirror context (m < n) maps
+them with `labels.dual`.  The paper writes them in barred (p; t, r)
+coordinates: its closed forms (`closed_form_p`, `closed_form_q`,
+`column_top_label`, `extra_vertex_label`) are read through `bar_to_plain`,
+and only `table_grid` and the CLI print them, through `plain_to_bar`.  The
+atypical part is derived once from the column layout, as its graph
+(`atypical_part`); both flattenings are read off that graph, and the
+dimension ledger (`dims_for`) reads the q-flattening against the chain
+content.
+
 `verify_identities` checks both identities of a context in one pass: the
 two flattenings share the semisimple part, so each of its simples is fused
 and restricted once into one signed remainder, and only the projective
 terms and the atypical parts are added per identity.  Each sum is a
-`GrothVector` built by its `add`, one call per item.  The fusion of each
-barred label is memoised in an LRU cache of 8192 labels (`_fused`), like
-`labels.bar_to_plain`, which holds every label of a sweep to m+n = 25; it
-reads the fusion rule table uncached, so a label's fusion is kept once.
-The per-context tables (`semisimple_part`, `atypical_part` and the flattened
-atypical parts) are fields of the context's record (`labelctx`).  The dims
-check of a context (`bimodule_audit`) reads the ledger `xcat.dims_for` and
-builds the semisimple content once for both audits, and compares the
-flattened atypical parts of the record with their closed forms.  The
-vertices and the graph of the atypical part are `TaggedTuple` records, so
-this layer imports no `dataclasses`.
+`GrothVector` built by its `add`, one call per item.  Each label's fusion
+is read from `fusion._fused_with_v`, the one fusion memo of the label
+layer, and its projective summands are split off where they are read.
+The per-context tables (`semisimple_part`, `atypical_part`, the flattened
+atypical parts and `dims_for`) are fields of the context's record
+(`labelctx`).  The dims check of a context (`bimodule_audit`) computes both
+audits from one ledger and one semisimple content (`dimension_audits`),
+and compares the flattened atypical parts of the record with their closed
+forms.  The vertices and the graph of the atypical part are `TaggedTuple`
+records, so this layer imports no `dataclasses`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .fusion import GrothVector, chain_content, fuse_with_v
+from .fusion import GrothVector, _fused_with_v, chain_content
 from .labelctx import field
 from .labels import (
-    BarLabel,
+    R,
     RLabel,
+    ZLabel,
     bar,
-    bar_cover,
-    bar_subquotients,
     bar_to_plain,
-    dim_bar,
-    gbar,
+    dim_label,
+    dual,
     is_atypical,
+    plain_to_bar,
     proj_subquotients,
     simple_subquotients,
 )
 from .partitions import (
+    AtypicalLabel,
     Bipartition,
     atyp,
     atypical_bipartition,
     atypical_columns,
     bip_str,
     gswap,
+    gswap_label,
 )
 from .tagged import TaggedTuple
-from .xcat import (
-    column_top_label,
-    dims_for,
-    extra_vertex_label,
-    proj_structure,
-    q_functor,
-    restrict_simples,
-    restriction_items,
-)
+from .xcat import XTerm, proj_structure, q_functor, restrict_simples, restriction_items
 
-SemisimplePair = tuple[Bipartition, BarLabel]
+SemisimplePair = tuple[Bipartition, ZLabel]
 
 _new = tuple.__new__
-_BAR_TAG = BarLabel._tag
+_Z_TAG = ZLabel._tag
 
 
 def _hook(k: int, ones: int) -> tuple:
@@ -79,7 +81,7 @@ def semisimple_part(m: int, n: int) -> tuple[SemisimplePair, ...]:
     """All (bipartition, typical quantum label) pairs of the semisimple part.
     A mirror context (m < n) is built from the uncached pairs of (n, m)."""
     if m < n:
-        return tuple((gswap(lam), gbar(z)) for lam, z in _semisimple_pairs(n, m))
+        return tuple((gswap(lam), dual(z)) for lam, z in _semisimple_pairs(n, m))
     return _semisimple_pairs(m, n)
 
 
@@ -87,7 +89,7 @@ def _semisimple_pairs(m: int, n: int) -> tuple[SemisimplePair, ...]:
     """The pairs of `semisimple_part` for m >= n, uncached."""
     if m + n == 0:
         return ()
-    # (bipartition, p, t, r) of each simple barred label Zbar[p; t, r]
+    # (bipartition, p, t, r) of each simple, given as the barred label Zbar[p; t, r]
     cells: list[tuple[Bipartition, int, int, int]] = []
     a = m - n
     for s in range(1, n + 1):
@@ -121,11 +123,12 @@ def _semisimple_pairs(m: int, n: int) -> tuple[SemisimplePair, ...]:
             cells.append((((s, k), (1,) * (s + k - a)),
                           s + k + a, s - a, 1 - k + a))
     cells.sort(key=lambda c: (c[2], c[3], c[0]))  # by (t, r), then bipartition
-    # the ranges above give valid labels only, so `bar` need not check them
-    pairs = tuple((lam, _new(BarLabel, (_BAR_TAG, "Z", p % 2, t, r)))
+    # a typical Zbar[p; t, r] (t, r != 0) is Z[1, (-1)^p; t + r, r]; the
+    # ranges above give t + r >= 1 only, so `Z` need not check the label
+    pairs = tuple((lam, _new(ZLabel, (_Z_TAG, 1, -1 if p % 2 else 1, t + r, r)))
                   for lam, p, t, r in cells)
     for lam, z in pairs:
-        if is_atypical(bar_to_plain(z)):
+        if is_atypical(z):
             raise AssertionError(f"atypical label {z} in the semisimple part")
     return pairs
 
@@ -149,9 +152,43 @@ class BimoduleGraph(TaggedTuple, fields="m n vertices edges"):
     __slots__ = ()
 
 
-def _column_mids(z_top: BarLabel, prev_top, next_top) -> tuple[BarLabel, BarLabel]:
+def _bar(kind: str, p: int, t: int, r: int):
+    """The plain label that the paper writes as the barred label
+    kind-bar[p; t, r]."""
+    return bar_to_plain(bar(kind, p, t, r))
+
+
+def column_top_label(lab: AtypicalLabel, m: int, n: int) -> ZLabel:
+    """Quantum-group label at the head of an atypical column."""
+    if m < n:
+        return dual(column_top_label(gswap_label(lab), n, m))
+    a, s = lab.a, lab.s
+    if m == n:
+        if lab.family != "delta2":
+            raise AssertionError(f"unexpected column {lab} at ({m},{n})")
+        return _bar("Z", s - 1, 0, s) if lab.bar else _bar("Z", s - 1, s, 0)
+    if lab.family == "delta":
+        return _bar("Z", s, 0, s + a - 1)
+    if lab.family == "delta1":
+        return _bar("Z", s, 0, a - s + 1)
+    return _bar("Z", s + 1, s - a, 0)
+
+
+def extra_vertex_label(m: int, n: int) -> ZLabel:
+    """Quantum-group label of the lone vertex glued into the zig-zag."""
+    if m >= n:
+        return _bar("Z", 1, 0, m - n)
+    return dual(extra_vertex_label(n, m))
+
+
+def _cover(z: ZLabel) -> RLabel:
+    """The projective cover of an atypical simple, which has its fields."""
+    return R(z.alpha, z.beta, z.s, z.r)
+
+
+def _column_mids(z_top: ZLabel, prev_top, next_top) -> tuple[ZLabel, ZLabel]:
     """Orient the two cover middles toward the previous and next columns."""
-    mA, mB = bar_subquotients(bar_cover(z_top))[1:3]
+    mA, mB = proj_subquotients(_cover(z_top))[1:3]
     if prev_top is not None:
         if mA == prev_top:
             pair = mA, mB
@@ -170,75 +207,70 @@ def _column_mids(z_top: BarLabel, prev_top, next_top) -> tuple[BarLabel, BarLabe
 
 @field
 def atypical_part(m: int, n: int) -> BimoduleGraph:
-    """The indecomposable atypical summand, with both edge colours."""
+    """The indecomposable atypical summand, with both edge colours.  Column
+    i holds the vertices 4i (top), 4i+1 and 4i+2 (its middles toward the
+    previous and the next column) and 4i+3 (bottom); the extra vertex is
+    the last one."""
     cols, extra, host = atypical_columns(m, n)
     xbip = atypical_bipartition
-    z_extra = extra_vertex_label(m, n)
-    if not cols:
-        v = (BimodVertex(xbip(extra), z_extra, "extra", -1),)
-        return BimoduleGraph(m, n, v, ())
     tops = [column_top_label(lab, m, n) for lab in cols]
     vertices: list[BimodVertex] = []
     edges: list[tuple[int, int, str]] = []
-    idx: dict[tuple[int, str], int] = {}
-
-    def put(v: BimodVertex, key) -> int:
-        idx[key] = len(vertices)
-        vertices.append(v)
-        return idx[key]
-
     for i, lab in enumerate(cols):
         x = xbip(lab)
         prev_top = tops[i - 1] if i > 0 else None
         next_top = tops[i + 1] if i + 1 < len(cols) else None
         mid_prev, mid_next = _column_mids(tops[i], prev_top, next_top)
-        put(BimodVertex(x, tops[i], "top", i), (i, "top"))
-        put(BimodVertex(x, mid_prev, "mid", i), (i, "midp"))
-        put(BimodVertex(x, mid_next, "mid", i), (i, "midn"))
-        put(BimodVertex(x, tops[i], "bot", i), (i, "bot"))
-        for mk in ("midp", "midn"):
-            edges.append((idx[(i, "top")], idx[(i, mk)], "uq"))
-            edges.append((idx[(i, mk)], idx[(i, "bot")], "uq"))
-    extra_i = put(BimodVertex(xbip(extra), z_extra, "extra", -1), ("extra",))
+        vertices += (BimodVertex(x, tops[i], "top", i), BimodVertex(x, mid_prev, "mid", i),
+                     BimodVertex(x, mid_next, "mid", i), BimodVertex(x, tops[i], "bot", i))
+        top, bot = 4 * i, 4 * i + 3
+        for mid in (top + 1, top + 2):
+            edges += ((top, mid, "uq"), (mid, bot, "uq"))
+    vertices.append(BimodVertex(xbip(extra), extra_vertex_label(m, n), "extra", -1))
     for i in range(len(cols)):
-        if i > 0:
-            edges.append((idx[(i - 1, "top")], idx[(i, "midp")], "cent"))
-            edges.append((idx[(i, "midp")], idx[(i - 1, "bot")], "cent"))
-        if i + 1 < len(cols):
-            edges.append((idx[(i + 1, "top")], idx[(i, "midn")], "cent"))
-            edges.append((idx[(i, "midn")], idx[(i + 1, "bot")], "cent"))
-    edges.append((idx[(host, "top")], extra_i, "cent"))
-    edges.append((extra_i, idx[(host, "bot")], "cent"))
+        top = 4 * i
+        if i > 0:  # the previous column's head and foot meet this middle
+            edges += ((top - 4, top + 1, "cent"), (top + 1, top - 1, "cent"))
+        if i + 1 < len(cols):  # and so do the next column's
+            edges += ((top + 4, top + 2, "cent"), (top + 2, top + 7, "cent"))
+    if cols:
+        last = len(vertices) - 1
+        edges += ((4 * host, last, "cent"), (last, 4 * host + 3, "cent"))
     return BimoduleGraph(m, n, tuple(vertices), tuple(edges))
 
 
-def p_atypical(m: int, n: int) -> GrothVector:
-    """Quantum-side flattening of the atypical part: (X-term, simple bar) pairs."""
-    cols, extra, _host = atypical_columns(m, n)
-    xbip = atypical_bipartition
+def _flattening(m: int, n: int, colour: str, head) -> GrothVector:
+    """A flattening of the atypical part, read off its graph: a top vertex
+    heads its component of edges of the colour, which flattens to the one
+    term head(top), and any other vertex with no edge of that colour is a
+    simple."""
+    graph = atypical_part(m, n)
+    coloured = set()
+    for src, dst, c in graph.edges:
+        if c == colour:
+            coloured.add(src)
+            coloured.add(dst)
     out = GrothVector()
-    if not cols:
-        out.add((("D", xbip(extra)), extra_vertex_label(m, n)))
-        return out
-    tops = [column_top_label(lab, m, n) for lab in cols]
-    for i, lab in enumerate(cols):
-        out.add((("K", xbip(lab)), tops[i]))
-    first_mid, _ = _column_mids(tops[0], None, tops[1] if len(cols) > 1 else None)
-    _, last_mid = _column_mids(tops[-1], tops[-2] if len(cols) > 1 else None, None)
-    out.add((("D", xbip(cols[0])), first_mid))
-    out.add((("D", xbip(cols[-1])), last_mid))
+    for i, v in enumerate(graph.vertices):
+        if v.layer == "top":
+            out.add(head(v))
+        elif i not in coloured:
+            out.add((("D", v.x), v.z))
     return out
+
+
+def p_atypical(m: int, n: int) -> GrothVector:
+    """Quantum-side flattening of the atypical part: each component of
+    centralizer edges is the cover K of its top's bipartition, boxed with
+    its simple quantum label."""
+    return _flattening(m, n, "cent", lambda v: (("K", v.x), v.z))
 
 
 def q_atypical(m: int, n: int) -> GrothVector:
-    """Centralizer-side flattening: (X-term, quantum indecomposable) pairs."""
-    cols, extra, _host = atypical_columns(m, n)
-    xbip = atypical_bipartition
-    out = GrothVector()
-    for lab in cols:
-        out.add((("D", xbip(lab)), bar_cover(column_top_label(lab, m, n))))
-    out.add((("D", xbip(extra)), extra_vertex_label(m, n)))
-    return out
+    """Centralizer-side flattening: each column, a component of
+    quantum-group edges, is its simple X-label boxed with the quantum cover
+    of its top."""
+    return _flattening(m, n, "uq", lambda v: (("D", v.x), _cover(v.z)))
 
 
 def closed_form_q(m: int, n: int) -> GrothVector:
@@ -246,30 +278,30 @@ def closed_form_q(m: int, n: int) -> GrothVector:
     out = GrothVector()
     if m < n:
         for (term, z), mult in closed_form_q(n, m).items():
-            out.add(((term[0], gswap(term[1])), gbar(z)), mult)
+            out.add(((term[0], gswap(term[1])), dual(z)), mult)
         return out
     a = m - n
     xbip = atypical_bipartition
     if n == 0:
-        out.add((("D", xbip(atyp("delta", False, m, 0))), bar("Z", 1, 0, m)))
+        out.add((("D", xbip(atyp("delta", False, m, 0))), _bar("Z", 1, 0, m)))
         return out
     if m > n:
         for s in range(1, n + 1):
-            out.add((("D", xbip(atyp("delta", False, a, s))), bar("R", s, 0, a + s - 1)))
+            out.add((("D", xbip(atyp("delta", False, a, s))), _bar("R", s, 0, a + s - 1)))
         for s in range(2, min(a, n) + 1):
-            out.add((("D", xbip(atyp("delta1", False, a, s))), bar("R", s, 0, a - s + 1)))
+            out.add((("D", xbip(atyp("delta1", False, a, s))), _bar("R", s, 0, a - s + 1)))
         for s in range(a, n - 1):
-            out.add((("D", xbip(atyp("delta2", False, a, s))), bar("R", s + 1, s - a, 0)))
-        out.add((("D", xbip(atyp("delta", False, a, 0))), bar("Z", 1, 0, a)))
+            out.add((("D", xbip(atyp("delta2", False, a, s))), _bar("R", s + 1, s - a, 0)))
+        out.add((("D", xbip(atyp("delta", False, a, 0))), _bar("Z", 1, 0, a)))
         return out
     if m == 1:
-        out.add((("D", ((), ())), bar("Z", 1, 0, 0)))
+        out.add((("D", ((), ())), _bar("Z", 1, 0, 0)))
         return out
     for s in range(1, m - 1):
-        out.add((("D", xbip(atyp("delta2", True, 0, s))), bar("R", s - 1, 0, s)))
+        out.add((("D", xbip(atyp("delta2", True, 0, s))), _bar("R", s - 1, 0, s)))
     for s in range(0, m - 1):
-        out.add((("D", xbip(atyp("delta2", False, 0, s))), bar("R", s - 1, s, 0)))
-    out.add((("D", ((), ())), bar("Z", 1, 0, 0)))
+        out.add((("D", xbip(atyp("delta2", False, 0, s))), _bar("R", s - 1, s, 0)))
+    out.add((("D", ((), ())), _bar("Z", 1, 0, 0)))
     return out
 
 
@@ -277,37 +309,37 @@ def closed_form_p(m: int, n: int) -> GrothVector:
     out = GrothVector()
     if m < n:
         for (term, z), mult in closed_form_p(n, m).items():
-            out.add(((term[0], gswap(term[1])), gbar(z)), mult)
+            out.add(((term[0], gswap(term[1])), dual(z)), mult)
         return out
     a = m - n
     xbip = atypical_bipartition
     if n == 0:
-        out.add((("D", xbip(atyp("delta", False, m, 0))), bar("Z", 1, 0, m)))
+        out.add((("D", xbip(atyp("delta", False, m, 0))), _bar("Z", 1, 0, m)))
         return out
     if m > n:
         for s in range(1, n + 1):
-            out.add((("K", xbip(atyp("delta", False, a, s))), bar("Z", s, 0, a + s - 1)))
+            out.add((("K", xbip(atyp("delta", False, a, s))), _bar("Z", s, 0, a + s - 1)))
         for s in range(2, min(a, n) + 1):
-            out.add((("K", xbip(atyp("delta1", False, a, s))), bar("Z", s, 0, a - s + 1)))
+            out.add((("K", xbip(atyp("delta1", False, a, s))), _bar("Z", s, 0, a - s + 1)))
         for s in range(a, n - 1):
-            out.add((("K", xbip(atyp("delta2", False, a, s))), bar("Z", s + 1, s - a, 0)))
-        out.add((("D", xbip(atyp("delta", False, a, n))), bar("Z", n + 1, 0, m)))
+            out.add((("K", xbip(atyp("delta2", False, a, s))), _bar("Z", s + 1, s - a, 0)))
+        out.add((("D", xbip(atyp("delta", False, a, n))), _bar("Z", n + 1, 0, m)))
         if 2 * n <= m:
-            out.add((("D", xbip(atyp("delta1", False, a, n))), bar("Z", n + 1, 0, m - 2 * n)))
+            out.add((("D", xbip(atyp("delta1", False, a, n))), _bar("Z", n + 1, 0, m - 2 * n)))
         elif 2 * n == m + 1:
-            out.add((("D", xbip(atyp("delta1", False, a, a))), bar("Z", a + 1, 0, 0)))
+            out.add((("D", xbip(atyp("delta1", False, a, a))), _bar("Z", a + 1, 0, 0)))
         else:
-            out.add((("D", xbip(atyp("delta2", False, a, n - 2))), bar("Z", n, 2 * n - m - 1, 0)))
+            out.add((("D", xbip(atyp("delta2", False, a, n - 2))), _bar("Z", n, 2 * n - m - 1, 0)))
         return out
     if m == 1:
-        out.add((("D", ((), ())), bar("Z", 1, 0, 0)))
+        out.add((("D", ((), ())), _bar("Z", 1, 0, 0)))
         return out
     for s in range(1, m - 1):
-        out.add((("K", xbip(atyp("delta2", True, 0, s))), bar("Z", s - 1, 0, s)))
+        out.add((("K", xbip(atyp("delta2", True, 0, s))), _bar("Z", s - 1, 0, s)))
     for s in range(0, m - 1):
-        out.add((("K", xbip(atyp("delta2", False, 0, s))), bar("Z", s - 1, s, 0)))
-    out.add((("D", xbip(atyp("delta2", True, 0, m - 2))), bar("Z", m - 2, 0, m - 1)))
-    out.add((("D", xbip(atyp("delta2", False, 0, m - 2))), bar("Z", m - 2, m - 1, 0)))
+        out.add((("K", xbip(atyp("delta2", False, 0, s))), _bar("Z", s - 1, s, 0)))
+    out.add((("D", xbip(atyp("delta2", True, 0, m - 2))), _bar("Z", m - 2, 0, m - 1)))
+    out.add((("D", xbip(atyp("delta2", False, 0, m - 2))), _bar("Z", m - 2, m - 1, 0)))
     return out
 
 
@@ -347,24 +379,6 @@ def p_flattened(m: int, n: int) -> GrothVector:
     return _assembled(m, n, _p_atypical_items(m, n))
 
 
-@lru_cache(maxsize=8192)
-def _fused(z: BarLabel) -> tuple[tuple, tuple, tuple]:
-    """z (x) the dual fundamental module as (label, mult) items, split for
-    the two identities: its simple summands, its projective summands, and
-    the simple subquotients of those projective summands.  Memoised per
-    label, the one fusion memo of the identities: a sweep to m+n = 25 fuses
-    1,869 barred labels, and 8192 hold them all."""
-    simples, covers, subs = [], [], {}
-    for w, wm in fuse_with_v(bar_to_plain(z)).items():
-        if isinstance(w, RLabel):
-            covers.append((w, wm))
-            for sub in proj_subquotients(w):
-                subs[sub] = subs.get(sub, 0) + wm
-        else:
-            simples.append((w, wm))
-    return tuple(simples), tuple(covers), tuple(subs.items())
-
-
 def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     """Both induction identities at (m,n), in one pass: (tensor, proj).
 
@@ -392,21 +406,21 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     shared = GrothVector()
-    # left side: (m, n) tensored with the dual fundamental module
-    split = []
+    # left side: (m, n) tensored with the dual fundamental module; its
+    # projective summands are kept apart
+    covers = []
     for lam, z in semisimple_part(m, n):
         term = ("D", lam)
-        simples, covers, subs = _fused(z)
-        for w, wm in simples:
-            shared[(term, w)] = wm
-        if covers:
-            split.append((term, covers, subs))
+        for w, wm in _fused_with_v(z):
+            if isinstance(w, RLabel):
+                covers.append((term, w, wm))
+            else:
+                shared[(term, w)] = wm
     # right side: (m, n+1) restricted down one right strand
     pairs = semisimple_part(m, n + 1)
     projective = []
     add = shared.add
-    for (_lam, z), items in zip(pairs, restrict_simples([lam for lam, _z in pairs], m, n + 1)):
-        w = bar_to_plain(z)
+    for (_lam, w), items in zip(pairs, restrict_simples([lam for lam, _w in pairs], m, n + 1)):
         for rterm, rm in items:
             if rterm[0] == "D":
                 add((rterm, w), -rm)
@@ -414,18 +428,15 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
                 projective.append((rterm, w, rm))
 
     tensor = GrothVector(shared)
-    for term, covers, _subs in split:
-        for w, wm in covers:
-            tensor.add((term, w), wm)
+    for term, w, wm in covers:
+        tensor.add((term, w), wm)
     for (term, z), mult in _q_atypical_items(m, n):
-        simples, covers, _subs = _fused(z)
-        for w, wm in simples + covers:
+        for w, wm in _fused_with_v(z):
             tensor.add((term, w), mult * wm)
     for rterm, w, rm in projective:
         for dterm, dm in q_functor(rterm, m, n).items():
             tensor.add((dterm, w), -rm * dm)
-    for (term, z), mult in _q_atypical_items(m, n + 1):
-        w = bar_to_plain(z)
+    for (term, w), mult in _q_atypical_items(m, n + 1):
         for rterm, rm in restriction_items(term, m, n + 1):
             # a simple term is its own flattening
             flat = ((rterm, 1),) if rterm[0] == "D" else q_functor(rterm, m, n).items()
@@ -433,61 +444,84 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
                 tensor.add((dterm, w), -mult * rm * dm)
 
     proj = shared
-    for term, _covers, subs in split:
-        for w, wm in subs:
-            proj.add((term, w), wm)
+    for term, w, wm in covers:
+        for sub in proj_subquotients(w):
+            proj.add((term, sub), wm)
     for (term, z), mult in _p_atypical_items(m, n):
-        simples, _covers, subs = _fused(z)
-        for w, wm in simples + subs:
-            proj.add((term, w), mult * wm)
+        for w, wm in _fused_with_v(z):
+            for sub in simple_subquotients(w):
+                proj.add((term, sub), mult * wm)
     for rterm, w, rm in projective:
         proj.add((rterm, w), -rm)
-    for (term, z), mult in _p_atypical_items(m, n + 1):
-        w = bar_to_plain(z)
+    for (term, w), mult in _p_atypical_items(m, n + 1):
         for rterm, rm in restriction_items(term, m, n + 1):
             proj.add((rterm, w), -mult * rm)
     return not tensor, not proj
 
 
-def _audits(m: int, n: int) -> tuple[bool, bool]:
-    """(`dimension_audit`, `p_weighted_against_chain`) of (m,n), sharing one
-    ledger and one semisimple content: each plain label weighted by the
-    X-dimension of its bipartition."""
+# ---------------------------------------------------------------------------
+# dimension ledger and audits
+# ---------------------------------------------------------------------------
+
+class LabelNotInBimodule(KeyError):
+    pass
+
+
+@field
+def dims_for(m: int, n: int) -> dict[Bipartition, int]:
+    """Dimensions of all simple labels at (m,n), read off the chain content:
+    the multiplicity of the quantum label each is boxed with in the
+    semisimple part and the q-flattened atypical part.  The dict is shared
+    by every caller, who must only read it."""
+    chain = chain_content(m, n)
+    out = {lam: chain.get(z, 0) for lam, z in semisimple_part(m, n)}
+    for (term, z), _mult in _q_atypical_items(m, n):
+        out[term[1]] = chain.get(z, 0)
+    return out
+
+
+def dim_simple_x(lam: Bipartition, m: int, n: int) -> int:
     ledger = dims_for(m, n)
-    total = sum(ledger[v.x] * dim_bar(v.z) for v in atypical_part(m, n).vertices)
+    if lam not in ledger:
+        raise LabelNotInBimodule(f"{lam!r} does not occur at ({m},{n})")
+    return ledger[lam]
+
+
+def dim_term(term: XTerm, m: int, n: int) -> int:
+    kind, lam = term
+    if kind == "D":
+        return dim_simple_x(lam, m, n)
+    graph = proj_structure(lam, m, n)
+    return sum(dim_simple_x(v, m, n) for _, v in graph.vertices)
+
+
+def dimension_audits(m: int, n: int) -> tuple[bool, bool]:
+    """Both dimension audits of (m,n), sharing one ledger and one semisimple
+    content, each plain label weighted by the X-dimension of its
+    bipartition: (total bimodule dimension, and quantum content against
+    the chain; p-flattened bimodule against the subquotient content of the
+    chain)."""
+    ledger = dims_for(m, n)
+    total = sum(ledger[v.x] * dim_label(v.z) for v in atypical_part(m, n).vertices)
     semisimple: dict = {}
     for lam, z in semisimple_part(m, n):
-        w = bar_to_plain(z)
-        semisimple[w] = semisimple.get(w, 0) + ledger[lam]
-        total += ledger[lam] * dim_bar(z)
+        semisimple[z] = semisimple.get(z, 0) + ledger[lam]
+        total += ledger[lam] * dim_label(z)
     q_side, p_side = dict(semisimple), semisimple
     for (term, z), mult in _q_atypical_items(m, n):
-        w = bar_to_plain(z)
-        q_side[w] = q_side.get(w, 0) + mult * ledger[term[1]]
+        q_side[z] = q_side.get(z, 0) + mult * ledger[term[1]]
     for ((kind, lam), z), mult in _p_atypical_items(m, n):
         if kind == "D":
             dim = ledger[lam]
         else:
             dim = sum(ledger[v] for _, v in proj_structure(lam, m, n).vertices)
-        w = bar_to_plain(z)
-        p_side[w] = p_side.get(w, 0) + mult * dim
+        p_side[z] = p_side.get(z, 0) + mult * dim
     content = chain_content(m, n)
     subquotients: dict = {}
     for x, mult in content.items():
         for sub in simple_subquotients(x):
             subquotients[sub] = subquotients.get(sub, 0) + mult
     return total == 3 ** (m + n) and q_side == content, p_side == subquotients
-
-
-def dimension_audit(m: int, n: int) -> bool:
-    """Total bimodule dimension, and quantum content against the chain."""
-    return _audits(m, n)[0]
-
-
-def p_weighted_against_chain(m: int, n: int) -> bool:
-    """p-flattened bimodule, weighted by X-dimensions, against the
-    subquotient content of the chain."""
-    return _audits(m, n)[1]
 
 
 def projections_match(m: int, n: int) -> bool:
@@ -498,7 +532,7 @@ def projections_match(m: int, n: int) -> bool:
 
 def bimodule_audit(m: int, n: int) -> bool:
     """The dims check of one context: both audits and the closed forms."""
-    dims_ok, p_ok = _audits(m, n)
+    dims_ok, p_ok = dimension_audits(m, n)
     return dims_ok and projections_match(m, n) and p_ok
 
 
@@ -509,7 +543,8 @@ def bimodule_audit(m: int, n: int) -> bool:
 def table_grid(m: int, n: int):
     cells: dict[tuple[int, int], Bipartition] = {}
     for lam, z in semisimple_part(m, n):
-        key = (z.t, z.r)
+        b = plain_to_bar(z)
+        key = (b.t, b.r)
         if key in cells:
             raise AssertionError(f"duplicate table cell {key}")
         cells[key] = lam

@@ -68,21 +68,24 @@ def _decompose_payload(m: int, n: int):
 
 
 def _bimodule_payload(m: int, n: int):
-    from .bimod import atypical_part, dimension_audit, semisimple_part, verify_identities
+    from .bimod import atypical_part, dimension_audits, semisimple_part, verify_identities
+    from .labels import plain_to_bar
     from .partitions import bip_str
 
     graph = atypical_part(m, n)
+    # the identities need m >= 1: at m = 0 both are reported as null
     tensor, proj = verify_identities(m, n) if m >= 1 else (None, None)
+    semisimple = [(lam, plain_to_bar(z)) for lam, z in semisimple_part(m, n)]
     return {
         "m": m,
         "n": n,
         "semisimple": [
-            {"bipartition": bip_str(lam), "barlabel": str(z), "t": z.t, "r": z.r}
-            for lam, z in semisimple_part(m, n)
+            {"bipartition": bip_str(lam), "barlabel": str(b), "t": b.t, "r": b.r}
+            for lam, b in semisimple
         ],
         "atypical": {
             "vertices": [
-                {"x": bip_str(v.x), "z": str(v.z), "layer": v.layer, "col": v.col}
+                {"x": bip_str(v.x), "z": str(plain_to_bar(v.z)), "layer": v.layer, "col": v.col}
                 for v in graph.vertices
             ],
             "edges": [
@@ -91,7 +94,7 @@ def _bimodule_payload(m: int, n: int):
             ],
         },
         "audits": {
-            "dim": dimension_audit(m, n),
+            "dim": dimension_audits(m, n)[0],
             "identity1": tensor,
             "identity2": proj,
         },

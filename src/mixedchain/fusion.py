@@ -9,11 +9,14 @@ one rule fires.  Tensoring with (1,1) needs no table of its own:
 Z^{a,b}_{1,1} is the contragredient of Z^{a,-b}_{2,0}, so x (x) Z^{a,b}_{1,1}
 is the dual of x* (x) Z^{a,-b}_{2,0}, read through `labels.dual`; likewise
 the chain 3^m is the dual of 3bar^m.  `fuse_with_v` reads the rule table
-on every call and returns a fresh vector; the chain content memoises
-x (x) 3bar per label in an LRU cache of 8192 immutable item tuples, which
-holds every label that one chain with m+n <= 60 fuses (at most 4,880, at
-(58, 2)).  The content of a context is a field of its record (`labelctx`):
-an unordered, read-only multiset; only `decompose` sorts it, to print it.
+on every call and returns a fresh vector; `_fused_with_v` memoises
+x (x) 3bar per label in an LRU cache of 8192 immutable item tuples, the
+one fusion memo of the label layer: the chain content and the induction
+identities (`bimod.verify_identities`) both read it.  It holds every label
+that one chain with m+n <= 60 fuses (at most 4,880, at (58, 2)), and every
+label that an identities sweep to m+n = 40 fuses (4,794).  The content of
+a context is a field of its record (`labelctx`): an unordered, read-only
+multiset; only `decompose` sorts it, to print it.
 Multiplicities are positive, so a sum of them is never zero.
 """
 
@@ -115,8 +118,8 @@ def fuse_with_v(x: Label, alpha2: int = 1, beta2: int = 1) -> GrothVector:
 
 @lru_cache(maxsize=8192)
 def _fused_with_v(x: Label) -> tuple[tuple[Label, int], ...]:
-    """x (x) 3bar as items, memoised per label for the chain content (see
-    the module docstring for the bound)."""
+    """x (x) 3bar as items, memoised per label for the chain content and
+    the induction identities (see the module docstring for the bound)."""
     return tuple(fuse_with_v(x).items())
 
 

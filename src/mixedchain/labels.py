@@ -12,10 +12,11 @@ layer derives tensoring with the fundamental module from tensoring with its
 dual through it.
 
 The alternate label alphabet (barred labels, indexed by parity p and a pair
-(t, r) with t*r = 0 on the atypical locus) used by the bimodule layer is
-also translated here.  Its mirror `gbar`, which swaps t and r, is the
-duality read in that alphabet, and the barred cover subquotients are the
-plain ones translated.
+(t, r) with t*r = 0 on the atypical locus), in which the paper writes the
+bimodule, is also translated here.  The bimodule layer computes in plain
+labels: it reads its closed forms through `bar_to_plain` and prints
+through `plain_to_bar`.  The mirror `gbar`, which swaps t and r, is the
+duality read in that alphabet.
 
 Every label class here (`ZLabel`, `RLabel`, `BarLabel`, `GL2Label`) is a
 `tagged.TaggedTuple`: immutable, hashed and compared in C, ordered by its
@@ -23,16 +24,13 @@ fields within the class, and never equal to a label of another class with
 the same fields.  Its `str` is the label's text form, which the CLI prints
 and `cli.parse_label` reads back.  The factories `Z`, `R` and `bar`
 validate and build the tuple directly, and `gbar` swaps the fields of a
-label that is already valid without validating again.  `bar_to_plain` is
-memoised in an LRU cache of 8192 labels, which holds every barred label a
-label sweep to m+n = 25 reads.  The gl(2) blocks are `TaggedTuple`
-records too, so this module imports no `dataclasses`.  It needs no scalar
-and no matrix; the explicit modules are built in `uqmod`.
+label that is already valid without validating again.  The gl(2) blocks
+are `TaggedTuple` records too, so this module imports no `dataclasses`.
+It needs no scalar and no matrix; the explicit modules are built in
+`uqmod`.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .tagged import TaggedTuple
 
@@ -127,8 +125,8 @@ def dual(x):
         z = Z(a, -b, s + 1, 0)
     elif r == 0:
         z = Z(a, -b, s - 1, s - 1)
-    else:
-        z = Z(a, b, s, s - r)
+    else:  # only a simple is typical, and its dual is valid as it stands
+        return _new(ZLabel, (_Z_TAG, a, b, s, s - r))
     return z if isinstance(x, ZLabel) else R(z.alpha, z.beta, z.s, z.r)
 
 
@@ -165,10 +163,8 @@ def _sign(p: int) -> int:
     return 1 if p % 2 == 0 else -1
 
 
-@lru_cache(maxsize=8192)
 def bar_to_plain(b: BarLabel):
-    """The plain label of a barred one; memoised per label, bounded like the
-    other per-label memos of the label sweeps (see the module docstring)."""
+    """The plain label of a barred one."""
     if b.kind == "Z":
         if b.r != 0:
             return Z(1, _sign(b.p), b.t + b.r, b.r)
@@ -187,22 +183,6 @@ def plain_to_bar(x) -> BarLabel:
         return bar(kind, p, (x.s - x.r) if kind == "Z" else 0, x.r)
     p = 1 if x.beta == 1 else 0
     return bar(kind, p, x.s - 1, 0)
-
-
-def bar_cover(z: BarLabel) -> BarLabel:
-    """Projective cover in bar coordinates; same (p, t, r)."""
-    if z.kind != "Z":
-        raise ValueError("cover of a non-simple label")
-    if z.t != 0 and z.r != 0:
-        raise ValueError(f"{z} is typical")
-    return bar("R", z.p, z.t, z.r)
-
-
-def bar_subquotients(b: BarLabel) -> list[BarLabel]:
-    """[top, left, right, bottom] of a barred projective cover."""
-    if b.kind != "R":
-        return [b]
-    return [plain_to_bar(z) for z in proj_subquotients(bar_to_plain(b))]
 
 
 def dim_bar(b: BarLabel) -> int:

@@ -5,9 +5,10 @@ cross bipartitions; atypical labels additionally carry a Loewy structure.
 This module derives the projective structures from the column layout of
 the atypical locus, which `partitions.atypical_columns` owns.  It encodes
 the restriction rules for S, D, K down one right strand (the left strand is
-its mirror under the swap involution), the flattening functor that replaces
-a projective by its simple subquotients, and the dimension ledger read off
-the chain.
+its mirror under the swap involution) and the flattening functor that
+replaces a projective by its simple subquotients.  It is the X-side
+category alone: the quantum-group labels paired with these, and the
+dimension ledger read off the chain through them, belong to `bimod`.
 
 The atypical restriction tables are dispatched through explicit
 per-display guards with a unique-match assertion, so a transcription slip
@@ -29,9 +30,8 @@ bimodule-projection tests.
 
 from __future__ import annotations
 
-from .fusion import GrothVector, chain_content
+from .fusion import GrothVector
 from .labelctx import field
-from .labels import bar, bar_cover, bar_to_plain, gbar
 from .partitions import (
     AtypicalLabel,
     Bipartition,
@@ -42,7 +42,6 @@ from .partitions import (
     atypical_columns,
     atypical_set,
     classify_atypical,
-    gswap_label,
     is_cross21,
     lambda_f,
     rem_boxes,
@@ -55,10 +54,6 @@ class NotCross(ValueError):
 
 
 class NIsZero(ValueError):
-    pass
-
-
-class LabelNotInBimodule(KeyError):
     pass
 
 
@@ -621,64 +616,3 @@ def res_right_k(lam: Bipartition, m: int, n: int) -> GrothVector:
         raise NIsZero("right restriction needs n >= 1")
     _classify_cross(lam, m, n)
     return GrothVector(restriction_items(("K", lam), m, n))
-
-
-# ---------------------------------------------------------------------------
-# dimension ledger
-# ---------------------------------------------------------------------------
-
-@field
-def dims_for(m: int, n: int) -> dict[Bipartition, int]:
-    """Dimensions of all simple labels at (m,n), read off the chain content.
-    The dict is shared by every caller, who must only read it."""
-    from .bimod import semisimple_part  # local import to avoid a cycle
-
-    chain = chain_content(m, n)
-    out: dict[Bipartition, int] = {}
-    for lam, zbar in semisimple_part(m, n):
-        out[lam] = chain.get(bar_to_plain(zbar), 0)
-    cols, extra, _host = atypical_columns(m, n)
-    for lab in cols:
-        zbar = column_top_label(lab, m, n)
-        out[atypical_bipartition(lab)] = chain.get(bar_to_plain(bar_cover(zbar)), 0)
-    zext = extra_vertex_label(m, n)
-    out[atypical_bipartition(extra)] = chain.get(bar_to_plain(zext), 0)
-    return out
-
-
-def column_top_label(lab: AtypicalLabel, m: int, n: int):
-    """Quantum-group label at the head of an atypical column."""
-    if m < n:
-        return gbar(column_top_label(gswap_label(lab), n, m))
-    a, s = lab.a, lab.s
-    if m == n:
-        if lab.family != "delta2":
-            raise AssertionError(f"unexpected column {lab} at ({m},{n})")
-        return bar("Z", s - 1, 0, s) if lab.bar else bar("Z", s - 1, s, 0)
-    if lab.family == "delta":
-        return bar("Z", s, 0, s + a - 1)
-    if lab.family == "delta1":
-        return bar("Z", s, 0, a - s + 1)
-    return bar("Z", s + 1, s - a, 0)
-
-
-def extra_vertex_label(m: int, n: int):
-    """Quantum-group label of the lone vertex glued into the zig-zag."""
-    if m >= n:
-        return bar("Z", 1, 0, m - n)
-    return gbar(extra_vertex_label(n, m))
-
-
-def dim_simple_x(lam: Bipartition, m: int, n: int) -> int:
-    ledger = dims_for(m, n)
-    if lam not in ledger:
-        raise LabelNotInBimodule(f"{lam!r} does not occur at ({m},{n})")
-    return ledger[lam]
-
-
-def dim_term(term: XTerm, m: int, n: int) -> int:
-    kind, lam = term
-    if kind == "D":
-        return dim_simple_x(lam, m, n)
-    graph = proj_structure(lam, m, n)
-    return sum(dim_simple_x(v, m, n) for _, v in graph.vertices)

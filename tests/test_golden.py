@@ -24,9 +24,13 @@ GOLDEN = {
     "bimodule 19 17": "f53fd6bf58ecadf0c0316b9f088bc002e5a8e856d107e63e33e4cc52f49ce167",
     "bimodule 3 0": "c5e8789d7d91e8f01078545f9a16b85a55ce136271459c93a34575dde7ed1444",
     "bimodule 0 3": "1b0c8843b361d9e0030dfff364b9f93c9806995cc63f9c46e0ff3320eec9a5a1",
+    "bimodule 6 6": "afb0aa3ed4a8e15bfff4c4c80b7fbebf9c6022282254c898022c2a5a41c83bfe",
+    "bimodule 5 9": "8bdc4c54bc6e645b08551927ba80e2c272c0a79e2bb6f251cb4f1beffc554777",
+    "bimodule 1 1": "3ac1451189c427558616545d638b8f8a29a0dab6801abdded104fb71d753a2c0",
     "decompose 20 40": "656f49f9adfe9bf4b9651e481a3f3983928306c559f308d68c49eb8ddc700874",
     "table 17 13 --json": "7f1f32f000e0126634f3ef2229f7280884e748393e00da2a0ea20f7543cc0ae7",
     "table 4 9": "7de5df32bff06eb53eab994d1193e303c50c0dce0a7b798fbde0e83cfdb1ae0f",
+    "table 8 8": "66a07afede12f166c3c75fbb48e112a0f4cb72bafee48ec23ef53a260a7441a9",
     "verify relations --max-mn 10 --json":
         "3aadf56887669a1683367c2ae1f9ff1d026a77f83eaff06e4b9b8f374d74645d",
     "verify centralizer --max-mn 8 --json":

@@ -9,12 +9,13 @@ quantum-side indecomposable content, and the centralizer-side sum of
 
 from fractions import Fraction
 
+from mixedchain.bimod import dims_for
 from mixedchain.chainrep import ChainContext, endomorphism_algebra_dimension
 from mixedchain.fusion import chain_decompose
 from mixedchain.partitions import cross_set
 from mixedchain.qarith import EvalPoint
 from mixedchain.labels import RLabel, ZLabel, is_atypical, proj_subquotients
-from mixedchain.xcat import dims_for, proj_structure
+from mixedchain.xcat import proj_structure
 
 
 def hom_dim(x, y) -> int:

@@ -1,6 +1,7 @@
 import pytest
 
 import mixedchain.xcat as xc
+from mixedchain.bimod import dim_simple_x, dim_term, dims_for
 from mixedchain.fusion import GrothVector
 from mixedchain.partitions import (
     Bipartition,
@@ -23,9 +24,6 @@ from mixedchain.xcat import (
     _row,
     _Rows,
     _two_row,
-    dim_simple_x,
-    dim_term,
-    dims_for,
     proj_structure,
     q_expand,
     q_functor,
