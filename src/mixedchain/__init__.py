@@ -14,7 +14,7 @@ a command or script loads only the layers it uses.
 import importlib
 
 _EXPORTS = {
-    "GrothVector": "fusion", "chain_decompose": "fusion", "dim_of_groth": "fusion",
+    "GrothVector": "fusion", "chain_decompose": "fusion",
     "fuse_with_f": "fusion", "fuse_with_v": "fusion",
     "EvalPoint": "qarith", "LaurentPoly": "qarith", "QScalar": "qarith",
     "eval_points": "qarith", "qint": "qarith",

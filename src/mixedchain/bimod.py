@@ -4,10 +4,11 @@ The chain splits into a semisimple part (simples boxed with typical
 quantum-group modules, arranged in a (t,r)-table of bipartitions) and one
 indecomposable atypical part whose Loewy graph is a zig-zag of diamonds,
 one column per atypical label, plus a lone extra vertex.  Flattening the
-quantum-group side (p_*) or the centralizer side (q_*) of the atypical part
-reproduces closed-form sums, and the whole decomposition satisfies two
-induction identities tying tensoring with the dual fundamental module to
-restriction; these are the headline checks of the artifact.
+atypical part on the quantum-group side (`p_atypical`) or on the
+centralizer side (`q_atypical`) reproduces the paper's closed-form sums
+(`closed_form_p`, `closed_form_q`), and the whole decomposition satisfies
+two induction identities tying tensoring with the dual fundamental module
+to restriction; these are the headline checks of the artifact.
 
 This layer owns the quantum-group side of the bimodule, and computes it in
 plain module labels (`ZLabel`, `RLabel`); a mirror context (m < n) maps
@@ -64,7 +65,7 @@ from .partitions import (
     gswap_label,
 )
 from .tagged import TaggedTuple
-from .xcat import XTerm, proj_structure, q_functor, restrict_simples, restriction_items
+from .xcat import proj_structure, q_functor, restrict_simples, restriction_items
 
 SemisimplePair = tuple[Bipartition, ZLabel]
 
@@ -348,7 +349,8 @@ def closed_form_p(m: int, n: int) -> GrothVector:
 # ---------------------------------------------------------------------------
 
 # Only the flattened atypical part, O(m+n) items, is a field of the record:
-# the assembled bimodule adds the semisimple part, O((m+n)^2) items.
+# the identities add the semisimple part, O((m+n)^2) items, term by term and
+# never assemble the flattened bimodule.
 
 @field
 def _q_atypical_items(m: int, n: int) -> tuple:
@@ -358,25 +360,6 @@ def _q_atypical_items(m: int, n: int) -> tuple:
 @field
 def _p_atypical_items(m: int, n: int) -> tuple:
     return tuple(p_atypical(m, n).items())
-
-
-def _assembled(m: int, n: int, atypical: tuple) -> GrothVector:
-    """The semisimple part, each simple boxed once, plus a flattened
-    atypical part."""
-    out = GrothVector(((("D", lam), z), 1) for lam, z in semisimple_part(m, n))
-    for key, mult in atypical:
-        out.add(key, mult)
-    return out
-
-
-def q_flattened(m: int, n: int) -> GrothVector:
-    """The fully assembled bimodule after centralizer-side flattening."""
-    return _assembled(m, n, _q_atypical_items(m, n))
-
-
-def p_flattened(m: int, n: int) -> GrothVector:
-    """The fully assembled bimodule after quantum-side flattening."""
-    return _assembled(m, n, _p_atypical_items(m, n))
 
 
 def verify_identities(m: int, n: int) -> tuple[bool, bool]:
@@ -463,10 +446,6 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
 # dimension ledger and audits
 # ---------------------------------------------------------------------------
 
-class LabelNotInBimodule(KeyError):
-    pass
-
-
 @field
 def dims_for(m: int, n: int) -> dict[Bipartition, int]:
     """Dimensions of all simple labels at (m,n), read off the chain content:
@@ -478,21 +457,6 @@ def dims_for(m: int, n: int) -> dict[Bipartition, int]:
     for (term, z), _mult in _q_atypical_items(m, n):
         out[term[1]] = chain.get(z, 0)
     return out
-
-
-def dim_simple_x(lam: Bipartition, m: int, n: int) -> int:
-    ledger = dims_for(m, n)
-    if lam not in ledger:
-        raise LabelNotInBimodule(f"{lam!r} does not occur at ({m},{n})")
-    return ledger[lam]
-
-
-def dim_term(term: XTerm, m: int, n: int) -> int:
-    kind, lam = term
-    if kind == "D":
-        return dim_simple_x(lam, m, n)
-    graph = proj_structure(lam, m, n)
-    return sum(dim_simple_x(v, m, n) for _, v in graph.vertices)
 
 
 def dimension_audits(m: int, n: int) -> tuple[bool, bool]:
@@ -514,7 +478,7 @@ def dimension_audits(m: int, n: int) -> tuple[bool, bool]:
         if kind == "D":
             dim = ledger[lam]
         else:
-            dim = sum(ledger[v] for _, v in proj_structure(lam, m, n).vertices)
+            dim = sum(ledger[v] for v in proj_structure(lam, m, n))
         p_side[z] = p_side.get(z, 0) + mult * dim
     content = chain_content(m, n)
     subquotients: dict = {}

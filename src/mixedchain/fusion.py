@@ -41,10 +41,6 @@ class GrothVector(dict):
         if new:
             self[label] = new
 
-    def add_all(self, other: "GrothVector", mult: int = 1) -> None:
-        for label, m in other.items():
-            self.add(label, m * mult)
-
     def total_dim(self) -> int:
         return sum(m * dim_label(x) for x, m in self.items())
 
@@ -54,10 +50,6 @@ def gv(*pairs) -> GrothVector:
     for label, mult in pairs:
         out.add(label, mult)
     return out
-
-
-def dim_of_groth(v: GrothVector) -> int:
-    return v.total_dim()
 
 
 def _rules_with_v(x: Label, a: int, b: int):

@@ -15,16 +15,14 @@ The alternate label alphabet (barred labels, indexed by parity p and a pair
 (t, r) with t*r = 0 on the atypical locus), in which the paper writes the
 bimodule, is also translated here.  The bimodule layer computes in plain
 labels: it reads its closed forms through `bar_to_plain` and prints
-through `plain_to_bar`.  The mirror `gbar`, which swaps t and r, is the
-duality read in that alphabet.
+through `plain_to_bar`.
 
 Every label class here (`ZLabel`, `RLabel`, `BarLabel`, `GL2Label`) is a
 `tagged.TaggedTuple`: immutable, hashed and compared in C, ordered by its
 fields within the class, and never equal to a label of another class with
 the same fields.  Its `str` is the label's text form, which the CLI prints
 and `cli.parse_label` reads back.  The factories `Z`, `R` and `bar`
-validate and build the tuple directly, and `gbar` swaps the fields of a
-label that is already valid without validating again.  The gl(2) blocks
+validate and build the tuple directly.  The gl(2) blocks
 are `TaggedTuple` records too, so this module imports no `dataclasses`.
 It needs no scalar and no matrix; the explicit modules are built in
 `uqmod`.
@@ -187,12 +185,6 @@ def plain_to_bar(x) -> BarLabel:
 
 def dim_bar(b: BarLabel) -> int:
     return dim_label(bar_to_plain(b))
-
-
-def gbar(b: BarLabel) -> BarLabel:
-    """Mirror image: swaps the (t, r) coordinates.  The swap keeps a valid
-    label valid, so it is built without validating again."""
-    return _new(BarLabel, (_BAR_TAG, b.kind, b.p, b.r, b.t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Integer partitions, bipartitions and the index combinatorics of the chain.
 
 Partitions are tuples of weakly decreasing positive integers; a bipartition
-is a pair (left, right) of partitions.  This module owns the index sets
-Lambda_{m,n}(f), the cross test, the three atypical label families
-with their mirror images, and the swap involution that exchanges the two
-sides of every bipartition.  It also owns the column layout of the atypical
+is a pair (left, right) of partitions.  This module owns the defect of a
+bipartition in the index sets Lambda_{m,n}(f) (`lambda_f`), the cross
+test, the box moves of the restriction rules, the three atypical label
+families with their mirror images, and the swap involution that exchanges
+the two sides of every bipartition.  It also owns the column layout of the atypical
 locus: the order in which the atypical labels of a context chain into the
 zig-zag, plus the extra vertex.  The atypical set of a context is read off
 that layout, so the locus is enumerated in one place.  Both are fields of
@@ -18,8 +19,6 @@ Atypical labels are `tagged.TaggedTuple`s, like the module labels of
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .labelctx import field
 from .tagged import TaggedTuple
 
@@ -29,60 +28,12 @@ Bipartition = tuple[Partition, Partition]
 EMPTY: Partition = ()
 
 
-class InvalidF(ValueError):
-    pass
-
-
 class NotInLambda(ValueError):
     pass
 
 
 def size(mu: Partition) -> int:
     return sum(mu)
-
-
-@lru_cache(maxsize=None)
-def partitions_of(k: int) -> tuple[Partition, ...]:
-    """All partitions of k, lexicographically ordered."""
-    if k < 0:
-        return ()
-    if k == 0:
-        return (EMPTY,)
-    out = []
-
-    def rec(rest, maxpart, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            acc.append(p)
-            rec(rest - p, p, acc)
-            acc.pop()
-
-    rec(k, k, [])
-    return tuple(sorted(out))
-
-
-def count_partitions(k: int) -> int:
-    return len(partitions_of(k))
-
-
-def lambda_set(m: int, n: int, f: int) -> list[Bipartition]:
-    """All bipartitions with |left| = m - f and |right| = n - f, lex ordered."""
-    if not (0 <= f <= min(m, n)):
-        raise InvalidF(f"f={f} out of range for (m,n)=({m},{n})")
-    return sorted(
-        (lam, rho)
-        for lam in partitions_of(m - f)
-        for rho in partitions_of(n - f)
-    )
-
-
-def lambda_all(m: int, n: int) -> list[Bipartition]:
-    out = []
-    for f in range(min(m, n) + 1):
-        out.extend(lambda_set(m, n, f))
-    return sorted(set(out))
 
 
 def lambda_f(lam: Bipartition, m: int, n: int) -> int:
@@ -133,10 +84,6 @@ def is_cross21(lam: Bipartition) -> bool:
     """
     left, right = lam
     return len(left) + _wide(right) <= 2 or _wide(left) + len(right) <= 2
-
-
-def cross_set(m: int, n: int) -> list[Bipartition]:
-    return [lam for lam in lambda_all(m, n) if is_cross21(lam)]
 
 
 # ---------------------------------------------------------------------------

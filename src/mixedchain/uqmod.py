@@ -365,14 +365,3 @@ def weight_multiset(rep: ExplicitRep) -> dict[tuple[QScalar, QScalar], int]:
         out[key] = out.get(key, 0) + 1
     return out
 
-
-def weight_multiset_tensor(rep1: ExplicitRep, rep2: ExplicitRep):
-    """Weights of the tensor product: K and k are group-like."""
-    out: dict[tuple[QScalar, QScalar], int] = {}
-    w1 = weight_multiset(rep1)
-    w2 = weight_multiset(rep2)
-    for (a1, b1), m1 in w1.items():
-        for (a2, b2), m2 in w2.items():
-            key = (a1 * a2, b1 * b2)
-            out[key] = out.get(key, 0) + m1 * m2
-    return out

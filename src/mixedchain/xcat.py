@@ -1,10 +1,11 @@
 """Label-level module category of the chain centralizer.
 
-Specht modules S, simple heads D and projective covers K are labelled by
-cross bipartitions; atypical labels additionally carry a Loewy structure.
-This module derives the projective structures from the column layout of
-the atypical locus, which `partitions.atypical_columns` owns.  It encodes
-the restriction rules for S, D, K down one right strand (the left strand is
+Simple heads D and projective covers K are labelled by cross
+bipartitions.  The cover of an atypical label is written, as in the paper,
+as its ordered simple subquotients: head, middle layer, socle
+(`proj_structure`).  This module reads them off the column layout of the
+atypical locus, which `partitions.atypical_columns` owns.  It encodes the
+restriction rules for D and K down one right strand (the left strand is
 its mirror under the swap involution) and the flattening functor that
 replaces a projective by its simple subquotients.  It is the X-side
 category alone: the quantum-group labels paired with these, and the
@@ -46,7 +47,6 @@ from .partitions import (
     lambda_f,
     rem_boxes,
 )
-from .tagged import TaggedTuple
 
 
 class NotCross(ValueError):
@@ -76,46 +76,27 @@ def _classify_cross(lam: Bipartition, m: int, n: int) -> tuple[int, AtypicalLabe
 # projective structure
 # ---------------------------------------------------------------------------
 
-class LoewyGraph(TaggedTuple, fields="label vertices edges"):
-    """The Loewy graph of a projective cover: its head label, its vertices
-    as (layer, label) pairs and its edges as (upper, lower) vertex indices."""
-
-    __slots__ = ()
-
-
-def _graph_single(lam: Bipartition) -> LoewyGraph:
-    return LoewyGraph(lam, (("top", lam),), ())
-
-
-def _graph_chain2(lam: Bipartition, bot: Bipartition) -> LoewyGraph:
-    return LoewyGraph(lam, (("top", lam), ("bot", bot)), ((0, 1),))
-
-
-def _graph_mids(lam: Bipartition, mids) -> LoewyGraph:
-    vertices = [("top", lam)] + [("mid", mu) for mu in mids] + [("bot", lam)]
-    last = len(vertices) - 1
-    edges = tuple((0, i) for i in range(1, last)) + tuple((i, last) for i in range(1, last))
-    return LoewyGraph(lam, tuple(vertices), edges)
-
-
-def proj_structure(lam: Bipartition, m: int, n: int) -> LoewyGraph:
-    """Loewy graph of the projective cover K(lam) in the (m,n) context.
+def proj_structure(lam: Bipartition, m: int, n: int) -> tuple[Bipartition, ...]:
+    """The simple subquotients of the projective cover K(lam) in the (m,n)
+    context, head first, then the middle layer in column order, then the
+    socle.
 
     Read off the column layout: the cover of the extra vertex is a two-step
-    chain over its host column's label (a single vertex when there are no
-    columns); the cover of a column label has its neighbouring columns, and
-    the extra vertex when the column hosts it, as middle layer between two
-    copies of its head.
+    chain (lam, bot) over its host column's label, and a typical label, or
+    the extra vertex when there are no columns, is its own cover (lam,).
+    The cover of a column label is (lam, *mids, lam): its neighbouring
+    columns, and the extra vertex when the column hosts it, as middle layer
+    between two copies of its head.  So the length of the tuple fixes its
+    Loewy edges: the head lies over every middle, and every middle over the
+    socle, or the head over the socle when there is no middle.
     """
     _f, lab = _classify_cross(lam, m, n)
     if lab is None:
-        return _graph_single(lam)
+        return (lam,)
     cols, extra, host = atypical_columns(m, n)
     bip = atypical_bipartition
     if lab == extra:
-        if host is None:
-            return _graph_single(lam)
-        return _graph_chain2(lam, bip(cols[host]))
+        return (lam,) if host is None else (lam, bip(cols[host]))
     i = cols.index(lab)
     mids = []
     if i > 0:
@@ -124,27 +105,15 @@ def proj_structure(lam: Bipartition, m: int, n: int) -> LoewyGraph:
         mids.append(bip(extra))
     if i + 1 < len(cols):
         mids.append(bip(cols[i + 1]))
-    return _graph_mids(lam, mids)
+    return (lam, *mids, lam)
 
 
 def q_functor(term: XTerm, m: int, n: int) -> GrothVector:
     """Flatten a projective into its simple factors; identity on simples."""
     kind, lam = term
-    if kind == "D":
-        out = GrothVector()
-        out.add(("D", lam))
-        return out
-    graph = proj_structure(lam, m, n)
     out = GrothVector()
-    for _, v in graph.vertices:
+    for v in (lam,) if kind == "D" else proj_structure(lam, m, n):
         out.add(("D", v))
-    return out
-
-
-def q_expand(v: GrothVector, m: int, n: int) -> GrothVector:
-    out = GrothVector()
-    for term, mult in v.items():
-        out.add_all(q_functor(term, m, n), mult)
     return out
 
 
@@ -159,17 +128,6 @@ def _generic_restriction(lam: Bipartition, f: int) -> list[Bipartition]:
     out = [(left, mu) for mu in rem_boxes(right)]
     if f > 0:
         out += [(nu, right) for nu in add_boxes(left) if is_cross21((nu, right))]
-    return out
-
-
-def res_right_s(lam: Bipartition, m: int, n: int) -> GrothVector:
-    """Restriction of a Specht label one step down on the right side."""
-    if n < 1:
-        raise NIsZero("right restriction needs n >= 1")
-    f, _lab = _classify_cross(lam, m, n)
-    out = GrothVector()
-    for mu in _generic_restriction(lam, f):
-        out.add(mu)
     return out
 
 
@@ -377,12 +335,6 @@ def _exceptional_rows(m: int, n: int) -> dict[Bipartition, list[tuple[str, tuple
                  ("K", bip(atyp("delta2", True, ap, s - 1)), 1),
                  ("D", _pair(_col(s), _two_row(s, ap)), 1))
     return rows.by_key
-
-
-def _match_exceptional_d(lam: Bipartition, m: int, n: int) -> GrothVector | None:
-    """The exceptional row of a typical label, or None when no row re-glues it."""
-    found = _exceptional_rows(m, n).get(lam)
-    return None if found is None else _exceptional_d(lam, found, m, n)
 
 
 def _exceptional_d(lam: Bipartition, found, m: int, n: int) -> GrothVector:

@@ -9,17 +9,10 @@ restriction ledger to 10.
 
 import itertools
 
-from mixedchain.bimod import (
-    dim_simple_x,
-    dim_term,
-    dimension_audits,
-    projections_match,
-    table_csv,
-    verify_identities,
-)
+from mixedchain.bimod import dimension_audits, projections_match, table_csv, verify_identities
 from mixedchain.chainrep import ChainContext, check_centralizer, check_qwb_relations
-from mixedchain.fusion import chain_decompose, dim_of_groth, fuse_with_f, fuse_with_v
-from mixedchain.partitions import classify_atypical, cross_set
+from mixedchain.fusion import chain_decompose, fuse_with_f, fuse_with_v
+from mixedchain.partitions import classify_atypical
 from mixedchain.qarith import eval_points
 from mixedchain.labels import THREE, THREE_BAR, R, Z, dim_label
 from mixedchain.uqmod import (
@@ -28,9 +21,9 @@ from mixedchain.uqmod import (
     build_simple,
     check_relations,
     weight_multiset,
-    weight_multiset_tensor,
 )
-from mixedchain.xcat import q_expand, res_right_d, res_right_k
+from mixedchain.xcat import res_right_d, res_right_k
+from oracles import cross_set, dim_simple_x, dim_term, q_expand, weight_multiset_tensor
 
 SEED = 20177
 
@@ -90,10 +83,10 @@ def _rule_instances(s):
 def test_criterion_4_fusion_dimension_audit():
     for s in range(1, 41):
         for x in set(_rule_instances(s)):
-            assert dim_of_groth(fuse_with_f(x)) == 3 * dim_label(x), x
-            assert dim_of_groth(fuse_with_v(x)) == 3 * dim_label(x), x
+            assert fuse_with_f(x).total_dim() == 3 * dim_label(x), x
+            assert fuse_with_v(x).total_dim() == 3 * dim_label(x), x
     for m, n in _grid(12):
-        assert dim_of_groth(chain_decompose(m, n)) == 3 ** (m + n), (m, n)
+        assert chain_decompose(m, n).total_dim() == 3 ** (m + n), (m, n)
     print("\nACCEPTANCE 4 fusion dimension audit (rules s<=40, chain<=12): PASS")
 
 

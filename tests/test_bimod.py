@@ -13,19 +13,18 @@ from mixedchain.bimod import (
     closed_form_q,
     dimension_audits,
     p_atypical,
-    p_flattened,
     projections_match,
     q_atypical,
-    q_flattened,
     semisimple_part,
     table_csv,
     verify_identities,
 )
 from mixedchain.fusion import GrothVector, chain_decompose, fuse_with_v
-from mixedchain.partitions import atyp, atypical_bipartition, atypical_columns, cross_set, gswap
+from mixedchain.partitions import atyp, atypical_bipartition, atypical_columns, gswap
 from mixedchain.labelctx import LabelContext, context
 from mixedchain.labels import bar, bar_to_plain, dual, plain_to_bar, simple_subquotients
 from mixedchain.xcat import res_right_d, res_right_k
+from oracles import cross_set, p_flattened, q_flattened
 
 bip = atypical_bipartition
 
@@ -179,8 +178,9 @@ def test_closed_form_p_right_boundary_cases():
 
 def test_gswap_duality_of_decomposition():
     for m, n in [(3, 1), (4, 2), (3, 3), (2, 5)]:
-        # the mirror reads the quantum labels through `dual`, the plain
-        # labels' `gbar` (`test_bar_mirror_is_dual`)
+        # the mirror reads the quantum labels through `dual`, which is the
+        # barred labels' mirror `gbar` of the test oracles
+        # (`test_bar_mirror_is_dual`)
         sp = {(gswap(lam), dual(z)) for lam, z in semisimple_part(m, n)}
         assert sp == set(semisimple_part(n, m))
         ga = atypical_part(m, n)
@@ -604,12 +604,12 @@ def _memoised(path: Path) -> tuple[list, int]:
 
 
 def test_label_layer_keeps_one_per_context_cache():
-    # the per-context tables live in one record cache; the other memos of the
-    # label layer are per label, or per partition size
+    # the per-context tables live in one record cache; the other memo of the
+    # label layer is per label
     package = Path(bm.__file__).parent
     found = []
     for module in ("labels", "partitions", "fusion", "xcat", "bimod", "labelctx"):
         names, uses = _memoised(package / f"{module}.py")
         assert uses == len(names), (module, names, uses)
         found += names
-    assert sorted(found) == sorted(["context", "_fused_with_v", "partitions_of"]), found
+    assert sorted(found) == sorted(["context", "_fused_with_v"]), found

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mixedchain.partitions import (
     AtypicalLabel,
-    InvalidF,
     NotInLambda,
     add_boxes,
     atyp,
@@ -16,16 +15,19 @@ from mixedchain.partitions import (
     atypical_set,
     bip_str,
     classify_atypical,
-    count_partitions,
-    cross_set,
     gswap,
     gswap_label,
     is_cross21,
+    part_str,
+    rem_boxes,
+)
+from oracles import (
+    InvalidF,
+    count_partitions,
+    cross_set,
     lambda_all,
     lambda_set,
-    part_str,
     partitions_of,
-    rem_boxes,
 )
 
 

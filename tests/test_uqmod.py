@@ -27,7 +27,6 @@ from mixedchain.labels import (
     dim_r,
     dim_z,
     dual,
-    gbar,
     gl2_decomposition,
     plain_to_bar,
     proj_subquotients,
@@ -44,8 +43,8 @@ from mixedchain.uqmod import (
     check_relations,
     relation_residuals,
     weight_multiset,
-    weight_multiset_tensor,
 )
+from oracles import gbar, weight_multiset_tensor
 
 SIGNS = (1, -1)
 

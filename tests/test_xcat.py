@@ -1,7 +1,7 @@
 import pytest
 
 import mixedchain.xcat as xc
-from mixedchain.bimod import dim_simple_x, dim_term, dims_for
+from mixedchain.bimod import dims_for
 from mixedchain.fusion import GrothVector
 from mixedchain.partitions import (
     Bipartition,
@@ -10,7 +10,6 @@ from mixedchain.partitions import (
     atypical_columns,
     atypical_set,
     classify_atypical,
-    cross_set,
     gswap,
     gswap_label,
 )
@@ -19,58 +18,65 @@ from mixedchain.xcat import (
     NotCross,
     _col,
     _hookp,
-    _match_exceptional_d,
     _pair,
     _row,
     _Rows,
     _two_row,
     proj_structure,
-    q_expand,
     q_functor,
     res_right_d,
     res_right_k,
+)
+from oracles import (
+    _match_exceptional_d,
+    cross_set,
+    dim_simple_x,
+    dim_term,
+    loewy_graph,
+    partitions_of,
+    q_expand,
     res_right_s,
 )
 
 bip = atypical_bipartition
 
 
-def factors(graph):
-    return sorted(v for _, v in graph.vertices)
+def layers(cover):
+    return [layer for layer, _ in loewy_graph(cover)[0]]
 
 
 def test_proj_structure_shapes():
-    # diamond in the generic range
-    g = proj_structure(bip(atyp("delta", False, 2, 2)), 5, 3)
-    layers = [layer for layer, _ in g.vertices]
-    assert layers == ["top", "mid", "mid", "bot"]
-    assert factors(g).count(bip(atyp("delta", False, 2, 1))) == 1
-    assert factors(g).count(bip(atyp("delta", False, 2, 3))) == 1
+    # diamond in the generic range: head, the middles in column order, socle
+    lam = bip(atyp("delta", False, 2, 2))
+    cover = proj_structure(lam, 5, 3)
+    assert layers(cover) == ["top", "mid", "mid", "bot"]
+    assert sorted(cover).count(bip(atyp("delta", False, 2, 1))) == 1
+    assert sorted(cover).count(bip(atyp("delta", False, 2, 3))) == 1
+    assert cover == (lam, bip(atyp("delta", False, 2, 3)), bip(atyp("delta", False, 2, 1)), lam)
     # two-step chain under the lone extra label
-    g = proj_structure(bip(atyp("delta", False, 2, 0)), 5, 3)
-    assert [layer for layer, _ in g.vertices] == ["top", "bot"]
-    assert g.vertices[1][1] == bip(atyp("delta", False, 2, 1))
+    cover = proj_structure(bip(atyp("delta", False, 2, 0)), 5, 3)
+    assert layers(cover) == ["top", "bot"]
+    assert cover[1] == bip(atyp("delta", False, 2, 1))
     # fork at the origin of the balanced case
-    g = proj_structure(bip(atyp("delta2", False, 0, 0)), 3, 3)
-    mids = sorted(v for layer, v in g.vertices if layer == "mid")
-    assert mids == sorted([bip(atyp("delta2", True, 0, 1)), ((), ()),
-                           bip(atyp("delta2", False, 0, 1))])
+    cover = proj_structure(bip(atyp("delta2", False, 0, 0)), 3, 3)
+    assert layers(cover) == ["top", "mid", "mid", "mid", "bot"]
+    assert sorted(cover[1:-1]) == sorted([bip(atyp("delta2", True, 0, 1)), ((), ()),
+                                          bip(atyp("delta2", False, 0, 1))])
     # typical labels are their own projective covers
-    g = proj_structure(((2,), (1,)), 3, 2)
-    assert len(g.vertices) == 1
+    assert proj_structure(((2,), (1,)), 3, 2) == (((2,), (1,)),)
 
 
 def test_proj_structure_small_contexts():
-    assert len(proj_structure(((), ()), 1, 1).vertices) == 1
-    assert len(proj_structure(((3,), ()), 3, 0).vertices) == 1
-    g = proj_structure(((1, 1), (1, 1)), 2, 2)
-    assert [layer for layer, _ in g.vertices] == ["top", "mid", "bot"]
-    assert g.vertices[1][1] == ((), ())
+    assert proj_structure(((), ()), 1, 1) == (((), ()),)
+    assert proj_structure(((3,), ()), 3, 0) == (((3,), ()),)
+    cover = proj_structure(((1, 1), (1, 1)), 2, 2)
+    assert layers(cover) == ["top", "mid", "bot"]
+    assert cover[1] == ((), ())
     # diamond replacing the fork when the third middle does not exist yet
-    g = proj_structure(bip(atyp("delta", False, 1, 1)), 3, 2)
-    mids = sorted(v for layer, v in g.vertices if layer == "mid")
-    assert mids == sorted([bip(atyp("delta", False, 1, 2)),
-                           bip(atyp("delta", False, 1, 0))])
+    cover = proj_structure(bip(atyp("delta", False, 1, 1)), 3, 2)
+    assert layers(cover) == ["top", "mid", "mid", "bot"]
+    assert sorted(cover[1:-1]) == sorted([bip(atyp("delta", False, 1, 2)),
+                                          bip(atyp("delta", False, 1, 0))])
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +186,15 @@ def oracle_graph(lam, m, n):
             {(top, v) for v in middle} | {(v, bot) for v in middle})
 
 
-def labelled(graph):
-    vertices = graph.vertices
-    return sorted(vertices), {(vertices[a], vertices[b]) for a, b in graph.edges}
+def labelled(cover):
+    vertices, edges = loewy_graph(cover)
+    return sorted(vertices), {(vertices[a], vertices[b]) for a, b in edges}
 
 
 def test_proj_structure_matches_column_layout():
     # the column-layout derivation against the independently transcribed
-    # table, for every atypical label with m+n <= 40
+    # table, for every atypical label with m+n <= 40: the Loewy graph that
+    # the length of the cover fixes, layers and edges
     for total in range(1, 41):
         for m in range(0, total + 1):
             n = total - m
@@ -195,14 +202,22 @@ def test_proj_structure_matches_column_layout():
                 assert labelled(proj_structure(lam, m, n)) == oracle_graph(lam, m, n), (m, n, lam)
 
 
+def test_loewy_graph_rejects_a_cover_of_no_shape():
+    lam, mu = ((1,), ()), ((2,), ())
+    with pytest.raises(AssertionError, match="head as socle"):
+        loewy_graph((lam, lam))
+    with pytest.raises(AssertionError, match="another socle"):
+        loewy_graph((lam, mu, mu))
+
+
 def test_proj_structure_gswap_symmetry():
     for total in range(2, 10):
         for m in range(0, total + 1):
             n = total - m
             for lam in atypical_set(m, n):
-                g1 = proj_structure(lam, m, n)
-                g2 = proj_structure(gswap(lam), n, m)
-                assert sorted(gswap(v) for v in factors(g1)) == factors(g2)
+                c1 = proj_structure(lam, m, n)
+                c2 = proj_structure(gswap(lam), n, m)
+                assert sorted(gswap(v) for v in c1) == sorted(c2)
 
 
 def test_not_cross_raises():
@@ -217,7 +232,7 @@ def test_not_cross_raises():
 def test_restrictions_validate_their_input_once():
     # each restriction checks its input once, in the old order: out of the
     # context first, then not a cross label
-    from mixedchain.partitions import NotInLambda, is_cross21, lambda_f, partitions_of
+    from mixedchain.partitions import NotInLambda, is_cross21, lambda_f
 
     cases = {
         (((2,), (1,)), 3, 1): NotInLambda,     # the defects of the two halves differ
