@@ -3,9 +3,9 @@
 The complete rule table for tensoring any simple module or projective cover
 with the dual fundamental module (s,r) = (2,0), and the iterated
 decomposition of the chain built from m copies of the fundamental module
-(s,r) = (1,1) and n of its dual.  The dispatcher tries the exceptional
-low-spin cases first, then the regular families, and insists that exactly
-one rule fires.  Tensoring with (1,1) needs no table of its own:
+(s,r) = (1,1) and n of its dual.  The guards of the exceptional low-spin
+cases (named "x:...") and of the regular families are disjoint, and the
+dispatcher insists that exactly one rule fires.  Tensoring with (1,1) needs no table of its own:
 Z^{a,b}_{1,1} is the contragredient of Z^{a,-b}_{2,0}, so x (x) Z^{a,b}_{1,1}
 is the dual of x* (x) Z^{a,-b}_{2,0}, read through `labels.dual`; likewise
 the chain 3^m is the dual of 3bar^m.  `fuse_with_v` reads the rule table
@@ -94,12 +94,9 @@ def _rules_with_v(x: Label, a: int, b: int):
 
 
 def _dispatch(x: Label, rules) -> GrothVector:
-    exceptional = [rule for name, rule in rules if name.startswith("x:")]
-    regular = [rule for name, rule in rules if not name.startswith("x:")]
-    hits = exceptional or regular
-    if len(hits) != 1:
-        raise AssertionError(f"fusion dispatch for {x}: {len(hits)} rules fired")
-    return hits[0]
+    if len(rules) != 1:
+        raise AssertionError(f"fusion dispatch for {x}: {len(rules)} rules fired")
+    return rules[0][1]
 
 
 def fuse_with_v(x: Label, alpha2: int = 1, beta2: int = 1) -> GrothVector:

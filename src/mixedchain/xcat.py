@@ -3,30 +3,31 @@
 Simple heads D and projective covers K are labelled by cross
 bipartitions.  The cover of an atypical label is written, as in the paper,
 as its ordered simple subquotients: head, middle layer, socle
-(`proj_structure`).  This module reads them off the column layout of the
-atypical locus, which `partitions.atypical_columns` owns.  It encodes the
-restriction rules for D and K down one right strand (the left strand is
-its mirror under the swap involution) and the flattening functor that
-replaces a projective by its simple subquotients.  It is the X-side
-category alone: the quantum-group labels paired with these, and the
-dimension ledger read off the chain through them, belong to `bimod`.
+(`proj_structure`), read off the column layout of the atypical locus,
+which `partitions.atypical_columns` owns.  This module encodes the
+restriction rules for simple labels D down one right strand (the left
+strand is its mirror under the swap involution), derives from them the
+restriction of a projective K (`_res_k_atypical`: restriction is exact),
+and holds the flattening functor that replaces a projective by its simple
+subquotients.  It is the X-side category alone: the quantum-group labels
+paired with these, and the dimension ledger read off the chain through
+them, belong to `bimod`.
 
-The atypical restriction tables are dispatched through explicit
-per-display guards with a unique-match assertion, so a transcription slip
-fails loudly instead of silently picking a neighbouring case.  The
-exceptional rows of typical labels are indexed once per context, as a
-field of its record (`labelctx`), by the label each re-glues
-(`_exceptional_rows`); a lookup validates the rows stored under its label
-and asserts that exactly one matched, so both checks fire for the same
-labels as a row-by-row probe.  The induction
+The atypical D rows are dispatched through explicit per-display guards
+with a unique-match assertion, so a transcription slip fails loudly
+instead of silently picking a neighbouring case.  The covers and the D
+rows of a context's atypical labels are fields of its record (`labelctx`),
+built once.  The exceptional rows of typical labels are indexed the same
+way, by the label each re-glues (`_exceptional_rows`); a lookup validates
+the rows stored under its label and asserts that exactly one matched, so
+both checks fire for the same labels as a row-by-row probe.  The induction
 identities restrict the labels of a bimodule through `restriction_items`,
 which checks a label against the atypical set and the exceptional rows
 first, so a generic typical label builds no vector; `restrict_simples`
 does the same for a whole semisimple part, reading the two tables of its
-context once.  A handful of displays
-extend the source tables to small contexts the original guards leave out;
-each such extension is pinned by the dimension-consistency and
-bimodule-projection tests.
+context once.  A handful of displays extend the source tables to small
+contexts the original guards leave out; each such extension is pinned by
+the dimension-consistency and bimodule-projection tests.
 """
 
 from __future__ import annotations
@@ -79,33 +80,33 @@ def _classify_cross(lam: Bipartition, m: int, n: int) -> tuple[int, AtypicalLabe
 def proj_structure(lam: Bipartition, m: int, n: int) -> tuple[Bipartition, ...]:
     """The simple subquotients of the projective cover K(lam) in the (m,n)
     context, head first, then the middle layer in column order, then the
-    socle.
-
-    Read off the column layout: the cover of the extra vertex is a two-step
-    chain (lam, bot) over its host column's label, and a typical label, or
-    the extra vertex when there are no columns, is its own cover (lam,).
-    The cover of a column label is (lam, *mids, lam): its neighbouring
-    columns, and the extra vertex when the column hosts it, as middle layer
-    between two copies of its head.  So the length of the tuple fixes its
-    Loewy edges: the head lies over every middle, and every middle over the
-    socle, or the head over the socle when there is no middle.
-    """
+    socle; a typical label is its own cover (lam,).  See `_covers`."""
     _f, lab = _classify_cross(lam, m, n)
-    if lab is None:
-        return (lam,)
+    return (lam,) if lab is None else _covers(m, n)[lam]
+
+
+@field
+def _covers(m: int, n: int) -> dict[Bipartition, tuple[Bipartition, ...]]:
+    """The cover of every atypical label of the context, read off the column
+    layout: the columns in order, then the extra vertex.
+
+    The cover of the extra vertex is a two-step chain (lam, bot) over its
+    host column's label, or (lam,) when there are no columns.  The cover of
+    a column label is (lam, *mids, lam): its neighbouring columns, and the
+    extra vertex when the column hosts it, as middle layer between two
+    copies of its head.  So the length of a cover fixes its Loewy edges:
+    the head lies over every middle, and every middle over the socle, or
+    the head over the socle when there is no middle.
+    """
     cols, extra, host = atypical_columns(m, n)
-    bip = atypical_bipartition
-    if lab == extra:
-        return (lam,) if host is None else (lam, bip(cols[host]))
-    i = cols.index(lab)
-    mids = []
-    if i > 0:
-        mids.append(bip(cols[i - 1]))
-    if host == i:
-        mids.append(bip(extra))
-    if i + 1 < len(cols):
-        mids.append(bip(cols[i + 1]))
-    return (lam, *mids, lam)
+    heads = [atypical_bipartition(c) for c in cols]
+    top = atypical_bipartition(extra)
+    out = {}
+    for i, lam in enumerate(heads):
+        mids = heads[max(i - 1, 0):i] + [top] * (host == i) + heads[i + 1:i + 2]
+        out[lam] = (lam, *mids, lam)
+    out[top] = (top,) if host is None else (top, heads[host])
+    return out
 
 
 def q_functor(term: XTerm, m: int, n: int) -> GrothVector:
@@ -267,6 +268,14 @@ def _res_d_atypical(lab: AtypicalLabel, m: int, n: int) -> GrothVector:
     return rows.unique(f"D({lab}) at ({m},{n})")
 
 
+@field
+def _atypical_d_rows(m: int, n: int) -> dict[Bipartition, GrothVector]:
+    """The D row of every atypical label of the context (n >= 1), keyed by
+    bipartition: the restrictions of its simples, and the terms that its
+    projectives' restrictions are derived from."""
+    return {lam: _res_d_atypical(lab, m, n) for lam, lab in atypical_set(m, n).items()}
+
+
 class _KeyedRows:
     """The exceptional rows of one context, keyed by the typical label each
     re-glues; a key with an invalid half matches no label and is skipped.
@@ -380,7 +389,7 @@ def restrict_simples(lams, m: int, n: int):
 def _restrict(kind: str, lam: Bipartition, m: int, n: int, atypical: dict, rows: dict):
     lab = atypical.get(lam)
     if lab is not None:
-        return (_res_k_atypical if kind == "K" else _res_d_atypical)(lab, m, n).items()
+        return (_res_k_atypical(lab, m, n) if kind == "K" else _atypical_d_rows(m, n)[lam]).items()
     found = rows.get(lam)
     if found is not None:
         return _exceptional_d(lam, found, m, n).items()
@@ -388,178 +397,33 @@ def _restrict(kind: str, lam: Bipartition, m: int, n: int, atypical: dict, rows:
 
 
 def _res_k_atypical(lab: AtypicalLabel, m: int, n: int) -> GrothVector:
-    a, s = lab.a, lab.s
-    bip = atypical_bipartition
-    rows = _Rows(m, n - 1)
-    fam, barred = lab.family, lab.bar
-    K, D = "K", "D"
-    if not barred:
-        if fam == "delta":
-            if 2 <= s <= n - 1 and a >= 1:
-                rows.row("K.d.mid", (K, bip(atyp("delta", False, a + 1, s)), 1),
-                         (D, _pair(_hookp(a, s + 1), _row(s)), 1),
-                         (D, _pair(_hookp(a, s), _row(s - 1)), 2),
-                         (D, _pair(_hookp(a, s - 1), _row(s - 2)), 1))
-            if s == 1 and a >= 2 and n >= 2:
-                # multiplicity 2 on the middle term is forced by the ledger
-                rows.row("K.d.one", (K, bip(atyp("delta", False, a + 1, 1)), 1),
-                         (D, _pair(_hookp(a, 2), _row(1)), 1),
-                         (D, _pair(_hookp(a, 1), ()), 2),
-                         (D, _pair(_two_row(a, 2), _row(1)), 1))
-            if s == 1 and a == 1 and n >= 2:
-                rows.row("K.d.one1", (K, bip(atyp("delta", False, 2, 1)), 1),
-                         (D, _pair(_col(3), _row(1)), 1),
-                         (D, _pair(_col(2), ()), 2))
-            if s == n and n >= 1 and a >= 1:
-                rows.row("K.d.end", (D, bip(atyp("delta", False, a + 1, n - 1)), 1),
-                         (D, _pair(_hookp(a, n), _row(n - 1)), 2),
-                         (D, _pair(_hookp(a, n - 1), _row(n - 2)), 1))
-            if s == 0 and a >= 1 and n >= 1:
-                rows.row("K.d.zero", (K, bip(atyp("delta", False, a + 1, 0)), 1),
-                         (D, _pair(_hookp(a, 1), ()), 1))
-            if s == 0 and a == 0 and n >= 1:
-                rows.row("K.d.origin", (K, bip(atyp("delta", False, 1, 0)), 1))
-        elif fam == "delta1":
-            if 2 <= s <= min(a, n) - 1:
-                rows.row("K.d1.mid", (K, bip(atyp("delta1", False, a + 1, s)), 1),
-                         (D, _pair(_two_row(a, s + 1), _col(s)), 1),
-                         (D, _pair(_two_row(a, s), _col(s - 1)), 2),
-                         (D, _pair(_two_row(a, s - 1), _col(s - 2)), 1))
-            if s == a and 2 <= a <= n - 1:
-                rows.row("K.d1.corner", (K, bip(atyp("delta1", False, a + 1, a)), 1),
-                         (D, _pair(_two_row(a, a), _col(a - 1)), 2),
-                         (D, _pair(_two_row(a, a - 1), _col(a - 2)), 1))
-            if s == n and 2 <= n <= a:
-                rows.row("K.d1.end", (D, bip(atyp("delta1", False, a + 1, n - 1)), 1),
-                         (D, _pair(_two_row(a, n), _col(n - 1)), 2),
-                         (D, _pair(_two_row(a, n - 1), _col(n - 2)), 1))
-        else:
-            if a + 2 <= s <= n - 3:
-                rows.row("K.d2.mid", (K, bip(atyp("delta2", False, a + 1, s)), 1),
-                         (D, _pair(_two_row(s + 2, a + 1), _col(s + 2)), 1),
-                         (D, _pair(_two_row(s + 1, a + 1), _col(s + 1)), 2),
-                         (D, _pair(_two_row(s, a + 1), _col(s)), 1))
-            if s == a and 2 <= a <= n - 3:
-                rows.row("K.d2.corner", (K, bip(atyp("delta1", False, a + 1, a + 1)), 1),
-                         (D, _pair(_two_row(a + 2, a + 1), _col(a + 2)), 1),
-                         (D, _pair(_two_row(a, a), _col(a - 1)), 1))
-            if s == a + 1 and a <= n - 4:
-                rows.row("K.d2.next", (K, bip(atyp("delta2", False, a + 1, a + 1)), 1),
-                         (D, _pair(_two_row(a + 3, a + 1), _col(a + 3)), 1),
-                         (D, _pair(_two_row(a + 2, a + 1), _col(a + 2)), 2))
-            if s == n - 2 and 0 <= a <= n - 4:
-                rows.row("K.d2.end", (D, bip(atyp("delta2", False, a + 1, n - 3)), 1),
-                         (D, _pair(_two_row(n - 1, a + 1), _col(n - 1)), 2),
-                         (D, _pair(_two_row(n - 2, a + 1), _col(n - 2)), 1))
-            if s == n - 2 and a == n - 3 and n >= 3:
-                rows.row("K.d2.preend", (D, bip(atyp("delta1", False, n - 2, n - 2)), 1),
-                         (D, _pair(_two_row(n - 1, n - 2), _col(n - 1)), 2))
-            if s == a == n - 2 and n >= 3:
-                rows.row("K.d2.top", (K, bip(atyp("delta1", False, n - 1, n - 1)), 1),
-                         (D, _pair(_two_row(n - 2, n - 2), _col(n - 3)), 1))
-            if s == a == 1 and n >= 4:
-                rows.row("K.d2.low", (K, bip(atyp("delta1", False, 2, 2)), 1),
-                         (D, _pair(_two_row(3, 2), _col(3)), 1),
-                         (D, _pair(_col(2), ()), 1))
-            if s == a == 0 and n >= 2:
-                rows.row("K.d2.origin", (K, bip(atyp("delta", False, 1, 1)), 1),
-                         (D, _pair(_two_row(2, 1), _col(2)), 1),
-                         (D, _pair(_col(3), _col(2)), 1))
-    else:
-        if fam == "delta":
-            if 2 <= s <= m - 1 and a >= 2:
-                rows.row("K.bd.mid", (K, bip(atyp("delta", True, a - 1, s)), 1),
-                         (D, _pair(_row(s + 1), _hookp(a, s)), 1),
-                         (D, _pair(_row(s), _hookp(a, s - 1)), 2),
-                         (D, _pair(_row(s - 1), _hookp(a, s - 2)), 1))
-            if s == 1 and a >= 2 and m >= 2:
-                rows.row("K.bd.one", (K, bip(atyp("delta", True, a - 1, 1)), 1),
-                         (D, _pair(_row(2), _hookp(a, 1)), 1),
-                         (D, _pair(_row(1), _row(a)), 2),
-                         (D, _pair(_col(2), _hookp(a, 1)), 1))
-            if s == m and m >= 1 and a >= 2:
-                rows.row("K.bd.end", (K, bip(atyp("delta", True, a - 1, m)), 1),
-                         (D, _pair(_row(m), _hookp(a, m - 1)), 2),
-                         (D, _pair(_row(m - 1), _hookp(a, m - 2)), 1))
-            if 2 <= s <= m - 1 and a == 1:
-                rows.row("K.bd.wall", (K, bip(atyp("delta2", False, 0, s - 1)), 1),
-                         (D, _pair(_row(s + 1), _col(s + 1)), 1),
-                         (D, _pair(_row(s), _col(s)), 2),
-                         (D, _pair(_row(s - 1), _col(s - 1)), 1))
-            if s == m and a == 1 and m >= 2:
-                rows.row("K.bd.wallend", (D, bip(atyp("delta2", False, 0, m - 2)), 1),
-                         (D, _pair(_row(m), _col(m)), 2),
-                         (D, _pair(_row(m - 1), _col(m - 1)), 1))
-            if s == 1 and a == 1 and m >= 2:
-                rows.row("K.bd.wallone", (K, bip(atyp("delta2", False, 0, 0)), 1),
-                         (D, _pair(_row(2), _col(2)), 1),
-                         (D, _pair(_row(1), _row(1)), 2))
-            if s == 1 and a == 1 and m == 1:
-                rows.row("K.bd.tiny", (D, bip(atyp("delta", False, 0, 0)), 1),
-                         (D, _pair(_row(1), _row(1)), 2))
-            if s == 0 and a >= 1 and m >= 0:
-                rows.row("K.bd.zero", (K, bip(atyp("delta", True, a - 1, 0)), 1),
-                         (D, _pair(_row(1), _row(a)), 1))
-        elif fam == "delta1":
-            if 2 <= s <= min(a, m) - 1:
-                rows.row("K.bd1.mid", (K, bip(atyp("delta1", True, a - 1, s)), 1),
-                         (D, _pair(_col(s + 1), _two_row(a, s)), 1),
-                         (D, _pair(_col(s), _two_row(a, s - 1)), 2),
-                         (D, _pair(_col(s - 1), _two_row(a, s - 2)), 1))
-            if s == a and 2 <= a <= m - 1:
-                rows.row("K.bd1.corner", (K, bip(atyp("delta2", True, a - 1, a - 1)), 1),
-                         (D, _pair(_col(a), _two_row(a, a - 1)), 2),
-                         (D, _pair(_col(a - 1), _two_row(a, a - 2)), 1))
-            if s == m and 2 <= m < a:
-                rows.row("K.bd1.end", (K, bip(atyp("delta1", True, a - 1, m)), 1),
-                         (D, _pair(_col(m), _two_row(a, m - 1)), 2),
-                         (D, _pair(_col(m - 1), _two_row(a, m - 2)), 1))
-            if s == a == m and m >= 2:
-                rows.row("K.bd1.top", (D, bip(atyp("delta1", True, m - 1, m - 1)), 1),
-                         (D, _pair(_col(m), _two_row(m, m - 1)), 2),
-                         (D, _pair(_col(m - 1), _two_row(m, m - 2)), 1))
-        else:
-            if a + 2 <= s <= m - 3 and a >= 1:
-                rows.row("K.bd2.mid", (K, bip(atyp("delta2", True, a - 1, s)), 1),
-                         (D, _pair(_col(s + 3), _two_row(s + 1, a + 1)), 1),
-                         (D, _pair(_col(s + 2), _two_row(s, a + 1)), 2),
-                         (D, _pair(_col(s + 1), _two_row(s - 1, a + 1)), 1))
-            if a == 0 and 2 <= s <= m - 3:
-                rows.row("K.bd2.wall", (K, bip(atyp("delta", False, 1, s + 1)), 1),
-                         (D, _pair(_col(s + 3), _two_row(s + 1, 1)), 1),
-                         (D, _pair(_col(s + 2), _two_row(s, 1)), 2),
-                         (D, _pair(_col(s + 1), _two_row(s - 1, 1)), 1))
-            if s == a and 1 <= a <= m - 3:
-                rows.row("K.bd2.corner", (K, bip(atyp("delta2", True, a - 1, a)), 1),
-                         (D, _pair(_col(a + 3), _two_row(a + 1, a + 1)), 1),
-                         (D, _pair(_col(a), _two_row(a, a - 1)), 1))
-            if s == a + 1 and 1 <= a <= m - 4:
-                rows.row("K.bd2.next", (K, bip(atyp("delta2", True, a - 1, a + 1)), 1),
-                         (D, _pair(_col(a + 4), _two_row(a + 2, a + 1)), 1),
-                         (D, _pair(_col(a + 3), _two_row(a + 1, a + 1)), 2))
-            if s == m - 2 and 1 <= a <= m - 4:
-                rows.row("K.bd2.end", (K, bip(atyp("delta2", True, a - 1, m - 2)), 1),
-                         (D, _pair(_col(m), _two_row(m - 2, a + 1)), 2),
-                         (D, _pair(_col(m - 1), _two_row(m - 3, a + 1)), 1))
-            if a == 0 and s == 1 and m >= 4:
-                rows.row("K.bd2.low", (K, bip(atyp("delta", False, 1, 2)), 1),
-                         (D, _pair(_col(4), _two_row(2, 1)), 1),
-                         (D, _pair(_col(3), _two_row(1, 1)), 2))
-            if a == 0 and s == m - 2 and m >= 4:
-                rows.row("K.bd2.wallend", (K, bip(atyp("delta", False, 1, m - 1)), 1),
-                         (D, _pair(_col(m), _two_row(m - 2, 1)), 2),
-                         (D, _pair(_col(m - 1), _two_row(m - 3, 1)), 1))
-            if a == 0 and s == 1 and m == 3:
-                # small-context end of the mirrored ladder (degenerate terms gone)
-                rows.row("K.bd2.small", (K, bip(atyp("delta", False, 1, 2)), 1),
-                         (D, _pair(_col(3), _col(2)), 2))
-            if s == a + 1 and a == m - 3 and m >= 4:
-                rows.row("K.bd2.preend", (K, bip(atyp("delta2", True, m - 4, m - 2)), 1),
-                         (D, _pair(_col(m), _two_row(m - 2, m - 2)), 2))
-            if s == a == m - 2 and m >= 3:
-                rows.row("K.bd2.top", (K, bip(atyp("delta2", True, m - 3, m - 2)), 1),
-                         (D, _pair(_col(m - 2), _two_row(m - 2, m - 3)), 1))
-    return rows.unique(f"K({lab}) at ({m},{n})")
+    """Restriction of the projective cover of an atypical label, derived
+    from the D rows.
+
+    Restriction is exact, so the class of Res K(lam) is the sum of the D
+    rows of the subquotients of K(lam), the head twice when it is also the
+    socle.  That class is then split into covers of the (m, n-1) context:
+    first every column cover that the sum contains, in any order, then the
+    extra vertex's two-step chain if the sum still contains it; what is
+    left are simples.  The split is not unique: at (2,1) the class
+    2 d[1,1] + d[1,0] is both K(d[1,1]) and K(d[1,0]) + D(d[1,1]).
+    Columns first is the choice the paper's displays make.  A cover that
+    is its label alone is never peeled, so it is written ("D", mu).
+    """
+    rows = _atypical_d_rows(m, n)
+    rest = GrothVector()
+    for nu in _covers(m, n)[atypical_bipartition(lab)]:
+        for term, mult in rows[nu].items():
+            rest.add(term, mult)
+    out = GrothVector()
+    for mu, cover in _covers(m, n - 1).items():  # the columns, then the extra vertex
+        if len(cover) > 1 and all(rest.get(("D", v), 0) >= cover.count(v) for v in cover):
+            for v in cover:
+                rest.add(("D", v), -1)
+            out.add(("K", mu))
+    for term, mult in rest.items():
+        out.add(term, mult)
+    return out
 
 
 def res_right_k(lam: Bipartition, m: int, n: int) -> GrothVector:

@@ -1,5 +1,6 @@
 """Oracles that only the tests read: label enumerations, dimension and
-flattening helpers, and the Loewy graph of a projective cover.
+flattening helpers, the Loewy graph of a projective cover, and the paper's
+restriction displays for projective labels.
 
 The library computes none of these, because no command, `verify` suite or
 benchmark operation needs them.  The tests enumerate their inputs with
@@ -13,8 +14,16 @@ import mixedchain.bimod as bm
 import mixedchain.xcat as xc
 from mixedchain.fusion import GrothVector
 from mixedchain.labels import BarLabel, bar
-from mixedchain.partitions import Bipartition, Partition, is_cross21
+from mixedchain.partitions import (
+    AtypicalLabel,
+    Bipartition,
+    Partition,
+    atyp,
+    atypical_bipartition,
+    is_cross21,
+)
 from mixedchain.uqmod import ExplicitRep, weight_multiset
+from mixedchain.xcat import _col, _hookp, _pair, _row, _Rows, _two_row
 
 # ---------------------------------------------------------------------------
 # partitions and the index sets Lambda_{m,n}(f)
@@ -149,6 +158,188 @@ def _match_exceptional_d(lam: Bipartition, m: int, n: int) -> GrothVector | None
     it."""
     found = xc._exceptional_rows(m, n).get(lam)
     return None if found is None else xc._exceptional_d(lam, found, m, n)
+
+
+def res_k_table(lab: AtypicalLabel, m: int, n: int) -> GrothVector:
+    """The paper's restriction displays for projective atypical labels, as
+    transcribed: the oracle for `xcat._res_k_atypical`, which derives them.
+
+    Each display is guarded by the labels it covers, and exactly one must
+    match.  A cover that is its label alone is written ("K", mu) here,
+    where the library writes ("D", mu).
+    """
+    a, s = lab.a, lab.s
+    bip = atypical_bipartition
+    rows = _Rows(m, n - 1)
+    fam, barred = lab.family, lab.bar
+    K, D = "K", "D"
+    if not barred:
+        if fam == "delta":
+            if 2 <= s <= n - 1 and a >= 1:
+                rows.row("K.d.mid", (K, bip(atyp("delta", False, a + 1, s)), 1),
+                         (D, _pair(_hookp(a, s + 1), _row(s)), 1),
+                         (D, _pair(_hookp(a, s), _row(s - 1)), 2),
+                         (D, _pair(_hookp(a, s - 1), _row(s - 2)), 1))
+            if s == 1 and a >= 2 and n >= 2:
+                # multiplicity 2 on the middle term is forced by the ledger
+                rows.row("K.d.one", (K, bip(atyp("delta", False, a + 1, 1)), 1),
+                         (D, _pair(_hookp(a, 2), _row(1)), 1),
+                         (D, _pair(_hookp(a, 1), ()), 2),
+                         (D, _pair(_two_row(a, 2), _row(1)), 1))
+            if s == 1 and a == 1 and n >= 2:
+                rows.row("K.d.one1", (K, bip(atyp("delta", False, 2, 1)), 1),
+                         (D, _pair(_col(3), _row(1)), 1),
+                         (D, _pair(_col(2), ()), 2))
+            if s == n and n >= 1 and a >= 1:
+                rows.row("K.d.end", (D, bip(atyp("delta", False, a + 1, n - 1)), 1),
+                         (D, _pair(_hookp(a, n), _row(n - 1)), 2),
+                         (D, _pair(_hookp(a, n - 1), _row(n - 2)), 1))
+            if s == 0 and a >= 1 and n >= 1:
+                rows.row("K.d.zero", (K, bip(atyp("delta", False, a + 1, 0)), 1),
+                         (D, _pair(_hookp(a, 1), ()), 1))
+            if s == 0 and a == 0 and n >= 1:
+                rows.row("K.d.origin", (K, bip(atyp("delta", False, 1, 0)), 1))
+        elif fam == "delta1":
+            if 2 <= s <= min(a, n) - 1:
+                rows.row("K.d1.mid", (K, bip(atyp("delta1", False, a + 1, s)), 1),
+                         (D, _pair(_two_row(a, s + 1), _col(s)), 1),
+                         (D, _pair(_two_row(a, s), _col(s - 1)), 2),
+                         (D, _pair(_two_row(a, s - 1), _col(s - 2)), 1))
+            if s == a and 2 <= a <= n - 1:
+                rows.row("K.d1.corner", (K, bip(atyp("delta1", False, a + 1, a)), 1),
+                         (D, _pair(_two_row(a, a), _col(a - 1)), 2),
+                         (D, _pair(_two_row(a, a - 1), _col(a - 2)), 1))
+            if s == n and 2 <= n <= a:
+                rows.row("K.d1.end", (D, bip(atyp("delta1", False, a + 1, n - 1)), 1),
+                         (D, _pair(_two_row(a, n), _col(n - 1)), 2),
+                         (D, _pair(_two_row(a, n - 1), _col(n - 2)), 1))
+        else:
+            if a + 2 <= s <= n - 3:
+                rows.row("K.d2.mid", (K, bip(atyp("delta2", False, a + 1, s)), 1),
+                         (D, _pair(_two_row(s + 2, a + 1), _col(s + 2)), 1),
+                         (D, _pair(_two_row(s + 1, a + 1), _col(s + 1)), 2),
+                         (D, _pair(_two_row(s, a + 1), _col(s)), 1))
+            if s == a and 2 <= a <= n - 3:
+                rows.row("K.d2.corner", (K, bip(atyp("delta1", False, a + 1, a + 1)), 1),
+                         (D, _pair(_two_row(a + 2, a + 1), _col(a + 2)), 1),
+                         (D, _pair(_two_row(a, a), _col(a - 1)), 1))
+            if s == a + 1 and a <= n - 4:
+                rows.row("K.d2.next", (K, bip(atyp("delta2", False, a + 1, a + 1)), 1),
+                         (D, _pair(_two_row(a + 3, a + 1), _col(a + 3)), 1),
+                         (D, _pair(_two_row(a + 2, a + 1), _col(a + 2)), 2))
+            if s == n - 2 and 0 <= a <= n - 4:
+                rows.row("K.d2.end", (D, bip(atyp("delta2", False, a + 1, n - 3)), 1),
+                         (D, _pair(_two_row(n - 1, a + 1), _col(n - 1)), 2),
+                         (D, _pair(_two_row(n - 2, a + 1), _col(n - 2)), 1))
+            if s == n - 2 and a == n - 3 and n >= 3:
+                rows.row("K.d2.preend", (D, bip(atyp("delta1", False, n - 2, n - 2)), 1),
+                         (D, _pair(_two_row(n - 1, n - 2), _col(n - 1)), 2))
+            if s == a == n - 2 and n >= 3:
+                rows.row("K.d2.top", (K, bip(atyp("delta1", False, n - 1, n - 1)), 1),
+                         (D, _pair(_two_row(n - 2, n - 2), _col(n - 3)), 1))
+            if s == a == 1 and n >= 4:
+                rows.row("K.d2.low", (K, bip(atyp("delta1", False, 2, 2)), 1),
+                         (D, _pair(_two_row(3, 2), _col(3)), 1),
+                         (D, _pair(_col(2), ()), 1))
+            if s == a == 0 and n >= 2:
+                rows.row("K.d2.origin", (K, bip(atyp("delta", False, 1, 1)), 1),
+                         (D, _pair(_two_row(2, 1), _col(2)), 1),
+                         (D, _pair(_col(3), _col(2)), 1))
+    else:
+        if fam == "delta":
+            if 2 <= s <= m - 1 and a >= 2:
+                rows.row("K.bd.mid", (K, bip(atyp("delta", True, a - 1, s)), 1),
+                         (D, _pair(_row(s + 1), _hookp(a, s)), 1),
+                         (D, _pair(_row(s), _hookp(a, s - 1)), 2),
+                         (D, _pair(_row(s - 1), _hookp(a, s - 2)), 1))
+            if s == 1 and a >= 2 and m >= 2:
+                rows.row("K.bd.one", (K, bip(atyp("delta", True, a - 1, 1)), 1),
+                         (D, _pair(_row(2), _hookp(a, 1)), 1),
+                         (D, _pair(_row(1), _row(a)), 2),
+                         (D, _pair(_col(2), _hookp(a, 1)), 1))
+            if s == m and m >= 1 and a >= 2:
+                rows.row("K.bd.end", (K, bip(atyp("delta", True, a - 1, m)), 1),
+                         (D, _pair(_row(m), _hookp(a, m - 1)), 2),
+                         (D, _pair(_row(m - 1), _hookp(a, m - 2)), 1))
+            if 2 <= s <= m - 1 and a == 1:
+                rows.row("K.bd.wall", (K, bip(atyp("delta2", False, 0, s - 1)), 1),
+                         (D, _pair(_row(s + 1), _col(s + 1)), 1),
+                         (D, _pair(_row(s), _col(s)), 2),
+                         (D, _pair(_row(s - 1), _col(s - 1)), 1))
+            if s == m and a == 1 and m >= 2:
+                rows.row("K.bd.wallend", (D, bip(atyp("delta2", False, 0, m - 2)), 1),
+                         (D, _pair(_row(m), _col(m)), 2),
+                         (D, _pair(_row(m - 1), _col(m - 1)), 1))
+            if s == 1 and a == 1 and m >= 2:
+                rows.row("K.bd.wallone", (K, bip(atyp("delta2", False, 0, 0)), 1),
+                         (D, _pair(_row(2), _col(2)), 1),
+                         (D, _pair(_row(1), _row(1)), 2))
+            if s == 1 and a == 1 and m == 1:
+                rows.row("K.bd.tiny", (D, bip(atyp("delta", False, 0, 0)), 1),
+                         (D, _pair(_row(1), _row(1)), 2))
+            if s == 0 and a >= 1 and m >= 0:
+                rows.row("K.bd.zero", (K, bip(atyp("delta", True, a - 1, 0)), 1),
+                         (D, _pair(_row(1), _row(a)), 1))
+        elif fam == "delta1":
+            if 2 <= s <= min(a, m) - 1:
+                rows.row("K.bd1.mid", (K, bip(atyp("delta1", True, a - 1, s)), 1),
+                         (D, _pair(_col(s + 1), _two_row(a, s)), 1),
+                         (D, _pair(_col(s), _two_row(a, s - 1)), 2),
+                         (D, _pair(_col(s - 1), _two_row(a, s - 2)), 1))
+            if s == a and 2 <= a <= m - 1:
+                rows.row("K.bd1.corner", (K, bip(atyp("delta2", True, a - 1, a - 1)), 1),
+                         (D, _pair(_col(a), _two_row(a, a - 1)), 2),
+                         (D, _pair(_col(a - 1), _two_row(a, a - 2)), 1))
+            if s == m and 2 <= m < a:
+                rows.row("K.bd1.end", (K, bip(atyp("delta1", True, a - 1, m)), 1),
+                         (D, _pair(_col(m), _two_row(a, m - 1)), 2),
+                         (D, _pair(_col(m - 1), _two_row(a, m - 2)), 1))
+            if s == a == m and m >= 2:
+                rows.row("K.bd1.top", (D, bip(atyp("delta1", True, m - 1, m - 1)), 1),
+                         (D, _pair(_col(m), _two_row(m, m - 1)), 2),
+                         (D, _pair(_col(m - 1), _two_row(m, m - 2)), 1))
+        else:
+            if a + 2 <= s <= m - 3 and a >= 1:
+                rows.row("K.bd2.mid", (K, bip(atyp("delta2", True, a - 1, s)), 1),
+                         (D, _pair(_col(s + 3), _two_row(s + 1, a + 1)), 1),
+                         (D, _pair(_col(s + 2), _two_row(s, a + 1)), 2),
+                         (D, _pair(_col(s + 1), _two_row(s - 1, a + 1)), 1))
+            if a == 0 and 2 <= s <= m - 3:
+                rows.row("K.bd2.wall", (K, bip(atyp("delta", False, 1, s + 1)), 1),
+                         (D, _pair(_col(s + 3), _two_row(s + 1, 1)), 1),
+                         (D, _pair(_col(s + 2), _two_row(s, 1)), 2),
+                         (D, _pair(_col(s + 1), _two_row(s - 1, 1)), 1))
+            if s == a and 1 <= a <= m - 3:
+                rows.row("K.bd2.corner", (K, bip(atyp("delta2", True, a - 1, a)), 1),
+                         (D, _pair(_col(a + 3), _two_row(a + 1, a + 1)), 1),
+                         (D, _pair(_col(a), _two_row(a, a - 1)), 1))
+            if s == a + 1 and 1 <= a <= m - 4:
+                rows.row("K.bd2.next", (K, bip(atyp("delta2", True, a - 1, a + 1)), 1),
+                         (D, _pair(_col(a + 4), _two_row(a + 2, a + 1)), 1),
+                         (D, _pair(_col(a + 3), _two_row(a + 1, a + 1)), 2))
+            if s == m - 2 and 1 <= a <= m - 4:
+                rows.row("K.bd2.end", (K, bip(atyp("delta2", True, a - 1, m - 2)), 1),
+                         (D, _pair(_col(m), _two_row(m - 2, a + 1)), 2),
+                         (D, _pair(_col(m - 1), _two_row(m - 3, a + 1)), 1))
+            if a == 0 and s == 1 and m >= 4:
+                rows.row("K.bd2.low", (K, bip(atyp("delta", False, 1, 2)), 1),
+                         (D, _pair(_col(4), _two_row(2, 1)), 1),
+                         (D, _pair(_col(3), _two_row(1, 1)), 2))
+            if a == 0 and s == m - 2 and m >= 4:
+                rows.row("K.bd2.wallend", (K, bip(atyp("delta", False, 1, m - 1)), 1),
+                         (D, _pair(_col(m), _two_row(m - 2, 1)), 2),
+                         (D, _pair(_col(m - 1), _two_row(m - 3, 1)), 1))
+            if a == 0 and s == 1 and m == 3:
+                # small-context end of the mirrored ladder (degenerate terms gone)
+                rows.row("K.bd2.small", (K, bip(atyp("delta", False, 1, 2)), 1),
+                         (D, _pair(_col(3), _col(2)), 2))
+            if s == a + 1 and a == m - 3 and m >= 4:
+                rows.row("K.bd2.preend", (K, bip(atyp("delta2", True, m - 4, m - 2)), 1),
+                         (D, _pair(_col(m), _two_row(m - 2, m - 2)), 2))
+            if s == a == m - 2 and m >= 3:
+                rows.row("K.bd2.top", (K, bip(atyp("delta2", True, m - 3, m - 2)), 1),
+                         (D, _pair(_col(m - 2), _two_row(m - 2, m - 3)), 1))
+    return rows.unique(f"K({lab}) at ({m},{n})")
 
 
 # ---------------------------------------------------------------------------

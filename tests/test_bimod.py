@@ -9,6 +9,7 @@ import mixedchain.fusion as fu
 import mixedchain.xcat as xc
 from mixedchain.bimod import (
     atypical_part,
+    bimodule_audit,
     closed_form_p,
     closed_form_q,
     dimension_audits,
@@ -279,6 +280,16 @@ def _identity_contexts(max_total):
     return [(m, total - m) for total in range(1, max_total + 1) for m in range(1, total + 1)]
 
 
+def test_identities_and_audits_hold_at_far_contexts():
+    # single contexts far beyond the sweeps' bound of 40, where no transcribed
+    # K display reaches: both mirror sides, n = 0, m = n and |m-n| = 1.  So
+    # the derived K rows are checked against fusion there too
+    for m, n in [(75, 75), (76, 74), (74, 76), (149, 0), (1, 149), (100, 50), (50, 100)]:
+        assert verify_identities(m, n) == (True, True), (m, n)
+    for m, n in [(40, 40), (41, 39), (39, 41), (79, 0), (1, 79), (60, 20), (20, 60), (50, 51)]:
+        assert bimodule_audit(m, n), (m, n)
+
+
 def test_identities_match_the_two_pass_oracle():
     for m, n in _identity_contexts(25):
         want = (oracle_identity_tensor(m, n), oracle_identity_proj(m, n))
@@ -322,6 +333,17 @@ def _drop_exceptional_row(name):
     return "_exceptional_rows", planted
 
 
+def _bump_d_restriction_term(lab):
+    res_d = xc._res_d_atypical
+
+    def planted(label, m, n):
+        out = GrothVector(res_d(label, m, n))
+        if label == lab:
+            out[next(iter(out))] += 1
+        return out
+    return "_res_d_atypical", planted
+
+
 def _extra_k_restriction_term(lab):
     res_k = xc._res_k_atypical
 
@@ -344,18 +366,22 @@ def _bump_flattening_mult(lam):
     return "q_functor", planted
 
 
-@pytest.mark.parametrize("plant", [
-    lambda: _drop_generic_term(((2,), (2,))),
-    lambda: _bump_fusion_mult(semisimple_part(3, 2)[0][1]),
-    lambda: _drop_exceptional_row("X.bd.wall"),
-    lambda: _extra_k_restriction_term(atyp("delta", True, 2, 1)),
-    lambda: _bump_flattening_mult(((1,), (1, 1))),
-], ids=["generic-term", "fusion-mult", "exceptional-row", "k-restriction-term",
-        "flattening-mult"])
-def test_planted_faults_fail_the_same_contexts(monkeypatch, plant):
+@pytest.mark.parametrize("plant, seen_by", [
+    (lambda: _drop_generic_term(((2,), (2,))), "both"),
+    (lambda: _bump_fusion_mult(semisimple_part(3, 2)[0][1]), "both"),
+    (lambda: _drop_exceptional_row("X.bd.wall"), "both"),
+    (lambda: _bump_d_restriction_term(atyp("delta", False, 2, 2)), "both"),
+    (lambda: _extra_k_restriction_term(atyp("delta", True, 2, 1)), "proj"),
+    (lambda: _bump_flattening_mult(((1,), (1, 1))), "tensor"),
+], ids=["generic-term", "fusion-mult", "exceptional-row", "d-restriction-term",
+        "k-restriction-term", "flattening-mult"])
+def test_planted_faults_fail_the_same_contexts(monkeypatch, plant, seen_by):
     # each fault is seen by the one-pass check and by the oracle, at the same
     # contexts and for the same identities, and not everywhere; it is
-    # planted in every label module that binds the faulty function's name
+    # planted in every label module that binds the faulty function's name.
+    # A fault in a D row is seen by both identities at the same contexts,
+    # since the K rows are derived from the D rows; a K row or a flattening
+    # is read by one identity only
     contexts = _identity_contexts(15)
     name, planted = plant()
     _clear_label_memos()
@@ -364,14 +390,20 @@ def test_planted_faults_fail_the_same_contexts(monkeypatch, plant):
             for module in (fu, xc, bm):
                 if hasattr(module, name):
                     patched.setattr(module, name, planted)
-            failing = []
+            tensor, proj = [], []
             for m, n in contexts:
                 got = verify_identities(m, n)
                 assert got == (oracle_identity_tensor(m, n), oracle_identity_proj(m, n)), (m, n)
-                if got != (True, True):
-                    failing.append((m, n))
+                for failing, ok in zip((tensor, proj), got):
+                    if not ok:
+                        failing.append((m, n))
     finally:
         _clear_label_memos()
+    if seen_by == "both":
+        assert tensor == proj, (tensor, proj)
+    else:
+        assert not (proj if seen_by == "tensor" else tensor), (tensor, proj)
+    failing = tensor or proj
     assert 0 < len(failing) < len(contexts), failing
     assert all(verify_identities(m, n) == (True, True) for m, n in failing)
 
@@ -505,13 +537,20 @@ def test_label_context_is_built_once_per_context(monkeypatch):
             # the identities at (m,n) read (m,n) and (m,n+1), all with m >= 1
             reached = {(m, n) for m, n in swept | {(m, n + 1) for m, n in swept} if m >= 1}
             want = {(m, n, field) for m, n in reached for field in per_side}
-            # restrictions classify labels of the contexts with a right strand
-            return reached, want | {(m, n, field) for m, n in reached if n >= 1
-                                      for field in ("atypical_set", "_exceptional_rows")}
+            # restrictions classify labels of the contexts with a right strand,
+            # and read the D rows of their atypical labels
+            want |= {(m, n, field) for m, n in reached if n >= 1
+                     for field in ("atypical_set", "_exceptional_rows", "_atypical_d_rows")}
+            # covers are read where a projective is flattened or restricted:
+            # wherever the context, or the one a strand above it, has columns
+            return reached, want | {(m, n, "_covers") for m, n in reached
+                                    if pa._columns(m, n)[0] or pa._columns(m, n + 1)[0]}
         want = {(m, n, field) for m, n in swept
                   for field in per_side + ("dims_for", "chain_content")}
-        # the dims audit classifies labels only where the atypical part has columns
-        want |= {(m, n, "atypical_set") for m, n in swept if pa._columns(m, n)[0]}
+        # the dims audit classifies labels and reads covers only where the
+        # atypical part has columns, and restricts nothing
+        want |= {(m, n, field) for m, n in swept if pa._columns(m, n)[0]
+                 for field in ("atypical_set", "_covers")}
         # the content of (0, 1) looks up the empty chain (0, 0), which holds none
         return swept | {(0, 0)}, want
 

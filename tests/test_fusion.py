@@ -4,6 +4,7 @@ from mixedchain.fusion import (
     GrothVector,
     Label,
     _dispatch,
+    _rules_with_v,
     chain_decompose,
     fuse_with_f,
     fuse_with_v,
@@ -96,6 +97,21 @@ def test_fuse_f_matches_transcribed_table():
         for alpha2, beta2 in SIGN_PAIRS:
             assert fuse_with_f(x, alpha2, beta2) == _fuse_with_f_table(x, alpha2, beta2), \
                 (x, alpha2, beta2)
+
+
+def test_exactly_one_fusion_rule_is_a_candidate():
+    # the exceptional low-spin guards and the regular families never overlap,
+    # so the dispatcher needs no priority between them
+    cases = 0
+    for al, be in SIGN_PAIRS:
+        for s in range(1, 41):
+            labels = [Z(al, be, s, r) for r in range(-5, s + 8)] + [R(al, be, s, r) for r in (0, s)]
+            for x in labels:
+                for alpha2, beta2 in SIGN_PAIRS:
+                    rules = _rules_with_v(x, x.alpha * alpha2, x.beta * beta2)
+                    assert len(rules) == 1, (x, alpha2, beta2, [name for name, _rule in rules])
+                    cases += 1
+    assert cases == 22720
 
 
 def test_chain_mirror_is_dual():

@@ -35,6 +35,7 @@ from oracles import (
     loewy_graph,
     partitions_of,
     q_expand,
+    res_k_table,
     res_right_s,
 )
 
@@ -315,6 +316,40 @@ def test_res_right_k_examples():
     }
 
 
+def test_res_right_k_spells_a_trivial_cover_as_d():
+    # a cover that is its label alone is a simple, so it is written ("D", mu)
+    assert dict(res_right_k(((), (1,)), 0, 1)) == {("D", ((), ())): 1}
+    assert dict(res_right_k(((), ()), 1, 1)) == {("D", ((1,), ())): 1}
+    assert dict(res_right_k(((), (2,)), 0, 2)) == {("D", ((), (1,))): 1}
+
+
+def test_res_right_k_matches_the_transcribed_displays():
+    # the derived K rows equal the paper's displays for every atypical label
+    # with 1 <= n and m+n <= 40, once a trivial cover, which the displays
+    # write ("K", mu), is spelled ("D", mu); 80 rows need that, one in each
+    # context whose target has no columns: (m, 0), (0, n-1) and (1, 1)
+    labels, respelled = 0, []
+    for total in range(1, 41):
+        for m in range(total):
+            n = total - m
+            for lam, lab in atypical_set(m, n).items():
+                labels += 1
+                want = GrothVector()
+                for (kind, mu), mult in res_k_table(lab, m, n).items():
+                    if kind == "K" and proj_structure(mu, m, n - 1) == (mu,):
+                        kind = "D"
+                        respelled.append((m, n))
+                    want.add((kind, mu), mult)
+                assert res_right_k(lam, m, n) == want, (m, n, lab)
+    assert labels == 10821
+    assert len(respelled) == 80
+    no_columns = {(m, n) for total in range(1, 41) for m in range(total)
+                  for n in [total - m] if not atypical_columns(m, n - 1)[0]}
+    assert sorted(respelled) == sorted(no_columns)
+    assert no_columns == ({(0, n) for n in range(1, 41)} | {(m, 1) for m in range(1, 40)}
+                          | {(1, 2)})
+
+
 def test_res_right_k_typical_routes_to_d():
     lam = ((2,), (2,))
     assert dict(res_right_k(lam, 2, 2)) == dict(res_right_d(lam, 2, 2))
@@ -433,11 +468,13 @@ def test_specht_factors_unmodelled_families_raise():
 
 
 def test_every_restriction_display_fires():
-    # each declared display must be reachable; a dead row hides a bad guard
+    # each declared display must be reachable; a dead row hides a bad guard.
+    # The K displays are the transcription oracle for the derived K rows, so
+    # they fire through it.
     import re
     from pathlib import Path
 
-    import mixedchain.xcat as xc
+    import oracles
 
     fired = set()
     orig_unique = xc._Rows.unique
@@ -454,20 +491,29 @@ def test_every_restriction_display_fires():
                 n = total - m
                 if n < 1:
                     continue
-                for lam in atypical_set(m, n):
+                for lam, lab in atypical_set(m, n).items():
                     res_right_d(lam, m, n)
                     res_right_k(lam, m, n)
+                    res_k_table(lab, m, n)
                 for lam in cross_set(m, n):
                     if classify_is_none(lam, m, n):
                         res_right_d(lam, m, n)
     finally:
         xc._Rows.unique = orig_unique
-    src = Path(xc.__file__).read_text()
-    declared = set(re.findall(r'rows\.row\("([^"]+)"', src))
+
+    def declared_in(module):
+        return set(re.findall(r'rows\.row\("([^"]+)"', Path(module.__file__).read_text()))
+
+    library, oracle = declared_in(xc), declared_in(oracles)
+    # the library keeps no K display, and the oracle keeps all 39 of them
+    assert not {name for name in library if name.startswith("K.")}, sorted(library)
+    assert oracle == {name for name in oracle if name.startswith("K.")}
+    assert len(oracle) == 39
     # the exceptional rows are declared in the same call form, in their index
     exceptional = {"X.d", "X.d1", "X.d2", "X.d2c", "X.bd", "X.bd.wall", "X.bd1",
                    "X.bd1c", "X.bd2"}
-    assert exceptional <= declared, sorted(exceptional - declared)
+    assert exceptional <= library, sorted(exceptional - library)
+    declared = library | oracle
     assert declared <= fired, sorted(declared - fired)
 
 
