@@ -12,21 +12,20 @@ its window, the at most four sites its operators touch, and each centralizer
 commutator on its operator's window plus one neighbouring site on each side;
 both are exact for every (m, n) (see `qwb_relation_residuals` and
 `centralizer_residuals`), and each window residual is a function of its
-class, memoised for the whole process.  A chain operator carries its
-window; any other matrix handed to the centralizer check is checked on the
-whole chain.
+class, memoised for the whole process.  A `ChainContext` is the chain's
+shape alone.  A chain operator carries its window; any other matrix handed
+to the centralizer check is checked on the whole chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .labels import THREE, THREE_BAR
 from .qarith import MINUS_ONE, ONE, Q, EvalPoint, QScalar, qpow
 from .sparse import DiagonalMatrix, SparseMatrix, embed_factor, embed_with_diags
-from .uqmod import build_simple
+from .tagged import TaggedTuple
 
 
 class IndexOutOfRange(ValueError):
@@ -56,43 +55,48 @@ def chain_params() -> QwbParams:
 # factor matrices in the chain basis
 # ---------------------------------------------------------------------------
 #
-# Chain bases: the left factor uses (f1, f2, f3) = (phi_0, beta_0, beta_1);
-# the right factor uses (v1, v2, v3) = (beta_0, phi_1, phi_0), i.e. the
-# reversal of the stored order of the dual fundamental module.
+# Chain bases: the left factor uses (f1, f2, f3) = (phi_0, beta_0, beta_1), its
+# stored order; the right factor uses (v1, v2, v3) = (beta_0, phi_1, phi_0),
+# the reversal of the stored order of the dual fundamental module.
 
-_PERM_LEFT = (0, 1, 2)
-_PERM_RIGHT = (2, 1, 0)
+_REVERSED = (2, 1, 0)
+# f_i (x) f_j <-> f_j (x) f_i on a pair of sites: index 3(i-1)+(j-1) <-> 3(j-1)+(i-1)
+_FLIP = tuple(3 * (k % 3) + k // 3 for k in range(9))
 
 
 def _permuted(mat: SparseMatrix, perm) -> SparseMatrix:
+    """mat with index i read from stored index perm[i]; a diagonal stays one."""
+    if isinstance(mat, DiagonalMatrix):
+        return DiagonalMatrix([mat.diag[stored] for stored in perm])
     inv = {stored: chain for chain, stored in enumerate(perm)}
-    out = SparseMatrix(mat.nrows, mat.ncols)
-    for r, c, v in mat.entries():
-        out.set(inv[r], inv[c], v)
-    return out
+    return SparseMatrix(mat.nrows, mat.ncols, {(inv[r], inv[c]): v for r, c, v in mat.entries()})
 
 
 @lru_cache(maxsize=2)
 def factor_matrices(dual: bool) -> dict[str, SparseMatrix]:
     """The generators on the fundamental module (dual=False) or its dual, in
-    the chain basis.  Built once per process for each side and shared by
-    every `ChainContext`; callers must only read them."""
-    rep = build_simple(THREE_BAR if dual else THREE)
-    perm = _PERM_RIGHT if dual else _PERM_LEFT
-    return {g: _permuted(m, perm) for g, m in rep.mats.items()}
+    the chain basis; the Cartan generators are weight lists.  Built once per
+    process for each side and shared by every `ChainContext`; callers must
+    only read them."""
+    # only the coproduct reads the modules: a relations sweep loads no uqmod
+    from .labels import THREE, THREE_BAR
+    from .uqmod import build_simple
+
+    mats = build_simple(THREE_BAR if dual else THREE).mats
+    return {g: _permuted(m, _REVERSED) for g, m in mats.items()} if dual else mats
 
 
 @lru_cache(maxsize=1)
 def fundamental_ops() -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
     """The 9x9 operators (g, e, h) in the bases f_i(x)f_j, f_i(x)v_j, v_i(x)v_j.
 
-    Built once per process and shared, with the memo key of each
-    (`_factor_key`); every caller must only read them."""
+    h is g conjugated by the factor flip (`_FLIP`): the same spectral
+    braiding, on the swapped pair.  Built once per process and shared, with
+    the memo key of each (`_factor_key`); every caller must only read them."""
     qm2 = qpow(-2)
     qm1 = qpow(-1)
     lo = qm2 - ONE  # q^-2 - 1
     g = SparseMatrix(9, 9)
-    h = SparseMatrix(9, 9)
 
     def idx(i, j):
         return 3 * (i - 1) + (j - 1)
@@ -106,14 +110,7 @@ def fundamental_ops() -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
         g.set(idx(j, i), idx(i, j), -qm1)
         g.set(idx(j, i), idx(j, i), lo)
         g.set(idx(i, j), idx(j, i), -qm1)
-    # h: same spectral projectors, transposed pairing
-    h.set(idx(1, 1), idx(1, 1), qm2)
-    for i, j in ((2, 2), (3, 3)):
-        h.set(idx(i, j), idx(i, j), MINUS_ONE)
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        h.set(idx(i, j), idx(i, j), lo)
-        h.set(idx(j, i), idx(i, j), -qm1)
-        h.set(idx(i, j), idx(j, i), -qm1)
+    h = _permuted(g, _FLIP)
 
     # e: rank-one contraction through the wall, image spanned by
     # w = q^2 f1(x)v1 + q f2(x)v2 - f3(x)v3, with column weights (1, -q, 1).
@@ -147,17 +144,14 @@ class WindowedOperator(SparseMatrix):
         return self._chain_rows
 
 
-@dataclass
 class ChainContext:
-    """Cached operator store for a fixed chain shape (m left, n right factors)."""
+    """A chain shape and nothing else: m fundamental factors, then n dual
+    ones.  Each operator and coproduct is built on every call."""
 
-    m: int
-    n: int
-    _cache: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
+    def __init__(self, m: int, n: int):
+        if m < 0 or n < 0 or m + n < 1:
             raise ValueError("need m, n >= 0 with m + n >= 1")
+        self.m, self.n = m, n
 
     @property
     def nsites(self) -> int:
@@ -168,18 +162,11 @@ class ChainContext:
         return 3 ** self.nsites
 
     def factors(self) -> list[dict[str, SparseMatrix]]:
-        if "factors" not in self._cache:
-            left = factor_matrices(dual=False)
-            right = factor_matrices(dual=True)
-            self._cache["factors"] = [left] * self.m + [right] * self.n
-        return self._cache["factors"]
+        return [factor_matrices(dual=False)] * self.m + [factor_matrices(dual=True)] * self.n
 
     def chain_operator(self, which: str, index: int = 0) -> WindowedOperator:
         """g_j on factors (m-j, m-j+1), h_i on (m+i, m+i+1), e on (m, m+1),
         kept as its two-site window; its chain rows are built on first read."""
-        key = (which, index)
-        if key in self._cache:
-            return self._cache[key]
         g9, e9, h9 = fundamental_ops()
         m, n = self.m, self.n
         if which == "g":
@@ -196,28 +183,20 @@ class ChainContext:
             first, op = m - 1, e9
         else:
             raise ValueError(f"unknown chain operator {which!r}")
-        mat = WindowedOperator(self.nsites, first, 2, op)
-        self._cache[key] = mat
-        return mat
+        return WindowedOperator(self.nsites, first, 2, op)
 
     def _diag(self, gen: str, factors: slice) -> list:
-        mats = self.factors()[factors]
         diag = [ONE]
-        for f in mats:
-            d = f[gen].diagonal()
-            diag = [a * b for a in diag for b in d]
+        for f in self.factors()[factors]:
+            diag = [a * b for a in diag for b in f[gen].diag]
         return diag
 
     def quantum_group_action(self, gen: str) -> SparseMatrix:
         """Iterated coproduct action of a generator on the full chain."""
-        key = ("uq", gen)
-        if key in self._cache:
-            return self._cache[key]
         facs = self.factors()
         N = self.nsites
         if gen in ("K", "Kinv", "k", "kinv"):
-            mat = self._cache[key] = DiagonalMatrix(self._diag(gen, slice(0, N)))
-            return mat
+            return DiagonalMatrix(self._diag(gen, slice(0, N)))
         # twists: E picks up K on the right, F picks K^-1 on the left,
         # B picks k^-1 on the left, C picks k on the right.
         left_gen = {"E": None, "F": "Kinv", "B": "kinv", "C": None}[gen]
@@ -228,7 +207,6 @@ class ChainContext:
             right = (self._diag(right_gen, slice(p + 1, N))
                      if right_gen else [ONE] * 3 ** (N - p - 1))
             total = total + embed_with_diags(facs[p][gen], left, right)
-        self._cache[key] = total
         return total
 
     def operators(self) -> list[tuple[str, SparseMatrix]]:
@@ -246,14 +224,8 @@ class ChainContext:
 # relation and centralizer reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    relation: str
-    m: int
-    n: int
-    backend: str
-    ok: bool
-    seconds: float = 0.0
+class CheckResult(TaggedTuple, fields="relation m n backend ok seconds"):
+    __slots__ = ()
 
 
 def _as_backend(mat: SparseMatrix, point: EvalPoint | None) -> SparseMatrix:

@@ -7,16 +7,20 @@ import pytest
 import mixedchain.chainrep as chainrep
 import mixedchain.qarith as qarith
 from mixedchain.chainrep import (
+    _FLIP,
     ChainContext,
+    CheckResult,
     IndexOutOfRange,
     QwbParams,
     SingularParams,
     _as_backend,
     _factor_key,
     _operator_window,
+    _permuted,
     chain_params,
     check_centralizer,
     check_qwb_relations,
+    factor_matrices,
     fundamental_ops,
     qwb_relation_residuals,
 )
@@ -31,7 +35,8 @@ from mixedchain.qarith import (
     eval_points,
     qpow,
 )
-from mixedchain.sparse import SparseMatrix, embed_factor
+from mixedchain.sparse import DiagonalMatrix, SparseMatrix, embed_factor
+from mixedchain.tagged import TaggedTuple
 
 
 def idx(i, j):
@@ -51,6 +56,44 @@ def test_fundamental_entries_from_displays():
     assert e.get(idx(2, 2), idx(2, 2)) == -(Q * Q)
     assert e.get(idx(3, 3), idx(2, 2)) == Q
     assert e.get(idx(1, 2), idx(1, 2)) is None
+
+
+def test_h_and_e_are_their_flip_conjugates():
+    # h is the braiding g on the swapped pair, and e is symmetric under the swap
+    g, e, h = fundamental_ops()
+    assert sorted(_FLIP) == list(range(9))
+    assert [_FLIP[k] for k in _FLIP] == list(range(9))
+    assert h == _permuted(g, _FLIP)
+    assert e == _permuted(e, _FLIP)
+    assert h != g
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["fundamental", "dual"])
+def test_cartan_factors_are_the_module_weights_in_chain_order(dual):
+    from mixedchain.labels import THREE, THREE_BAR
+    from mixedchain.uqmod import build_simple
+
+    stored = build_simple(THREE_BAR if dual else THREE).mats
+    for gen in ("K", "Kinv", "k", "kinv"):
+        factor = factor_matrices(dual)[gen]
+        assert isinstance(factor, DiagonalMatrix), gen
+        assert factor.diag == (stored[gen].diag[::-1] if dual else stored[gen].diag), gen
+
+
+def test_a_chain_context_is_its_shape():
+    assert vars(ChainContext(2, 3)) == {"m": 2, "n": 3}
+    for m, n in ((0, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            ChainContext(m, n)
+
+
+def test_check_result_is_a_tagged_tuple():
+    fields = ("quad_g1", 2, 1, "symbolic", True, 0.5)
+    result = CheckResult(*fields)
+    assert isinstance(result, TaggedTuple)
+    assert result != fields and tuple(result[1:]) == fields
+    assert (result.relation, result.m, result.n) == ("quad_g1", 2, 1)
+    assert (result.backend, result.ok, result.seconds) == ("symbolic", True, 0.5)
 
 
 def test_quadratic_and_contraction_on_nine_dims():

@@ -1,11 +1,12 @@
-"""Golden outputs: the exact bytes that the label commands and the chain
-sweeps print.
+"""Golden outputs: the exact bytes that the label commands, the chain
+sweeps and `dump-rep` print.
 
 Each command runs in process through `cli.main`.  The test pins the sha256
 of its stdout and its exit code, so a refactor of the label layer or of the
 chain checks that changes one byte of a report, a table or a decomposition
-fails here.  A change that means to alter one of these outputs updates its
-digest, and says why.
+fails here, as does a change to `qarith` or `uqmod` that changes one
+printed Q(q) entry of a module's matrices.  A change that means to alter
+one of these outputs updates its digest, and says why.
 """
 
 import contextlib
@@ -39,6 +40,9 @@ GOLDEN = {
         "27b1b1c35916df8ca2e9ced84368f912581989285c540d80cb06fcf65a94d47a",
     "verify centralizer --backend eval --seed 3 --max-mn 5 --json":
         "8716d98a7325ccd1e281d9b434a649d66f7bc2da0ef79c492ee7266fd18bacd5",
+    "dump-rep Z[-1,1;4,2]": "0c38122ec9821c2c4afdf1822a66037ec65f459a01c5fbaf202e5dab79af2216",
+    "dump-rep R[1,-1;3,0]": "8244df86fca1e242cfd3de01d359beb7037e6725461e21fbcb966852e6a0a694",
+    "dump-rep R[1,1;2,2]": "79c2770950c7a4d28535f67b18ad87cb65975bb2b5545ade8342f68d86073792",
 }
 
 

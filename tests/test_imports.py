@@ -134,6 +134,10 @@ def test_chain_sweeps_skip_the_label_layer(suite):
     loaded = loaded_by_command("verify", suite, "--max-mn", "2")
     assert "chainrep" in loaded
     assert not loaded & {"bimod", "xcat", "fusion", "partitions", "labelctx"}, loaded
+    if suite == "relations":  # only the coproduct reads the fundamental modules
+        assert not loaded & {"uqmod", "labels"}, loaded
+    else:
+        assert "uqmod" in loaded
 
 
 @pytest.mark.parametrize("argv", [("decompose", "2", "1"), ("dump-rep", "Z[1,1;3,1]")])
