@@ -377,8 +377,8 @@ def verify_identities(m: int, n: int) -> tuple[bool, bool]:
     and restricted once.  A simple summand of a fusion counts the same on
     both left sides; only a projective summand differs, kept for tensor and
     expanded into its subquotients for proj.  A simple term of a
-    restriction counts the same on both right sides; only the projective
-    terms of exceptional rows differ, flattened for tensor and kept for
+    restriction counts the same on both right sides; only the glued K
+    terms of typical labels differ, flattened for tensor and kept for
     proj.  So the shared terms go into one remainder, which mostly cancels;
     each identity then adds its own terms, and its flattening of the
     atypical part, to a copy of that remainder.  Within the semisimple part

@@ -199,11 +199,6 @@ def atypical_set(m: int, n: int) -> dict[Bipartition, AtypicalLabel]:
     return out
 
 
-def classify_atypical(lam: Bipartition, m: int, n: int) -> AtypicalLabel | None:
-    lambda_f(lam, m, n)  # raises NotInLambda when out of context
-    return atypical_set(m, n).get(lam)
-
-
 def gswap(lam: Bipartition) -> Bipartition:
     """The involution exchanging left and right halves."""
     return (lam[1], lam[0])

@@ -1,6 +1,7 @@
 """Oracles that only the tests read: label enumerations, dimension and
 flattening helpers, the Loewy graph of a projective cover, and the paper's
-restriction displays for projective labels.
+restriction displays: the D displays of atypical labels, the re-gluing rows
+of typical labels and the K displays of projective labels.
 
 The library computes none of these, because no command, `verify` suite or
 benchmark operation needs them.  The tests enumerate their inputs with
@@ -17,13 +18,17 @@ from mixedchain.labels import BarLabel, bar
 from mixedchain.partitions import (
     AtypicalLabel,
     Bipartition,
+    NotInLambda,
     Partition,
+    add_boxes,
     atyp,
     atypical_bipartition,
+    atypical_set,
     is_cross21,
+    lambda_f,
+    rem_boxes,
 )
 from mixedchain.uqmod import ExplicitRep, weight_multiset
-from mixedchain.xcat import _col, _hookp, _pair, _row, _Rows, _two_row
 
 # ---------------------------------------------------------------------------
 # partitions and the index sets Lambda_{m,n}(f)
@@ -80,6 +85,11 @@ def lambda_all(m: int, n: int) -> list[Bipartition]:
 
 def cross_set(m: int, n: int) -> list[Bipartition]:
     return [lam for lam in lambda_all(m, n) if is_cross21(lam)]
+
+
+def classify_atypical(lam: Bipartition, m: int, n: int) -> AtypicalLabel | None:
+    lambda_f(lam, m, n)  # raises NotInLambda when out of context
+    return atypical_set(m, n).get(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +152,244 @@ def q_expand(v: GrothVector, m: int, n: int) -> GrothVector:
 
 
 def res_right_s(lam: Bipartition, m: int, n: int) -> GrothVector:
-    """Restriction of a Specht label one step down on the right side."""
+    """Restriction of a Specht label one step down on the right side: the
+    walled-Brauer Pieri rule, remove a box on the right or, when the defect
+    is positive, add one on the left where the label stays cross."""
     if n < 1:
         raise xc.NIsZero("right restriction needs n >= 1")
     f, _lab = xc._classify_cross(lam, m, n)
+    left, right = lam
     out = GrothVector()
-    for mu in xc._generic_restriction(lam, f):
-        out.add(mu)
+    for mu in rem_boxes(right):
+        out.add((left, mu))
+    if f > 0:
+        for nu in add_boxes(left):
+            if is_cross21((nu, right)):
+                out.add((nu, right))
     return out
 
 
-def _match_exceptional_d(lam: Bipartition, m: int, n: int) -> GrothVector | None:
-    """The exceptional row of a typical label, or None when no row re-glues
-    it.  Reads `xcat._exceptional_rows` at call time, so a test may replace
-    it."""
-    found = xc._exceptional_rows(m, n).get(lam)
-    return None if found is None else xc._exceptional_d(lam, found, m, n)
+# ---------------------------------------------------------------------------
+# the paper's restriction displays, as transcribed
+# ---------------------------------------------------------------------------
+
+def _row(k: int):
+    return (k,) if k > 0 else () if k == 0 else None
+
+
+def _col(k: int):
+    return (1,) * k if k >= 0 else None
+
+
+def _hookp(a: int, s: int):
+    """(a, 1^s), with non-positive arm or negative leg invalid."""
+    if a <= 0 or s < 0:
+        return None
+    return (a,) + (1,) * s
+
+
+def _pair(left, right) -> Bipartition | None:
+    """(left, right), or None if either half is.  Every half comes from
+    `_row`, `_col`, `_hookp` or `_two_row`, or is (), so it is a partition
+    or None."""
+    if left is None or right is None:
+        return None
+    return (left, right)
+
+
+def _two_row(a: int, b: int):
+    """(a, b) with trailing zeros dropped; None when invalid."""
+    if b < 0 or a < b:
+        return None
+    if b == 0:
+        return _row(a)
+    if a <= 0:
+        return None
+    return (a, b)
+
+
+def _in_lambda(lam: Bipartition | None, m: int, n: int) -> bool:
+    if lam is None:
+        return False
+    try:
+        lambda_f(lam, m, n)
+    except NotInLambda:
+        return False
+    return True
+
+
+class _Rows:
+    """Collector for restriction displays with drop-invalid semantics."""
+
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n  # target context
+        self.hits: list[tuple[str, GrothVector]] = []
+
+    def row(self, name: str, *terms):
+        """terms: (kind, bipartition-or-None, mult); invalid D terms drop."""
+        out = GrothVector()
+        for kind, lam, mult in terms:
+            if lam is None or not _in_lambda(lam, self.m, self.n):
+                if kind == "K":
+                    raise AssertionError(f"display {name}: projective output invalid {lam!r}")
+                continue
+            if kind == "K":
+                if classify_atypical(lam, self.m, self.n) is None:
+                    raise AssertionError((name, lam))
+                out.add(("K", lam), mult)
+            else:
+                out.add(("D", lam), mult)
+        self.hits.append((name, out))
+
+    def unique(self, what) -> GrothVector:
+        if len(self.hits) != 1:
+            names = [h[0] for h in self.hits]
+            raise AssertionError(f"restriction of {what}: {len(self.hits)} displays matched {names}")
+        return self.hits[0][1]
+
+
+def res_d_table(lab: AtypicalLabel, m: int, n: int) -> GrothVector:
+    """The paper's restriction displays for simple atypical labels, as
+    transcribed: the oracle for `xcat._d_row` on atypical labels.  Each
+    display is guarded by the labels it covers, and exactly one must match.
+    """
+    a, s = lab.a, lab.s
+    bip = atypical_bipartition
+    rows = _Rows(m, n - 1)
+    fam, barred = lab.family, lab.bar
+    if not barred:
+        if fam == "delta":
+            if a >= 1 and 1 <= s <= n - 1:
+                rows.row("D.d.mid", ("D", bip(atyp("delta", False, a + 1, s)), 1),
+                         ("D", _pair(_hookp(a, s), _row(s - 1)), 1))
+            if a >= 1 and s == n and n >= 1:
+                rows.row("D.d.end", ("D", _pair(_hookp(a, n), _row(n - 1)), 1))
+            if s == 0 and a >= 0:
+                rows.row("D.d.zero", ("D", bip(atyp("delta", False, a + 1, 0)), 1))
+        elif fam == "delta1":
+            if 1 <= s <= n - 1 and s <= a:
+                rows.row("D.d1.mid", ("D", bip(atyp("delta1", False, a + 1, s)), 1),
+                         ("D", _pair(_two_row(a, s), _col(s - 1)), 1))
+            if s == n and 1 <= n <= a:
+                rows.row("D.d1.end", ("D", _pair(_two_row(a, n), _col(n - 1)), 1))
+        else:
+            if a + 1 <= s <= n - 3:
+                rows.row("D.d2.mid", ("D", bip(atyp("delta2", False, a + 1, s)), 1),
+                         ("D", _pair(_two_row(s + 1, a + 1), _col(s + 1)), 1))
+            if s == n - 2 and 0 <= a <= n - 3:
+                rows.row("D.d2.end", ("D", _pair(_two_row(n - 1, a + 1), _col(n - 1)), 1))
+            if s == a and 0 <= a <= n - 2:
+                rows.row("D.d2.corner", ("D", bip(atyp("delta1", False, a + 1, a + 1)), 1))
+    else:
+        if fam == "delta":
+            if a >= 2 and 1 <= s <= m:
+                rows.row("D.bd.mid", ("D", bip(atyp("delta", True, a - 1, s)), 1),
+                         ("D", _pair(_row(s), _hookp(a, s - 1)), 1))
+            if a >= 1 and s == 0:
+                rows.row("D.bd.zero", ("D", bip(atyp("delta", True, a - 1, 0)), 1))
+            if a == 1 and 1 <= s <= m - 1:
+                rows.row("D.bd.wall", ("D", bip(atyp("delta2", False, 0, s - 1)), 1),
+                         ("D", _pair(_row(s), _col(s)), 1))
+            if a == 1 and s == m and m >= 1:
+                rows.row("D.bd.end", ("D", _pair(_row(m), _col(m)), 1))
+        elif fam == "delta1":
+            if 2 <= s <= m and s < a:
+                rows.row("D.bd1.mid", ("D", bip(atyp("delta1", True, a - 1, s)), 1),
+                         ("D", _pair(_col(s), _two_row(a, s - 1)), 1))
+            if s == a and 2 <= a <= m - 1:
+                rows.row("D.bd1.corner", ("D", bip(atyp("delta2", True, a - 1, a - 1)), 1),
+                         ("D", _pair(_col(a), _two_row(a, a - 1)), 1))
+            if s == a == m and m >= 1:
+                rows.row("D.bd1.end", ("D", _pair(_col(m), _two_row(m, m - 1)), 1))
+        else:
+            if a >= 1 and a + 1 <= s <= m - 2:
+                rows.row("D.bd2.mid", ("D", bip(atyp("delta2", True, a - 1, s)), 1),
+                         ("D", _pair(_col(s + 2), _two_row(s, a + 1)), 1))
+            if a >= 1 and s == a and 1 <= a <= m - 2:
+                rows.row("D.bd2.corner", ("D", bip(atyp("delta2", True, a - 1, a)), 1))
+            if a == 0 and 1 <= s <= m - 2:
+                rows.row("D.bd2.wall", ("D", bip(atyp("delta", False, 1, s + 1)), 1),
+                         ("D", _pair(_col(s + 2), _two_row(s, 1)), 1))
+    return rows.unique(f"D({lab}) at ({m},{n})")
+
+
+@lru_cache(maxsize=2)
+def _exceptional_rows(m: int, n: int) -> tuple:
+    """The re-gluing rows of the (m,n) context, as transcribed family by
+    family: (name, key, terms), each keyed by the typical label it
+    re-glues.  A key with an invalid half matches no label."""
+    ap = abs(m - n + 1)
+    bip = atypical_bipartition
+    rows = []
+
+    def row(name, key, *terms):
+        rows.append((name, key, terms))
+
+    # ((a',1^(s-1)), (s))
+    if ap >= 1:
+        for s in range(1, n):
+            row("X.d", (_hookp(ap, s - 1), _row(s)),
+                ("K", bip(atyp("delta", False, ap, s)), 1),
+                ("D", _pair(_hookp(ap + 1, s - 1), _row(s)), 1))
+    # ((a',s), (1^(s+1)))
+    if ap >= 1:
+        for s in range(1, min(ap - 1, n - 2) + 1):
+            row("X.d1", (_two_row(ap, s), _col(s + 1)),
+                ("K", bip(atyp("delta1", False, ap, s + 1)), 1),
+                ("D", _pair(_two_row(ap + 1, s), _col(s + 1)), 1))
+    # ((s,a'+1), (1^(s+2)))
+    for s in range(ap + 2, n - 2):
+        row("X.d2", (_two_row(s, ap + 1), _col(s + 2)),
+            ("K", bip(atyp("delta2", False, ap, s)), 1),
+            ("D", _pair(_two_row(s, ap + 2), _col(s + 2)), 1))
+    # ((a'+1,a'+1), (1^(a'+3)))
+    if ap <= n - 4:
+        row("X.d2c", (_two_row(ap + 1, ap + 1), _col(ap + 3)),
+            ("K", bip(atyp("delta2", False, ap, ap + 1)), 1))
+    # ((s), (a',1^(s+1)))
+    if ap >= 2:
+        for s in range(0, m):
+            row("X.bd", (_row(s), _hookp(ap, s + 1)),
+                ("K", bip(atyp("delta", True, ap, s + 1)), 1),
+                ("D", _pair(_row(s), _hookp(ap - 1, s + 1)), 1))
+    # ((s), (1^(s+2)))
+    for s in range(1, m):
+        row("X.bd.wall", (_row(s), _col(s + 2)),
+            ("K", bip(atyp("delta", True, 1, s + 1)), 1),
+            ("D", _pair(_two_row(s, 1), _col(s + 2)), 1))
+    # ((1^(s-1)), (a',s))
+    for s in range(2, min(ap - 1, m) + 1):
+        row("X.bd1", (_col(s - 1), _two_row(ap, s)),
+            ("K", bip(atyp("delta1", True, ap, s)), 1),
+            ("D", _pair(_col(s - 1), _two_row(ap - 1, s)), 1))
+    # ((1^(a'-1)), (a',a'))
+    if 1 <= ap <= m:
+        row("X.bd1c", (_col(ap - 1), _two_row(ap, ap)),
+            ("K", bip(atyp("delta1", True, ap, ap)), 1))
+    # ((1^s), (s,a'+1))
+    for s in range(ap + 1, m):
+        row("X.bd2", (_col(s), _two_row(s, ap + 1)),
+            ("K", bip(atyp("delta2", True, ap, s - 1)), 1),
+            ("D", _pair(_col(s), _two_row(s, ap)), 1))
+    return tuple(rows)
+
+
+def exceptional_d_table(lam: Bipartition, m: int, n: int) -> GrothVector | None:
+    """The re-gluing row of a typical label whose restriction meets
+    atypicals: the oracle for `xcat._d_row` on typical labels.  Every row of
+    the context is probed; None when none keys lam, and exactly one may."""
+    rows = _Rows(m, n - 1)
+    for name, key, terms in _exceptional_rows(m, n):
+        if key == lam:
+            rows.row(name, *terms)
+    if not rows.hits:
+        return None
+    return rows.unique(f"exceptional D({lam}) at ({m},{n})")
+
+
+def exceptional_keys(m: int, n: int) -> set:
+    """The labels that the re-gluing rows of the (m,n) context key."""
+    return {key for _name, key, _terms in _exceptional_rows(m, n)}
 
 
 def res_k_table(lab: AtypicalLabel, m: int, n: int) -> GrothVector:

@@ -12,7 +12,6 @@ import itertools
 from mixedchain.bimod import dimension_audits, projections_match, table_csv, verify_identities
 from mixedchain.chainrep import ChainContext, check_centralizer, check_qwb_relations
 from mixedchain.fusion import chain_decompose, fuse_with_f, fuse_with_v
-from mixedchain.partitions import classify_atypical
 from mixedchain.qarith import eval_points
 from mixedchain.labels import THREE, THREE_BAR, R, Z, dim_label
 from mixedchain.uqmod import (
@@ -23,7 +22,14 @@ from mixedchain.uqmod import (
     weight_multiset,
 )
 from mixedchain.xcat import res_right_d, res_right_k
-from oracles import cross_set, dim_simple_x, dim_term, q_expand, weight_multiset_tensor
+from oracles import (
+    classify_atypical,
+    cross_set,
+    dim_simple_x,
+    dim_term,
+    q_expand,
+    weight_multiset_tensor,
+)
 
 SEED = 20177
 

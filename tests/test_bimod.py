@@ -304,12 +304,12 @@ def _clear_label_memos():
 
 
 def _drop_generic_term(lam):
-    generic = xc._generic_restriction
+    d_row = xc._d_row
 
-    def planted(mu, f):
-        out = generic(mu, f)
+    def planted(mu, f, atypical, below):
+        out = d_row(mu, f, atypical, below)
         return out[1:] if mu == lam else out
-    return "_generic_restriction", planted
+    return "_d_row", planted
 
 
 def _bump_fusion_mult(x):
@@ -324,24 +324,29 @@ def _bump_fusion_mult(x):
     return "_dispatch", planted
 
 
-def _drop_exceptional_row(name):
-    rows = xc._exceptional_rows
+def _unglue_wall_rows():
+    # the typical labels ((s), (1^(s+2))) restrict to their Pieri terms, as
+    # if no atypical label lay below: what they fell back to when their
+    # re-gluing rows were dropped
+    d_row = xc._d_row
 
-    def planted(m, n):
-        return {key: found for key, found in rows(m, n).items()
-                if all(row_name != name for row_name, _terms in found)}
-    return "_exceptional_rows", planted
+    def planted(lam, f, atypical, below):
+        (left, right) = lam
+        wall = len(left) == 1 and right == (1,) * (left[0] + 2) and lam not in atypical
+        return d_row(lam, f, atypical, {} if wall else below)
+    return "_d_row", planted
 
 
 def _bump_d_restriction_term(lab):
-    res_d = xc._res_d_atypical
+    d_row = xc._d_row
 
-    def planted(label, m, n):
-        out = GrothVector(res_d(label, m, n))
-        if label == lab:
-            out[next(iter(out))] += 1
+    def planted(lam, f, atypical, below):
+        out = d_row(lam, f, atypical, below)
+        if atypical.get(lam) == lab:
+            (term, mult), *rest = out
+            out = [(term, mult + 1), *rest]
         return out
-    return "_res_d_atypical", planted
+    return "_d_row", planted
 
 
 def _extra_k_restriction_term(lab):
@@ -369,7 +374,7 @@ def _bump_flattening_mult(lam):
 @pytest.mark.parametrize("plant, seen_by", [
     (lambda: _drop_generic_term(((2,), (2,))), "both"),
     (lambda: _bump_fusion_mult(semisimple_part(3, 2)[0][1]), "both"),
-    (lambda: _drop_exceptional_row("X.bd.wall"), "both"),
+    (_unglue_wall_rows, "both"),
     (lambda: _bump_d_restriction_term(atyp("delta", False, 2, 2)), "both"),
     (lambda: _extra_k_restriction_term(atyp("delta", True, 2, 1)), "proj"),
     (lambda: _bump_flattening_mult(((1,), (1, 1))), "tensor"),
@@ -537,14 +542,13 @@ def test_label_context_is_built_once_per_context(monkeypatch):
             # the identities at (m,n) read (m,n) and (m,n+1), all with m >= 1
             reached = {(m, n) for m, n in swept | {(m, n + 1) for m, n in swept} if m >= 1}
             want = {(m, n, field) for m, n in reached for field in per_side}
-            # restrictions classify labels of the contexts with a right strand,
-            # and read the D rows of their atypical labels
-            want |= {(m, n, field) for m, n in reached if n >= 1
-                     for field in ("atypical_set", "_exceptional_rows", "_atypical_d_rows")}
-            # covers are read where a projective is flattened or restricted:
-            # wherever the context, or the one a strand above it, has columns
+            # restrictions classify labels of the contexts with a right strand
+            want |= {(m, n, "atypical_set") for m, n in reached if n >= 1}
+            # covers are read one strand below each restricted context, which
+            # is each swept one, and where a projective is flattened or
+            # restricted: wherever the context has columns
             return reached, want | {(m, n, "_covers") for m, n in reached
-                                    if pa._columns(m, n)[0] or pa._columns(m, n + 1)[0]}
+                                    if (m, n) in swept or pa._columns(m, n)[0]}
         want = {(m, n, field) for m, n in swept
                   for field in per_side + ("dims_for", "chain_content")}
         # the dims audit classifies labels and reads covers only where the

@@ -14,7 +14,6 @@ from mixedchain.partitions import (
     atypical_bipartition,
     atypical_set,
     bip_str,
-    classify_atypical,
     gswap,
     gswap_label,
     is_cross21,
@@ -23,6 +22,7 @@ from mixedchain.partitions import (
 )
 from oracles import (
     InvalidF,
+    classify_atypical,
     count_partitions,
     cross_set,
     lambda_all,

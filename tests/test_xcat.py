@@ -4,37 +4,39 @@ import mixedchain.xcat as xc
 from mixedchain.bimod import dims_for
 from mixedchain.fusion import GrothVector
 from mixedchain.partitions import (
-    Bipartition,
     atyp,
     atypical_bipartition,
     atypical_columns,
     atypical_set,
-    classify_atypical,
     gswap,
     gswap_label,
 )
 from mixedchain.xcat import (
     NIsZero,
     NotCross,
-    _col,
-    _hookp,
-    _pair,
-    _row,
-    _Rows,
-    _two_row,
     proj_structure,
     q_functor,
     res_right_d,
     res_right_k,
 )
 from oracles import (
-    _match_exceptional_d,
+    _col,
+    _hookp,
+    _in_lambda,
+    _pair,
+    _row,
+    _Rows,
+    _two_row,
+    classify_atypical,
     cross_set,
     dim_simple_x,
     dim_term,
+    exceptional_d_table,
+    exceptional_keys,
     loewy_graph,
     partitions_of,
     q_expand,
+    res_d_table,
     res_k_table,
     res_right_s,
 )
@@ -323,23 +325,31 @@ def test_res_right_k_spells_a_trivial_cover_as_d():
     assert dict(res_right_k(((), (2,)), 0, 2)) == {("D", ((), (1,))): 1}
 
 
+def k_table_row(lab, m, n):
+    """The transcribed K display of an atypical label, a trivial cover, which
+    the displays write ("K", mu), spelled ("D", mu) as the library writes it."""
+    out = GrothVector()
+    for (kind, mu), mult in res_k_table(lab, m, n).items():
+        if kind == "K" and proj_structure(mu, m, n - 1) == (mu,):
+            kind = "D"
+        out.add((kind, mu), mult)
+    return out
+
+
 def test_res_right_k_matches_the_transcribed_displays():
     # the derived K rows equal the paper's displays for every atypical label
-    # with 1 <= n and m+n <= 40, once a trivial cover, which the displays
-    # write ("K", mu), is spelled ("D", mu); 80 rows need that, one in each
-    # context whose target has no columns: (m, 0), (0, n-1) and (1, 1)
+    # with 1 <= n and m+n <= 40, once a trivial cover is spelled ("D", mu);
+    # 80 rows need that, one in each context whose target has no columns:
+    # (m, 0), (0, n-1) and (1, 1)
     labels, respelled = 0, []
     for total in range(1, 41):
         for m in range(total):
             n = total - m
             for lam, lab in atypical_set(m, n).items():
                 labels += 1
-                want = GrothVector()
-                for (kind, mu), mult in res_k_table(lab, m, n).items():
-                    if kind == "K" and proj_structure(mu, m, n - 1) == (mu,):
-                        kind = "D"
-                        respelled.append((m, n))
-                    want.add((kind, mu), mult)
+                want = k_table_row(lab, m, n)
+                if want != res_k_table(lab, m, n):
+                    respelled.append((m, n))
                 assert res_right_k(lam, m, n) == want, (m, n, lab)
     assert labels == 10821
     assert len(respelled) == 80
@@ -432,8 +442,6 @@ def test_dim_ledger_covers_cross_set():
 
 
 def test_restriction_preserves_dimension_small():
-    from mixedchain.partitions import classify_atypical
-
     for m, n in [(2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3), (4, 2)]:
         for lam in cross_set(m, n):
             want = dim_simple_x(lam, m, n)
@@ -469,58 +477,47 @@ def test_specht_factors_unmodelled_families_raise():
 
 def test_every_restriction_display_fires():
     # each declared display must be reachable; a dead row hides a bad guard.
-    # The K displays are the transcription oracle for the derived K rows, so
-    # they fire through it.
+    # Every display is a transcription oracle for the derived rows, so the
+    # library declares none and they fire through the oracles
     import re
     from pathlib import Path
 
     import oracles
 
     fired = set()
-    orig_unique = xc._Rows.unique
+    orig_unique = oracles._Rows.unique
 
     def tracking_unique(self, what):
         out = orig_unique(self, what)
         fired.add(self.hits[0][0])
         return out
 
-    xc._Rows.unique = tracking_unique
+    oracles._Rows.unique = tracking_unique
     try:
         for total in range(1, 16):
-            for m in range(0, total + 1):
+            for m in range(0, total):
                 n = total - m
-                if n < 1:
-                    continue
-                for lam, lab in atypical_set(m, n).items():
-                    res_right_d(lam, m, n)
-                    res_right_k(lam, m, n)
-                    res_k_table(lab, m, n)
                 for lam in cross_set(m, n):
-                    if classify_is_none(lam, m, n):
-                        res_right_d(lam, m, n)
+                    lab = classify_atypical(lam, m, n)
+                    if lab is None:
+                        exceptional_d_table(lam, m, n)
+                    else:
+                        res_d_table(lab, m, n)
+                        res_k_table(lab, m, n)
     finally:
-        xc._Rows.unique = orig_unique
+        oracles._Rows.unique = orig_unique
 
-    def declared_in(module):
-        return set(re.findall(r'rows\.row\("([^"]+)"', Path(module.__file__).read_text()))
+    def declared_in(text):
+        return set(re.findall(r'\brow\("([^"]+)"', text))
 
-    library, oracle = declared_in(xc), declared_in(oracles)
-    # the library keeps no K display, and the oracle keeps all 39 of them
-    assert not {name for name in library if name.startswith("K.")}, sorted(library)
-    assert oracle == {name for name in oracle if name.startswith("K.")}
-    assert len(oracle) == 39
-    # the exceptional rows are declared in the same call form, in their index
-    exceptional = {"X.d", "X.d1", "X.d2", "X.d2c", "X.bd", "X.bd.wall", "X.bd1",
-                   "X.bd1c", "X.bd2"}
-    assert exceptional <= library, sorted(exceptional - library)
-    declared = library | oracle
+    declared = declared_in(Path(oracles.__file__).read_text())
+    kinds = {kind: {name for name in declared if name.split(".")[0] == kind}
+             for kind in ("D", "X", "K")}
+    assert {kind: len(names) for kind, names in kinds.items()} == {"D": 18, "X": 9, "K": 39}
+    assert declared == set().union(*kinds.values())
     assert declared <= fired, sorted(declared - fired)
-
-
-def classify_is_none(lam, m, n):
-    from mixedchain.partitions import classify_atypical
-
-    return classify_atypical(lam, m, n) is None
+    library = "".join(path.read_text() for path in Path(xc.__file__).parent.glob("*.py"))
+    assert declared_in(library) == set()
 
 
 def test_atypical_columns_shapes():
@@ -538,102 +535,75 @@ def test_atypical_columns_shapes():
 
 
 # ---------------------------------------------------------------------------
-# oracle: the exceptional rows probed linearly, one family after another
+# the derived rows against the transcribed displays
 # ---------------------------------------------------------------------------
 
-def _linear_exceptional_d(lam: Bipartition, m: int, n: int) -> GrothVector | None:
-    """The re-gluing rows for typical labels whose restriction meets atypicals,
-    probed family by family: the oracle for the per-context index."""
-    ap = abs(m - n + 1)
-    rows = _Rows(m, n - 1)
-    bip = atypical_bipartition
-
-    # ((a',1^(s-1)), (s))
-    if ap >= 1:
-        for s in range(1, n):
-            if lam == (_hookp(ap, s - 1), _row(s)):
-                rows.row("X.d", ("K", bip(atyp("delta", False, ap, s)), 1),
-                         ("D", _pair(_hookp(ap + 1, s - 1), _row(s)), 1))
-    # ((a',s), (1^(s+1)))
-    if ap >= 1:
-        for s in range(1, min(ap - 1, n - 2) + 1):
-            if lam == (_two_row(ap, s), _col(s + 1)):
-                rows.row("X.d1", ("K", bip(atyp("delta1", False, ap, s + 1)), 1),
-                         ("D", _pair(_two_row(ap + 1, s), _col(s + 1)), 1))
-    # ((s,a'+1), (1^(s+2)))
-    for s in range(ap + 2, n - 2):
-        if lam == (_two_row(s, ap + 1), _col(s + 2)):
-            rows.row("X.d2", ("K", bip(atyp("delta2", False, ap, s)), 1),
-                     ("D", _pair(_two_row(s, ap + 2), _col(s + 2)), 1))
-    # ((a'+1,a'+1), (1^(a'+3)))
-    if ap <= n - 4 and lam == (_two_row(ap + 1, ap + 1), _col(ap + 3)):
-        rows.row("X.d2c", ("K", bip(atyp("delta2", False, ap, ap + 1)), 1))
-    # ((s), (a',1^(s+1)))
-    if ap >= 2:
-        for s in range(0, m):
-            if lam == (_row(s), _hookp(ap, s + 1)):
-                rows.row("X.bd", ("K", bip(atyp("delta", True, ap, s + 1)), 1),
-                         ("D", _pair(_row(s), _hookp(ap - 1, s + 1)), 1))
-    # ((s), (1^(s+2)))
-    for s in range(1, m):
-        if lam == (_row(s), _col(s + 2)):
-            rows.row("X.bd.wall", ("K", bip(atyp("delta", True, 1, s + 1)), 1),
-                     ("D", _pair(_two_row(s, 1), _col(s + 2)), 1))
-    # ((1^(s-1)), (a',s))
-    for s in range(2, min(ap - 1, m) + 1):
-        if lam == (_col(s - 1), _two_row(ap, s)):
-            rows.row("X.bd1", ("K", bip(atyp("delta1", True, ap, s)), 1),
-                     ("D", _pair(_col(s - 1), _two_row(ap - 1, s)), 1))
-    # ((1^(a'-1)), (a',a'))
-    if 1 <= ap <= m and lam == (_col(ap - 1), _two_row(ap, ap)):
-        rows.row("X.bd1c", ("K", bip(atyp("delta1", True, ap, ap)), 1))
-    # ((1^s), (s,a'+1))
-    for s in range(ap + 1, m):
-        if lam == (_col(s), _two_row(s, ap + 1)):
-            rows.row("X.bd2", ("K", bip(atyp("delta2", True, ap, s - 1)), 1),
-                     ("D", _pair(_col(s), _two_row(s, ap)), 1))
-    if not rows.hits:
-        return None
-    return rows.unique(f"exceptional D({lam}) at ({m},{n})")
+def d_table_row(lam, m, n, keys):
+    """The transcribed row of a simple label: its D display when it is
+    atypical, else its re-gluing row when it is one of the context's `keys`,
+    else its Pieri terms; and whether a re-gluing row matched."""
+    lab = classify_atypical(lam, m, n)
+    if lab is not None:
+        return res_d_table(lab, m, n), False
+    if lam in keys:
+        return exceptional_d_table(lam, m, n), True
+    return GrothVector((("D", mu), mult) for mu, mult in res_right_s(lam, m, n).items()), False
 
 
-def _outcome(fn, lam, m, n):
-    try:
-        out = fn(lam, m, n)
-    except AssertionError as exc:
-        return ("AssertionError", str(exc))
-    return None if out is None else dict(out)
-
-
-def _typical_cross_labels(max_mn):
-    for total in range(1, max_mn + 1):
-        for m in range(0, total):
+def test_d_rows_match_the_transcribed_displays():
+    # every cross label with 1 <= n and m+n <= 26
+    labels = reglued = 0
+    for total in range(1, 27):
+        for m in range(total):
             n = total - m
+            keys = exceptional_keys(m, n)
             for lam in cross_set(m, n):
-                if classify_atypical(lam, m, n) is None:
-                    yield lam, m, n
+                want, hit = d_table_row(lam, m, n, keys)
+                assert res_right_d(lam, m, n) == want, (m, n, lam)
+                labels += 1
+                reglued += hit
+    assert (labels, reglued) == (40977, 2260)
 
 
-def test_exceptional_index_matches_linear_probe():
-    hits = 0
-    for lam, m, n in _typical_cross_labels(16):
-        want = _outcome(_linear_exceptional_d, lam, m, n)
-        assert _outcome(_match_exceptional_d, lam, m, n) == want, (m, n, lam)
-        hits += want is not None
-    assert hits > 0
+def test_rows_match_the_transcribed_displays_at_far_contexts():
+    # far beyond the exhaustive range, on both mirror sides, m = n, |m-n| = 1
+    # and n or m = 1: the D and K rows of every atypical label, and the D
+    # rows of every semisimple label.  Every label of the context that a
+    # re-gluing row keys is one of these; one key at (74,76) is atypical, and
+    # takes its D display
+    from mixedchain.bimod import semisimple_part
+
+    reglued = {}
+    for m, n in [(75, 75), (76, 74), (74, 76), (100, 50), (50, 100), (149, 1), (1, 149),
+                 (40, 3), (3, 40)]:
+        atypical = atypical_set(m, n)
+        for lam, lab in atypical.items():
+            assert res_right_d(lam, m, n) == res_d_table(lab, m, n), (m, n, lab)
+            assert res_right_k(lam, m, n) == k_table_row(lab, m, n), (m, n, lab)
+        keys = exceptional_keys(m, n)
+        semisimple = {lam for lam, _z in semisimple_part(m, n)}
+        for lam in semisimple:
+            want, _hit = d_table_row(lam, m, n, keys)
+            assert res_right_d(lam, m, n) == want, (m, n, lam)
+        in_context = {key for key in keys if None not in key and _in_lambda(key, m, n)}
+        assert in_context <= semisimple | set(atypical), (m, n)
+        reglued[m, n] = len(keys & semisimple)
+    assert reglued == {(75, 75): 145, (76, 74): 143, (74, 76): 145, (100, 50): 97,
+                       (50, 100): 98, (149, 1): 0, (1, 149): 1, (40, 3): 3, (3, 40): 5}
 
 
-def test_exceptional_index_keeps_both_row_checks(monkeypatch):
-    # a lookup validates the rows of its label and insists on one match
-    lam = ((1,), (2,))
-    two = [("X.a", (("D", ((1,), ()), 1),)), ("X.b", (("D", ((1,), ()), 1),))]
-    monkeypatch.setattr(xc, "_exceptional_rows", lambda m, n: {lam: two})
+def test_exceptional_index_keeps_both_row_checks():
+    # the display collector of the oracles insists on one match, and on a
+    # valid atypical label for each projective output
+    rows = _Rows(2, 2)
+    rows.row("X.a", ("D", ((1,), ()), 1))
+    rows.row("X.b", ("D", ((1,), ()), 1))
     with pytest.raises(AssertionError, match="2 displays matched"):
-        _match_exceptional_d(lam, 2, 3)
-    bad = [("X.a", (("K", None, 1),))]
-    monkeypatch.setattr(xc, "_exceptional_rows", lambda m, n: {lam: bad})
+        rows.unique("((1,), (2,)) at (2,3)")
     with pytest.raises(AssertionError, match="projective output invalid"):
-        _match_exceptional_d(lam, 2, 3)
+        _Rows(2, 2).row("X.a", ("K", None, 1))
+    with pytest.raises(AssertionError, match="X.a"):
+        _Rows(2, 2).row("X.a", ("K", ((2,), (1,)), 1))
 
 
 def _is_partition(mu) -> bool:
