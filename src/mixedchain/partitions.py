@@ -3,9 +3,10 @@
 Partitions are tuples of weakly decreasing positive integers; a bipartition
 is a pair (left, right) of partitions.  This module owns the defect of a
 bipartition in the index sets Lambda_{m,n}(f) (`lambda_f`), the cross
-test, the box moves of the restriction rules, the three atypical label
-families with their mirror images, and the swap involution that exchanges
-the two sides of every bipartition.  It also owns the column layout of the atypical
+test and the cross labels of a context (`cross_labels`), the box moves of
+the restriction rules, the three atypical label families with their mirror
+images, and the swap involution that exchanges the two sides of every
+bipartition.  It also owns the column layout of the atypical
 locus: the order in which the atypical labels of a context chain into the
 zig-zag, plus the extra vertex.  The atypical set of a context is read off
 that layout, so the locus is enumerated in one place.  Both are fields of
@@ -84,6 +85,30 @@ def is_cross21(lam: Bipartition) -> bool:
     """
     left, right = lam
     return len(left) + _wide(right) <= 2 or _wide(left) + len(right) <= 2
+
+
+def _one_way(p: int, q: int) -> list[Bipartition]:
+    """The bipartitions of (p, q) boxes with len(left) + wide(right) <= 2:
+    right has w <= 2 parts >= 2, then ones, and left at most 2 - w rows."""
+    row = (p,) if p else EMPTY
+    out = [(left, (1,) * q) for left in [row] + [(p - j, j) for j in range(1, p // 2 + 1)]]
+    out += [(row, (i,) + (1,) * (q - i)) for i in range(2, q + 1)]
+    if not p:
+        out += [(EMPTY, (i, j) + (1,) * (q - i - j)) for i in range(2, q)
+                for j in range(2, min(i, q - i) + 1)]
+    return out
+
+
+def cross_labels(m: int, n: int) -> list[Bipartition]:
+    """The cross labels of Lambda_{m,n}, each once and unsorted: by defect,
+    the pairs with len(left) + wide(right) <= 2, then the mirrors of the
+    (n, m) ones that fail that test here."""
+    out = []
+    for f in range(min(m, n) + 1):
+        out += _one_way(m - f, n - f)
+        out += [(left, right) for right, left in _one_way(n - f, m - f)
+                if len(left) + _wide(right) > 2]
+    return out
 
 
 # ---------------------------------------------------------------------------

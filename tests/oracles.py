@@ -1,7 +1,9 @@
 """Oracles that only the tests read: label enumerations, dimension and
-flattening helpers, the Loewy graph of a projective cover, and the paper's
-restriction displays: the D displays of atypical labels, the re-gluing rows
-of typical labels and the K displays of projective labels.
+flattening helpers, the Loewy graph of a projective cover, the paper's
+tables of quantum labels (the semisimple (t, r)-table, the column tops and
+the extra vertex) and its restriction displays: the D displays of atypical
+labels, the re-gluing rows of typical labels and the K displays of
+projective labels.
 
 The library computes none of these, because no command, `verify` suite or
 benchmark operation needs them.  The tests enumerate their inputs with
@@ -13,8 +15,9 @@ from functools import lru_cache
 
 import mixedchain.bimod as bm
 import mixedchain.xcat as xc
+from mixedchain.bimod import SemisimplePair, _bar
 from mixedchain.fusion import GrothVector
-from mixedchain.labels import BarLabel, bar
+from mixedchain.labels import BarLabel, ZLabel, bar, dual, is_atypical
 from mixedchain.partitions import (
     AtypicalLabel,
     Bipartition,
@@ -24,6 +27,8 @@ from mixedchain.partitions import (
     atyp,
     atypical_bipartition,
     atypical_set,
+    gswap,
+    gswap_label,
     is_cross21,
     lambda_f,
     rem_boxes,
@@ -90,6 +95,151 @@ def cross_set(m: int, n: int) -> list[Bipartition]:
 def classify_atypical(lam: Bipartition, m: int, n: int) -> AtypicalLabel | None:
     lambda_f(lam, m, n)  # raises NotInLambda when out of context
     return atypical_set(m, n).get(lam)
+
+
+# ---------------------------------------------------------------------------
+# the paper's tables of quantum labels, as transcribed
+# ---------------------------------------------------------------------------
+
+_new = tuple.__new__
+_Z_TAG = ZLabel._tag
+
+
+def _hook(k: int, ones: int) -> tuple:
+    return (k,) + (1,) * ones
+
+
+def semisimple_table(m: int, n: int) -> tuple[SemisimplePair, ...]:
+    """The semisimple part as transcribed: the oracle for
+    `bimod.semisimple_part`, which reads it off `bimod.quantum_label`.  A
+    mirror context (m < n) is built from the pairs of (n, m)."""
+    if m < n:
+        return tuple((gswap(lam), dual(z)) for lam, z in _semisimple_pairs(n, m))
+    return _semisimple_pairs(m, n)
+
+
+def _semisimple_pairs(m: int, n: int) -> tuple[SemisimplePair, ...]:
+    """The pairs of `semisimple_table` for m >= n."""
+    if m + n == 0:
+        return ()
+    # (bipartition, p, t, r) of each simple, given as the barred label Zbar[p; t, r]
+    cells: list[tuple[Bipartition, int, int, int]] = []
+    a = m - n
+    for s in range(1, n + 1):
+        for k in range(1, a + s + 1):
+            if k == a:
+                continue
+            cells.append(((_hook(k, s - k + a), (s,)),
+                          s + k + a + 1, k - a, s + a))
+    for s in range(a + 2, m + 1):
+        for k in range(1, s - a):
+            cells.append((((s,), _hook(k, s - k - a)),
+                          s + k + a + 1, s - a, k + a))
+    for s in range(1, n):
+        for k in range(1, min(s, n - s) + 1):
+            if k == 1 - a:  # t = 0 is atypical; happens only at m == n
+                continue
+            cells.append((((1,) * (s + k + a), (s, k)),
+                          s + k + a, 1 - k - a, s + a))
+    for s in range(a + 1, m):
+        for k in range(1, min(s, m - s) + 1):
+            if k == a + 1:
+                continue
+            cells.append((((s, k), (1,) * (s + k - a)),
+                          s + k + a, s - a, 1 - k + a))
+    for k in range(1, a // 2 + 1):
+        for s in range(k, a - k + 1):
+            cells.append((((s, k) + (1,) * (a - s - k), ()),
+                          s + k + a, s - a, 1 - k + a))
+    for s in range(a // 2 + 1, a):
+        for k in range(1 - s + a, min(s, m - s) + 1):
+            cells.append((((s, k), (1,) * (s + k - a)),
+                          s + k + a, s - a, 1 - k + a))
+    cells.sort(key=lambda c: (c[2], c[3], c[0]))  # by (t, r), then bipartition
+    # a typical Zbar[p; t, r] (t, r != 0) is Z[1, (-1)^p; t + r, r]; the
+    # ranges above give t + r >= 1 only, so `Z` need not check the label
+    pairs = tuple((lam, _new(ZLabel, (_Z_TAG, 1, -1 if p % 2 else 1, t + r, r)))
+                  for lam, p, t, r in cells)
+    for lam, z in pairs:
+        if is_atypical(z):
+            raise AssertionError(f"atypical label {z} in the semisimple part")
+    return pairs
+
+
+def column_top_label(lab: AtypicalLabel, m: int, n: int) -> ZLabel:
+    """Quantum-group label at the head of an atypical column."""
+    if m < n:
+        return dual(column_top_label(gswap_label(lab), n, m))
+    a, s = lab.a, lab.s
+    if m == n:
+        if lab.family != "delta2":
+            raise AssertionError(f"unexpected column {lab} at ({m},{n})")
+        return _bar("Z", s - 1, 0, s) if lab.bar else _bar("Z", s - 1, s, 0)
+    if lab.family == "delta":
+        return _bar("Z", s, 0, s + a - 1)
+    if lab.family == "delta1":
+        return _bar("Z", s, 0, a - s + 1)
+    return _bar("Z", s + 1, s - a, 0)
+
+
+def extra_vertex_label(m: int, n: int) -> ZLabel:
+    """Quantum-group label of the lone vertex glued into the zig-zag."""
+    if m >= n:
+        return _bar("Z", 1, 0, m - n)
+    return dual(extra_vertex_label(n, m))
+
+
+def weight_diagram_label(lam: Bipartition, m: int, n: int) -> ZLabel:
+    """The quantum label of the cross label lam of the (m,n) context, read
+    off its weight diagram, with no mirror branch: the derivation that
+    `bimod.quantum_label` puts in closed form.
+
+    The diagram of lam = (L, R) at delta = 2 - 1 (Comes-Wilson) has an up
+    end at each L_i - i + 1 and a down end at each i - 1 - R_i, i >= 1.  A
+    vertex with both ends is a cross, one with neither a circle.  The
+    vertices of a gl(2|1) highest weight (l1, l2 | mu) are {l1, l2 - 1}
+    and {-1 - mu}.  A typical lam has two crosses and one circle, which are
+    those vertices.  An atypical lam has one cross and no circle; its
+    atypical vertex, in both sets, is the left end of its one cap (a lone
+    down end matched with the next unmatched lone up end to its right), or
+    the last lone up end when it has no cap.  The barred coordinates are
+    the rho-shifted pairings with the odd roots, t = -(l2 + mu) and
+    r = l1 + mu + 1, with r one less when t = 0.
+    """
+    left, right = lam
+    lo = -max(right[0] if right else 0, len(left)) - 1
+    hi = max(left[0] if left else 0, len(right)) + 2
+    ups = {(left[j] if j < len(left) else 0) - j for j in range(hi - lo)}
+    downs = {j - (right[j] if j < len(right) else 0) for j in range(hi - lo)}
+    window = range(lo, hi)
+    crosses = [x for x in window if x in ups and x in downs]
+    circles = [x for x in window if x not in ups and x not in downs]
+    if circles:
+        if (len(crosses), len(circles)) != (2, 1):
+            raise AssertionError(f"{lam} at ({m},{n}): crosses {crosses}, circles {circles}")
+        (v,) = circles
+    else:
+        if len(crosses) != 1:
+            raise AssertionError(f"{lam} at ({m},{n}): crosses {crosses}, no circle")
+        open_downs, caps, last_up = [], [], None
+        for x in window:
+            if x in ups and x not in downs:
+                last_up = x
+                if open_downs:
+                    caps.append(open_downs.pop())
+            elif x in downs and x not in ups:
+                open_downs.append(x)
+        if len(caps) > 1:
+            raise AssertionError(f"{lam} at ({m},{n}): caps at {caps}")
+        v = caps[0] if caps else last_up
+        crosses = sorted(crosses + [v])
+    l1, l2, mu = crosses[1], crosses[0] + 1, -1 - v
+    if l1 + l2 + mu != m - n:
+        raise AssertionError(f"{lam} at ({m},{n}): weight ({l1}, {l2} | {mu})")
+    t, r = -(l2 + mu), l1 + mu + 1
+    if t == 0:
+        r -= 1
+    return _bar("Z", 1 + m - n + t + r, t, r)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +516,9 @@ def _exceptional_rows(m: int, n: int) -> tuple:
     if 1 <= ap <= m:
         row("X.bd1c", (_col(ap - 1), _two_row(ap, ap)),
             ("K", bip(atyp("delta1", True, ap, ap)), 1))
-    # ((1^s), (s,a'+1))
-    for s in range(ap + 1, m):
+    # ((1^s), (s,a'+1)); at s = a'+1 the key would be the atypical label
+    # ((1^(a'+1)), (a'+1,a'+1)), so the family starts at a'+2
+    for s in range(ap + 2, m):
         row("X.bd2", (_col(s), _two_row(s, ap + 1)),
             ("K", bip(atyp("delta2", True, ap, s - 1)), 1),
             ("D", _pair(_col(s), _two_row(s, ap)), 1))

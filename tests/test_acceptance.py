@@ -14,6 +14,7 @@ from mixedchain.chainrep import ChainContext, check_centralizer, check_qwb_relat
 from mixedchain.fusion import chain_decompose, fuse_with_f, fuse_with_v
 from mixedchain.qarith import eval_points
 from mixedchain.labels import THREE, THREE_BAR, R, Z, dim_label
+from mixedchain.partitions import cross_labels
 from mixedchain.uqmod import (
     build_projective,
     build_rep,
@@ -24,7 +25,6 @@ from mixedchain.uqmod import (
 from mixedchain.xcat import res_right_d, res_right_k
 from oracles import (
     classify_atypical,
-    cross_set,
     dim_simple_x,
     dim_term,
     q_expand,
@@ -154,7 +154,7 @@ def test_criterion_9_restriction_dimensions():
     for m, n in _grid(10):
         if n < 1:
             continue
-        for lam in cross_set(m, n):
+        for lam in cross_labels(m, n):
             want = dim_simple_x(lam, m, n)
             got = sum(dim_simple_x(mu, m, n - 1) * c
                       for (_, mu), c in q_expand(res_right_d(lam, m, n), m, n - 1).items())

@@ -16,16 +16,32 @@ from mixedchain.bimod import (
     p_atypical,
     projections_match,
     q_atypical,
+    quantum_label,
     semisimple_part,
     table_csv,
     verify_identities,
 )
 from mixedchain.fusion import GrothVector, chain_decompose, fuse_with_v
-from mixedchain.partitions import atyp, atypical_bipartition, atypical_columns, gswap
+from mixedchain.partitions import (
+    atyp,
+    atypical_bipartition,
+    atypical_columns,
+    atypical_set,
+    cross_labels,
+    gswap,
+)
 from mixedchain.labelctx import LabelContext, context
-from mixedchain.labels import bar, bar_to_plain, dual, plain_to_bar, simple_subquotients
+from mixedchain.labels import bar, bar_to_plain, dual, is_atypical, plain_to_bar, simple_subquotients
 from mixedchain.xcat import res_right_d, res_right_k
-from oracles import cross_set, p_flattened, q_flattened
+from oracles import (
+    column_top_label,
+    cross_set,
+    extra_vertex_label,
+    p_flattened,
+    q_flattened,
+    semisimple_table,
+    weight_diagram_label,
+)
 
 bip = atypical_bipartition
 
@@ -67,6 +83,54 @@ def _semisimple_balanced(m):
 def test_semisimple_balanced_matches_transcription():
     for m in range(1, 41):
         assert semisimple_part(m, m) == _semisimple_balanced(m), m
+
+
+# single contexts far beyond the sweeps' bound of 40: both mirror sides,
+# n = 0, m = n and |m-n| = 1
+FAR_IDENTITIES = [(75, 75), (76, 74), (74, 76), (149, 0), (1, 149), (100, 50), (50, 100)]
+FAR_AUDITS = [(40, 40), (41, 39), (39, 41), (79, 0), (1, 79), (60, 20), (20, 60), (50, 51)]
+
+
+def test_quantum_label_equals_the_transcribed_tables():
+    # every cross label of every context with m+n <= 40, and of the far
+    # contexts: the rule gives the transcribed semisimple table, in its
+    # order, is typical exactly off the atypical set, and gives the
+    # transcribed column tops and extra vertex
+    near = [(m, total - m) for total in range(41) for m in range(total + 1)]
+    labels = 0
+    for m, n in near + FAR_IDENTITIES + FAR_AUDITS:
+        table = semisimple_table(m, n)
+        assert semisimple_part(m, n) == table, (m, n)
+        typical = dict(table)
+        atypical = atypical_set(m, n)
+        for lam in cross_labels(m, n):
+            z = quantum_label(lam, m, n)
+            if lam in typical:
+                assert z == typical[lam], (m, n, lam)
+            else:
+                assert is_atypical(z), (m, n, lam)
+            labels += 1
+        assert set(atypical) == set(cross_labels(m, n)) - set(typical), (m, n)
+        cols, extra, _host = atypical_columns(m, n)
+        for lab in cols:
+            assert quantum_label(bip(lab), m, n) == column_top_label(lab, m, n), (m, n, lab)
+        assert quantum_label(bip(extra), m, n) == extra_vertex_label(m, n), (m, n)
+    # 229,472 cross labels at m+n <= 40, and 71,434 at the far contexts
+    assert labels == 300906
+
+
+def test_quantum_label_is_the_weight_diagram_reading():
+    # the closed form of the rule against the reading of each label's weight
+    # diagram, which has no mirror branch: every cross label of every
+    # context with m+n <= 30, on both mirror sides, and at n = 0 and m = 1
+    # far out
+    contexts = [(m, total - m) for total in range(31) for m in range(total + 1)]
+    labels = 0
+    for m, n in contexts + [(149, 0), (1, 149)]:
+        for lam in cross_labels(m, n):
+            assert weight_diagram_label(lam, m, n) == quantum_label(lam, m, n), (m, n, lam)
+            labels += 1
+    assert labels == 74342 + len(cross_labels(149, 0)) + len(cross_labels(1, 149))
 
 
 def test_semisimple_table_spot_values():
@@ -281,12 +345,11 @@ def _identity_contexts(max_total):
 
 
 def test_identities_and_audits_hold_at_far_contexts():
-    # single contexts far beyond the sweeps' bound of 40, where no transcribed
-    # K display reaches: both mirror sides, n = 0, m = n and |m-n| = 1.  So
-    # the derived K rows are checked against fusion there too
-    for m, n in [(75, 75), (76, 74), (74, 76), (149, 0), (1, 149), (100, 50), (50, 100)]:
+    # where no transcribed K display reaches, so the derived K rows are
+    # checked against fusion there too
+    for m, n in FAR_IDENTITIES:
         assert verify_identities(m, n) == (True, True), (m, n)
-    for m, n in [(40, 40), (41, 39), (39, 41), (79, 0), (1, 79), (60, 20), (20, 60), (50, 51)]:
+    for m, n in FAR_AUDITS:
         assert bimodule_audit(m, n), (m, n)
 
 

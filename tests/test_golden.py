@@ -32,6 +32,9 @@ GOLDEN = {
     "table 17 13 --json": "7f1f32f000e0126634f3ef2229f7280884e748393e00da2a0ea20f7543cc0ae7",
     "table 4 9": "7de5df32bff06eb53eab994d1193e303c50c0dce0a7b798fbde0e83cfdb1ae0f",
     "table 8 8": "66a07afede12f166c3c75fbb48e112a0f4cb72bafee48ec23ef53a260a7441a9",
+    "table 12 0 --json": "04946eacb75838e4feb4a06218f6836f8989958c7f38bdfad36951309063df9a",
+    "table 11 12 --json": "c716ceb90ad021460853d44ed17e53b71eb28dd0d6b3920704571f08167f3f2b",
+    "bimodule 13 12": "da0d7104df90bce7106e096d0a9632f16f5370c88d77f78c06a62671db375c07",
     "verify relations --max-mn 10 --json":
         "3aadf56887669a1683367c2ae1f9ff1d026a77f83eaff06e4b9b8f374d74645d",
     "verify centralizer --max-mn 8 --json":

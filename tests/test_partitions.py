@@ -14,6 +14,7 @@ from mixedchain.partitions import (
     atypical_bipartition,
     atypical_set,
     bip_str,
+    cross_labels,
     gswap,
     gswap_label,
     is_cross21,
@@ -188,6 +189,22 @@ def test_cross_set_closed_under_swap():
     for m in range(0, 7):
         for n in range(0, 7 - m):
             assert sorted(gswap(x) for x in cross_set(m, n)) == cross_set(n, m)
+
+
+def test_cross_labels_are_cross_set():
+    # the direct enumeration lists each label of the filtered one once
+    for total in range(26):
+        for m in range(total + 1):
+            labels = cross_labels(total - m, m)
+            assert len(labels) == len(set(labels)), (total - m, m)
+            assert sorted(labels) == cross_set(total - m, m), (total - m, m)
+
+
+def test_cross_labels_closed_under_swap():
+    for total in range(41):
+        for m in range(total + 1):
+            n = total - m
+            assert {gswap(x) for x in cross_labels(m, n)} == set(cross_labels(n, m)), (m, n)
 
 
 def test_rendering():

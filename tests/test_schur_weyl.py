@@ -14,8 +14,8 @@ from mixedchain.chainrep import ChainContext, endomorphism_algebra_dimension
 from mixedchain.fusion import chain_decompose
 from mixedchain.qarith import EvalPoint
 from mixedchain.labels import RLabel, ZLabel, is_atypical, proj_subquotients
+from mixedchain.partitions import cross_labels
 from mixedchain.xcat import proj_structure
-from oracles import cross_set
 
 
 def hom_dim(x, y) -> int:
@@ -47,7 +47,7 @@ def end_dim_from_chain(m: int, n: int) -> int:
 def end_dim_from_ledger(m: int, n: int) -> int:
     ledger = dims_for(m, n)
     total = 0
-    for lam in cross_set(m, n):
+    for lam in cross_labels(m, n):
         dim_k = sum(ledger[v] for v in proj_structure(lam, m, n))
         total += ledger[lam] * dim_k
     return total

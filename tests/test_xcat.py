@@ -8,6 +8,7 @@ from mixedchain.partitions import (
     atypical_bipartition,
     atypical_columns,
     atypical_set,
+    cross_labels,
     gswap,
     gswap_label,
 )
@@ -443,7 +444,7 @@ def test_dim_ledger_covers_cross_set():
 
 def test_restriction_preserves_dimension_small():
     for m, n in [(2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3), (4, 2)]:
-        for lam in cross_set(m, n):
+        for lam in cross_labels(m, n):
             want = dim_simple_x(lam, m, n)
             got = sum(dim_simple_x(mu, m, n - 1) * c
                       for (_, mu), c in q_expand(res_right_d(lam, m, n), m, n - 1).items())
@@ -458,7 +459,7 @@ def test_restriction_preserves_dimension_small():
 def test_specht_factors_and_restriction_square():
     # the ladder gluing commutes with restriction wherever it is defined
     for m, n in [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2)]:
-        for lam in cross_set(m, n):
+        for lam in cross_labels(m, n):
             lhs = GrothVector()
             for mu, c in res_right_s(lam, m, n).items():
                 for nu in specht_atypical_factors(mu, m, n - 1):
@@ -497,7 +498,7 @@ def test_every_restriction_display_fires():
         for total in range(1, 16):
             for m in range(0, total):
                 n = total - m
-                for lam in cross_set(m, n):
+                for lam in cross_labels(m, n):
                     lab = classify_atypical(lam, m, n)
                     if lab is None:
                         exceptional_d_table(lam, m, n)
@@ -557,7 +558,7 @@ def test_d_rows_match_the_transcribed_displays():
         for m in range(total):
             n = total - m
             keys = exceptional_keys(m, n)
-            for lam in cross_set(m, n):
+            for lam in cross_labels(m, n):
                 want, hit = d_table_row(lam, m, n, keys)
                 assert res_right_d(lam, m, n) == want, (m, n, lam)
                 labels += 1
@@ -565,12 +566,31 @@ def test_d_rows_match_the_transcribed_displays():
     assert (labels, reglued) == (40977, 2260)
 
 
+def test_every_regluing_key_is_a_typical_label():
+    # a row keyed by an atypical label never applies: that label takes its
+    # D display.  Every in-context key of every context with m+n <= 26 is a
+    # cross label that the rule finds typical
+    from mixedchain.bimod import quantum_label
+    from mixedchain.labels import is_atypical
+
+    keys = 0
+    for total in range(1, 27):
+        for m in range(total + 1):
+            n = total - m
+            cross = set(cross_labels(m, n))
+            for key in exceptional_keys(m, n):
+                if None in key or not _in_lambda(key, m, n):
+                    continue
+                assert key in cross and not is_atypical(quantum_label(key, m, n)), (m, n, key)
+                keys += 1
+    assert keys == 2260
+
+
 def test_rows_match_the_transcribed_displays_at_far_contexts():
     # far beyond the exhaustive range, on both mirror sides, m = n, |m-n| = 1
     # and n or m = 1: the D and K rows of every atypical label, and the D
     # rows of every semisimple label.  Every label of the context that a
-    # re-gluing row keys is one of these; one key at (74,76) is atypical, and
-    # takes its D display
+    # re-gluing row keys is one of these
     from mixedchain.bimod import semisimple_part
 
     reglued = {}
@@ -586,7 +606,7 @@ def test_rows_match_the_transcribed_displays_at_far_contexts():
             want, _hit = d_table_row(lam, m, n, keys)
             assert res_right_d(lam, m, n) == want, (m, n, lam)
         in_context = {key for key in keys if None not in key and _in_lambda(key, m, n)}
-        assert in_context <= semisimple | set(atypical), (m, n)
+        assert in_context <= semisimple, (m, n)
         reglued[m, n] = len(keys & semisimple)
     assert reglued == {(75, 75): 145, (76, 74): 143, (74, 76): 145, (100, 50): 97,
                        (50, 100): 98, (149, 1): 0, (1, 149): 1, (40, 3): 3, (3, 40): 5}
