@@ -6,7 +6,10 @@ indecomposable atypical part whose Loewy graph is a zig-zag of diamonds,
 one column per atypical label, plus a lone extra vertex.  One rule,
 `quantum_label`, reads the quantum label of every cross label off its
 first rows: the typical ones make the semisimple part, and the atypical
-ones head the columns and label the extra vertex.  Flattening the
+ones head the columns and label the extra vertex.  The barred (t, r) of
+that rule also lays the zig-zag out: `partitions.label_classes` sorts
+the cross labels of a context by it in one pass, into the semisimple
+cells, the columns in order and the extra vertex.  Flattening the
 atypical part on the quantum-group side (`p_atypical`) or on the
 centralizer side (`q_atypical`) reproduces the paper's closed-form sums
 (`closed_form_p`, `closed_form_q`), and the whole decomposition satisfies
@@ -19,7 +22,7 @@ them with `labels.dual`.  The paper writes them in barred (p; t, r)
 coordinates: the rule and the paper's closed forms (`closed_form_p`,
 `closed_form_q`) are read through `bar_to_plain`, and only `table_grid` and
 the CLI print them, through `plain_to_bar`.  The
-atypical part is derived once from the column layout, as its graph
+atypical part is derived once from those classes, as its graph
 (`atypical_part`); both flattenings are read off that graph, and the
 dimension ledger (`dims_for`) reads the q-flattening against the chain
 content.
@@ -52,20 +55,11 @@ from .labels import (
     bar_to_plain,
     dim_label,
     dual,
-    is_atypical,
     plain_to_bar,
     proj_subquotients,
     simple_subquotients,
 )
-from .partitions import (
-    Bipartition,
-    atyp,
-    atypical_bipartition,
-    atypical_columns,
-    bip_str,
-    cross_labels,
-    gswap,
-)
+from .partitions import Bipartition, _barred, bip_str, gswap, label_classes
 from .tagged import TaggedTuple
 from .xcat import proj_structure, q_functor, restrict_simples, restriction_items
 
@@ -80,40 +74,12 @@ def semisimple_part(m: int, n: int) -> tuple[SemisimplePair, ...]:
     """All (bipartition, typical quantum label) pairs of the semisimple part,
     by barred (t, r), then bipartition; a mirror context (m < n) mirrors
     the pairs of (n, m), in their order."""
-    mirror = m < n
-    if mirror:
-        m, n = n, m
-    a = m - n
-    cells = []
-    for lam in cross_labels(m, n):
-        t, r = _barred(lam, a)
-        if t * r:
-            cells.append((t, r, lam))
-    cells.sort()
-    # the typical Zbar[1 + a + t + r; t, r] is Z[1, (-1)^(1+a+t+r); t + r, r]
-    pairs = tuple((lam, _new(ZLabel, (_Z_TAG, 1, 1 if (a + t + r) % 2 else -1, t + r, r)))
-                  for t, r, lam in cells)
-    for lam, z in pairs:
-        if is_atypical(z):
-            raise AssertionError(f"atypical label {z} of {lam} in the semisimple part")
-    return tuple((gswap(lam), dual(z)) for lam, z in pairs) if mirror else pairs
-
-
-def _barred(lam: Bipartition, a: int) -> tuple[int, int]:
-    """The barred (t, r) of the quantum label of lam at m - n = a >= 0."""
-    left, right = lam
-    l1 = left[0] if left else 0
-    l2 = left[1] if len(left) > 1 else 0
-    r1 = right[0] if right else 0
-    t = l1 - a
-    if l1 == 1 and len(left) >= 3 and len(right) == 2:
-        t -= right[1]
-    r = r1 + a
-    if r1 <= 1 and l2 >= 1:
-        r -= l2 - 1 + (len(left) == 2 and len(right) > 0)
-    if t * r == 0 and (t or r) and (r1 >= 2 or len(right) != l2):
-        return (t - 1, r) if t else (t, r - 1)
-    return t, r
+    a, mirror = abs(m - n), m < n
+    # the typical Zbar[1 + a + t + r; t, r] is Z[1, (-1)^(1+a+t+r); t + r, r],
+    # and its dual Z[1, (-1)^(1+a+t+r); t + r, t]
+    return tuple((lam, _new(ZLabel, (_Z_TAG, 1, 1 if (a + t + r) % 2 else -1, t + r,
+                                     t if mirror else r)))
+                 for t, r, lam in label_classes(m, n).cells)
 
 
 def quantum_label(lam: Bipartition, m: int, n: int) -> ZLabel:
@@ -134,6 +100,15 @@ def quantum_label(lam: Bipartition, m: int, n: int) -> ZLabel:
     m + n = 150: checked, not proven.  Adding the highest weights of L and
     of R's dual gets s wrong for 2,088 of the 9,225 semisimple pairs with
     m + n <= 18.
+
+    The labels alone lay out the atypical zig-zag (`partitions.label_classes`,
+    for m >= n; a mirror context swaps the sides of (n, m)): the extra
+    vertex is the one atypical lam with R empty, and the columns are the
+    others, along t = 0 with r descending, then along r = 0 with t
+    ascending; no two share a (t, r).  The extra vertex hangs in the column
+    of largest defect, which is unique.  This equals the paper's family
+    layout for every context with m + n <= 40 and at the far contexts
+    (75,75), (100,50), (50,100), (1,149) and (149,0): checked, not proven.
     """
     if m < n:
         return dual(quantum_label(gswap(lam), n, m))
@@ -196,23 +171,21 @@ def atypical_part(m: int, n: int) -> BimoduleGraph:
     i holds the vertices 4i (top), 4i+1 and 4i+2 (its middles toward the
     previous and the next column) and 4i+3 (bottom); the extra vertex is
     the last one."""
-    cols, extra, host = atypical_columns(m, n)
-    xbip = atypical_bipartition
-    tops = [quantum_label(xbip(lab), m, n) for lab in cols]
+    classes = label_classes(m, n)
+    cols, extra, host = classes.columns, classes.extra, classes.host
+    tops = [quantum_label(lam, m, n) for lam in cols]
     vertices: list[BimodVertex] = []
     edges: list[tuple[int, int, str]] = []
-    for i, lab in enumerate(cols):
-        x = xbip(lab)
+    for i, lam in enumerate(cols):
         prev_top = tops[i - 1] if i > 0 else None
         next_top = tops[i + 1] if i + 1 < len(cols) else None
         mid_prev, mid_next = _column_mids(tops[i], prev_top, next_top)
-        vertices += (BimodVertex(x, tops[i], "top", i), BimodVertex(x, mid_prev, "mid", i),
-                     BimodVertex(x, mid_next, "mid", i), BimodVertex(x, tops[i], "bot", i))
+        vertices += (BimodVertex(lam, tops[i], "top", i), BimodVertex(lam, mid_prev, "mid", i),
+                     BimodVertex(lam, mid_next, "mid", i), BimodVertex(lam, tops[i], "bot", i))
         top, bot = 4 * i, 4 * i + 3
         for mid in (top + 1, top + 2):
             edges += ((top, mid, "uq"), (mid, bot, "uq"))
-    x = xbip(extra)
-    vertices.append(BimodVertex(x, quantum_label(x, m, n), "extra", -1))
+    vertices.append(BimodVertex(extra, quantum_label(extra, m, n), "extra", -1))
     for i in range(len(cols)):
         top = 4 * i
         if i > 0:  # the previous column's head and foot meet this middle
@@ -267,27 +240,20 @@ def closed_form_q(m: int, n: int) -> GrothVector:
             out.add(((term[0], gswap(term[1])), dual(z)), mult)
         return out
     a = m - n
-    xbip = atypical_bipartition
-    if n == 0:
-        out.add((("D", xbip(atyp("delta", False, m, 0))), _bar("Z", 1, 0, m)))
-        return out
-    if m > n:
-        for s in range(1, n + 1):
-            out.add((("D", xbip(atyp("delta", False, a, s))), _bar("R", s, 0, a + s - 1)))
-        for s in range(2, min(a, n) + 1):
-            out.add((("D", xbip(atyp("delta1", False, a, s))), _bar("R", s, 0, a - s + 1)))
-        for s in range(a, n - 1):
-            out.add((("D", xbip(atyp("delta2", False, a, s))), _bar("R", s + 1, s - a, 0)))
-        out.add((("D", xbip(atyp("delta", False, a, 0))), _bar("Z", 1, 0, a)))
-        return out
-    if m == 1:
+    if m == n:
+        for s in range(1, m - 1):
+            out.add((("D", ((1,) * (s + 2), (s + 1, 1))), _bar("R", s - 1, 0, s)))
+        for s in range(m - 1):
+            out.add((("D", ((s + 1, 1), (1,) * (s + 2))), _bar("R", s - 1, s, 0)))
         out.add((("D", ((), ())), _bar("Z", 1, 0, 0)))
         return out
-    for s in range(1, m - 1):
-        out.add((("D", xbip(atyp("delta2", True, 0, s))), _bar("R", s - 1, 0, s)))
-    for s in range(0, m - 1):
-        out.add((("D", xbip(atyp("delta2", False, 0, s))), _bar("R", s - 1, s, 0)))
-    out.add((("D", ((), ())), _bar("Z", 1, 0, 0)))
+    for s in range(1, n + 1):
+        out.add((("D", ((a,) + (1,) * s, (s,))), _bar("R", s, 0, a + s - 1)))
+    for s in range(2, min(a, n) + 1):
+        out.add((("D", ((a, s), (1,) * s)), _bar("R", s, 0, a - s + 1)))
+    for s in range(a, n - 1):
+        out.add((("D", ((s + 1, a + 1), (1,) * (s + 2))), _bar("R", s + 1, s - a, 0)))
+    out.add((("D", ((a,), ())), _bar("Z", 1, 0, a)))
     return out
 
 
@@ -298,34 +264,33 @@ def closed_form_p(m: int, n: int) -> GrothVector:
             out.add(((term[0], gswap(term[1])), dual(z)), mult)
         return out
     a = m - n
-    xbip = atypical_bipartition
-    if n == 0:
-        out.add((("D", xbip(atyp("delta", False, m, 0))), _bar("Z", 1, 0, m)))
-        return out
-    if m > n:
-        for s in range(1, n + 1):
-            out.add((("K", xbip(atyp("delta", False, a, s))), _bar("Z", s, 0, a + s - 1)))
-        for s in range(2, min(a, n) + 1):
-            out.add((("K", xbip(atyp("delta1", False, a, s))), _bar("Z", s, 0, a - s + 1)))
-        for s in range(a, n - 1):
-            out.add((("K", xbip(atyp("delta2", False, a, s))), _bar("Z", s + 1, s - a, 0)))
-        out.add((("D", xbip(atyp("delta", False, a, n))), _bar("Z", n + 1, 0, m)))
-        if 2 * n <= m:
-            out.add((("D", xbip(atyp("delta1", False, a, n))), _bar("Z", n + 1, 0, m - 2 * n)))
-        elif 2 * n == m + 1:
-            out.add((("D", xbip(atyp("delta1", False, a, a))), _bar("Z", a + 1, 0, 0)))
-        else:
-            out.add((("D", xbip(atyp("delta2", False, a, n - 2))), _bar("Z", n, 2 * n - m - 1, 0)))
-        return out
-    if m == 1:
+    if m == n <= 1:
         out.add((("D", ((), ())), _bar("Z", 1, 0, 0)))
         return out
-    for s in range(1, m - 1):
-        out.add((("K", xbip(atyp("delta2", True, 0, s))), _bar("Z", s - 1, 0, s)))
-    for s in range(0, m - 1):
-        out.add((("K", xbip(atyp("delta2", False, 0, s))), _bar("Z", s - 1, s, 0)))
-    out.add((("D", xbip(atyp("delta2", True, 0, m - 2))), _bar("Z", m - 2, 0, m - 1)))
-    out.add((("D", xbip(atyp("delta2", False, 0, m - 2))), _bar("Z", m - 2, m - 1, 0)))
+    if m == n:
+        for s in range(1, m - 1):
+            out.add((("K", ((1,) * (s + 2), (s + 1, 1))), _bar("Z", s - 1, 0, s)))
+        for s in range(m - 1):
+            out.add((("K", ((s + 1, 1), (1,) * (s + 2))), _bar("Z", s - 1, s, 0)))
+        out.add((("D", ((1,) * m, (m - 1, 1))), _bar("Z", m - 2, 0, m - 1)))
+        out.add((("D", ((m - 1, 1), (1,) * m)), _bar("Z", m - 2, m - 1, 0)))
+        return out
+    if n == 0:
+        out.add((("D", ((m,), ())), _bar("Z", 1, 0, m)))
+        return out
+    for s in range(1, n + 1):
+        out.add((("K", ((a,) + (1,) * s, (s,))), _bar("Z", s, 0, a + s - 1)))
+    for s in range(2, min(a, n) + 1):
+        out.add((("K", ((a, s), (1,) * s)), _bar("Z", s, 0, a - s + 1)))
+    for s in range(a, n - 1):
+        out.add((("K", ((s + 1, a + 1), (1,) * (s + 2))), _bar("Z", s + 1, s - a, 0)))
+    out.add((("D", ((a,) + (1,) * n, (n,))), _bar("Z", n + 1, 0, m)))
+    if 2 * n <= m:
+        out.add((("D", ((a, n), (1,) * n)), _bar("Z", n + 1, 0, m - 2 * n)))
+    elif 2 * n == m + 1:
+        out.add((("D", ((a, a), (1,) * a)), _bar("Z", a + 1, 0, 0)))
+    else:
+        out.add((("D", ((n - 1, a + 1), (1,) * n)), _bar("Z", n, 2 * n - m - 1, 0)))
     return out
 
 

@@ -78,10 +78,6 @@ def R(alpha: int, beta: int, s: int, r: int) -> RLabel:
     return _new(RLabel, (_R_TAG, alpha, beta, s, r))
 
 
-def is_atypical(z: ZLabel) -> bool:
-    return z.r in (0, z.s)
-
-
 def dim_z(z: ZLabel) -> int:
     if z.r == 0:
         return 2 * z.s - 1

@@ -4,18 +4,16 @@ Partitions are tuples of weakly decreasing positive integers; a bipartition
 is a pair (left, right) of partitions.  This module owns the defect of a
 bipartition in the index sets Lambda_{m,n}(f) (`lambda_f`), the cross
 test and the cross labels of a context (`cross_labels`), the box moves of
-the restriction rules, the three atypical label families with their mirror
-images, and the swap involution that exchanges the two sides of every
-bipartition.  It also owns the column layout of the atypical
-locus: the order in which the atypical labels of a context chain into the
-zig-zag, plus the extra vertex.  The atypical set of a context is read off
-that layout, so the locus is enumerated in one place.  Both are fields of
-the context's record (`labelctx`), shared by every caller, who must only
-read them.
-
-Atypical labels are `tagged.TaggedTuple`s, like the module labels of
-`labels`: immutable, hashed and compared in C, ordered by
-(family, bar, a, s), and never equal to a label of another class.
+the restriction rules, and the swap involution that exchanges the two
+sides of every bipartition.  It also sorts the cross labels of a context
+into their classes (`label_classes`), in one pass over the barred (t, r)
+of their quantum labels (`_barred`, the rule of `bimod.quantum_label`):
+the typical labels are the cells of the semisimple part, and the atypical
+ones are the columns of the zig-zag, in order, and its extra vertex.  The
+atypical set is read off those classes, so the locus is enumerated in one
+place, and an atypical label is its bipartition.  The classes are a field
+of the context's record (`labelctx`), shared by every caller, who must
+only read them.
 """
 
 from __future__ import annotations
@@ -112,125 +110,88 @@ def cross_labels(m: int, n: int) -> list[Bipartition]:
 
 
 # ---------------------------------------------------------------------------
-# Atypical families.  Unbarred labels live on the m >= n side:
-#   delta(a,s)   = ((a,1^s), (s))
-#   delta1(a,s)  = ((a,s), (1^s))
-#   delta2(a,s)  = ((s+1,a+1), (1^(s+2)))
-# and barred labels are their mirror images (left/right swapped).
+# the classes of the cross labels of a context
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("delta", "delta1", "delta2")
+def _barred(lam: Bipartition, a: int) -> tuple[int, int]:
+    """The barred (t, r) of the quantum label of lam at m - n = a >= 0; see
+    `bimod.quantum_label`."""
+    left, right = lam
+    l1 = left[0] if left else 0
+    l2 = left[1] if len(left) > 1 else 0
+    r1 = right[0] if right else 0
+    t = l1 - a
+    if l1 == 1 and len(left) >= 3 and len(right) == 2:
+        t -= right[1]
+    r = r1 + a
+    if r1 <= 1 and l2 >= 1:
+        r -= l2 - 1 + (len(left) == 2 and len(right) > 0)
+    if t * r == 0 and (t or r) and (r1 >= 2 or len(right) != l2):
+        return (t - 1, r) if t else (t, r - 1)
+    return t, r
 
 
-class AtypicalLabel(TaggedTuple, fields="family bar a s"):
+class LabelClasses(TaggedTuple, fields="cells atypical columns extra host"):
+    """The cross labels of a context, classified by their barred (t, r).
+
+    `cells` holds (t, r, lam) for each typical lam (t*r != 0), sorted: the
+    semisimple part.  The others are `atypical`: the extra vertex `extra`,
+    the one with R empty, and the `columns` of the zig-zag, in order; the
+    column of index `host`, of largest defect, holds the extra vertex
+    (None when there are no columns)."""
+
     __slots__ = ()
 
-    def __repr__(self):
-        mark = {"delta": "d", "delta1": "d'", "delta2": "d''"}[self.family]
-        barmark = "~" if self.bar else ""
-        return f"{barmark}{mark}[{self.a},{self.s}]"
 
-
-_new = tuple.__new__
-_ATYP_TAG = AtypicalLabel._tag
-
-
-def atyp(family: str, bar: bool, a: int, s: int) -> AtypicalLabel:
-    """Construct an atypical label in canonical form.
-
-    delta1(a,1) is identified with delta(a,1), delta2(0,0) with its mirror,
-    and delta(0,0) with its mirror.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if family == "delta1" and s == 1:
-        family = "delta"
-    if family == "delta2" and (a, s) == (0, 0):
-        bar = False
-    if family == "delta" and (a, s) == (0, 0):
-        bar = False
-    return _new(AtypicalLabel, (_ATYP_TAG, family, bar, a, s))
-
-
-def _row(k: int) -> Partition:
-    return (k,) if k > 0 else EMPTY
-
-
-def _column(k: int) -> Partition:
-    return (1,) * k
-
-
-def atypical_bipartition(label: AtypicalLabel) -> Bipartition:
-    a, s = label.a, label.s
-    if label.family == "delta":
-        if a == 0 and s == 0:
-            pair = (EMPTY, EMPTY)
-        else:
-            pair = ((a,) + _column(s), _row(s))
-    elif label.family == "delta1":
-        pair = ((a, s) if s else (a,), _column(s))
-    else:
-        pair = ((s + 1, a + 1), _column(s + 2))
-    if label.bar:
-        pair = (pair[1], pair[0])
-    return pair
-
-
-def _columns(m: int, n: int):
-    """The column layout of `atypical_columns`, uncached; a mirror context
-    (m < n) is built from the layout of (n, m), which no later context of a
-    sweep reads."""
+def _classes(m: int, n: int) -> LabelClasses:
+    """The classes of `label_classes`, uncached; a mirror context (m < n)
+    swaps the sides of the classes of (n, m), whose (t, r) it keeps."""
     if m < n:
-        cols, extra, host = _columns(n, m)
-        return [gswap_label(c) for c in cols], gswap_label(extra), host
+        _tag, cells, atypical, columns, extra, host = _classes(n, m)
+        return LabelClasses(tuple((t, r, (right, left)) for t, r, (left, right) in cells),
+                            frozenset(map(gswap, atypical)), tuple(map(gswap, columns)),
+                            gswap(extra), host)
     a = m - n
-    if n == 0:
-        return [], atyp("delta", False, m, 0), None
-    if m == n:
-        if m == 1:
-            return [], atyp("delta", False, 0, 0), None
-        cols = [atyp("delta2", True, 0, s) for s in range(m - 2, 0, -1)]
-        cols += [atyp("delta2", False, 0, s) for s in range(0, m - 1)]
-        return cols, atyp("delta", False, 0, 0), m - 2
-    cols = [atyp("delta", False, a, s) for s in range(n, 0, -1)]
-    cols += [atyp("delta1", False, a, s) for s in range(2, min(a, n) + 1)]
-    cols += [atyp("delta2", False, a, s) for s in range(a, n - 1)]
-    return cols, atyp("delta", False, a, 0), n - 1
+    cells, order, extra = [], [], []
+    for lam in cross_labels(m, n):
+        t, r = _barred(lam, a)
+        if t * r:
+            cells.append((t, r, lam))
+        elif lam[1]:  # along t = 0 with r descending, then along r = 0 with t ascending
+            order.append((r == 0, t - r, lam))
+        else:
+            extra.append(lam)
+    if len(extra) != 1:
+        raise AssertionError(f"atypical labels {extra} of ({m},{n}) have R empty, not one")
+    order.sort()
+    if any(x[:2] == y[:2] for x, y in zip(order, order[1:])):
+        raise AssertionError(f"two columns of ({m},{n}) share their barred (t, r)")
+    columns = tuple(lam for _r0, _key, lam in order)
+    defects = [m - size(left) for left, _right in columns]
+    host = defects.index(max(defects)) if columns else None
+    if columns and defects.count(defects[host]) > 1:
+        raise AssertionError(f"the largest defect of a column of ({m},{n}) is not unique")
+    cells.sort()
+    return LabelClasses(tuple(cells), frozenset(columns + (extra[0],)), columns, extra[0], host)
 
 
 @field
-def atypical_columns(m: int, n: int):
-    """Ordered column labels of the atypical part, plus the extra vertex.
-
-    Returns (columns, extra, host): `columns` is the ordered list of
-    atypical labels whose projective covers chain into the zig-zag,
-    `extra` is the lone label glued into column `host` (None when there
-    are no columns; then `extra` stands alone).
-    """
-    return _columns(m, n)
+def label_classes(m: int, n: int) -> LabelClasses:
+    """The cross labels of the (m,n) context in their classes: the
+    semisimple cells, the atypical set, and the zig-zag's columns and extra
+    vertex.  Shared; read only."""
+    return _classes(m, n)
 
 
-@field
-def atypical_set(m: int, n: int) -> dict[Bipartition, AtypicalLabel]:
-    """The atypical bipartitions of the (m,n) context, keyed by bipartition:
-    the column labels of the zig-zag and its extra vertex.  Shared; read only."""
-    cols, extra, _host = atypical_columns(m, n)
-    out = {}
-    for lab in cols + [extra]:
-        bp = atypical_bipartition(lab)
-        if out.get(bp, lab) != lab:
-            raise AssertionError(f"{out[bp]} and {lab} share the bipartition {bp!r}")
-        out[bp] = lab
-    return out
+def atypical_set(m: int, n: int) -> frozenset[Bipartition]:
+    """The atypical cross labels of the (m,n) context: the column labels of
+    the zig-zag and its extra vertex.  Shared; read only."""
+    return label_classes(m, n).atypical
 
 
 def gswap(lam: Bipartition) -> Bipartition:
     """The involution exchanging left and right halves."""
     return (lam[1], lam[0])
-
-
-def gswap_label(label: AtypicalLabel) -> AtypicalLabel:
-    return atyp(label.family, not label.bar, label.a, label.s)
 
 
 # rendering ------------------------------------------------------------------

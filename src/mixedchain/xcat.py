@@ -3,8 +3,9 @@
 Simple heads D and projective covers K are labelled by cross
 bipartitions.  The cover of an atypical label is written, as in the paper,
 as its ordered simple subquotients: head, middle layer, socle
-(`proj_structure`), read off the column layout of the atypical locus,
-which `partitions.atypical_columns` owns.  This module holds the
+(`proj_structure`), read off the zig-zag's columns and extra vertex, which
+`partitions.label_classes` sorts out of the cross labels.  An atypical
+label is its bipartition.  This module holds the
 restriction of a simple label D down one right strand (the left strand is
 its mirror under the swap involution), derives from it the restriction of
 a projective K (`_res_k_atypical`: restriction is exact), and holds the
@@ -30,13 +31,11 @@ from __future__ import annotations
 from .fusion import GrothVector
 from .labelctx import field
 from .partitions import (
-    AtypicalLabel,
     Bipartition,
     add_boxes,
-    atypical_bipartition,
-    atypical_columns,
     atypical_set,
     is_cross21,
+    label_classes,
     lambda_f,
     rem_boxes,
 )
@@ -55,14 +54,14 @@ class NIsZero(ValueError):
 XTerm = tuple[str, Bipartition]
 
 
-def _classify_cross(lam: Bipartition, m: int, n: int) -> tuple[int, AtypicalLabel | None]:
-    """The defect of a cross label of the (m,n) context and its atypical
-    label, None when it is typical; raises when lam is not a cross label
-    there.  The one validation of a restriction's input."""
+def _classify_cross(lam: Bipartition, m: int, n: int) -> tuple[int, bool]:
+    """The defect of a cross label of the (m,n) context and whether it is
+    atypical; raises when lam is not a cross label there.  The one
+    validation of a restriction's input."""
     f = lambda_f(lam, m, n)
     if not is_cross21(lam):
         raise NotCross(f"{lam!r} is not a cross bipartition")
-    return f, atypical_set(m, n).get(lam)
+    return f, lam in atypical_set(m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +72,14 @@ def proj_structure(lam: Bipartition, m: int, n: int) -> tuple[Bipartition, ...]:
     """The simple subquotients of the projective cover K(lam) in the (m,n)
     context, head first, then the middle layer in column order, then the
     socle; a typical label is its own cover (lam,).  See `_covers`."""
-    _f, lab = _classify_cross(lam, m, n)
-    return (lam,) if lab is None else _covers(m, n)[lam]
+    _f, atypical = _classify_cross(lam, m, n)
+    return _covers(m, n)[lam] if atypical else (lam,)
 
 
 @field
 def _covers(m: int, n: int) -> dict[Bipartition, tuple[Bipartition, ...]]:
-    """The cover of every atypical label of the context, read off the column
-    layout: the columns in order, then the extra vertex.
+    """The cover of every atypical label of the context, read off its
+    classes: the columns in order, then the extra vertex.
 
     The cover of the extra vertex is a two-step chain (lam, bot) over its
     host column's label, or (lam,) when there are no columns.  The cover of
@@ -90,12 +89,11 @@ def _covers(m: int, n: int) -> dict[Bipartition, tuple[Bipartition, ...]]:
     the head lies over every middle, and every middle over the socle, or
     the head over the socle when there is no middle.
     """
-    cols, extra, host = atypical_columns(m, n)
-    heads = [atypical_bipartition(c) for c in cols]
-    top = atypical_bipartition(extra)
+    classes = label_classes(m, n)
+    heads, top, host = classes.columns, classes.extra, classes.host
     out = {}
     for i, lam in enumerate(heads):
-        mids = heads[max(i - 1, 0):i] + [top] * (host == i) + heads[i + 1:i + 2]
+        mids = heads[max(i - 1, 0):i] + (top,) * (host == i) + heads[i + 1:i + 2]
         out[lam] = (lam, *mids, lam)
     out[top] = (top,) if host is None else (top, heads[host])
     return out
@@ -114,7 +112,7 @@ def q_functor(term: XTerm, m: int, n: int) -> GrothVector:
 # restriction functors
 # ---------------------------------------------------------------------------
 
-def _d_row(lam: Bipartition, f: int, atypical: dict, below: dict) -> list:
+def _d_row(lam: Bipartition, f: int, atypical: frozenset, below: dict) -> list:
     """The restriction of the simple D(lam), of defect f in the (m,n)
     context, down one right strand, as (term, 1) items; `atypical` is the
     atypical set of the context and `below` the covers of (m, n-1), keyed
@@ -183,15 +181,13 @@ def restrict_simples(lams, m: int, n: int):
         yield _restrict("D", lam, m, n, atypical, below)
 
 
-def _restrict(kind: str, lam: Bipartition, m: int, n: int, atypical: dict, below: dict):
-    if kind == "K":
-        lab = atypical.get(lam)
-        if lab is not None:
-            return _res_k_atypical(lab, m, n).items()
+def _restrict(kind: str, lam: Bipartition, m: int, n: int, atypical: frozenset, below: dict):
+    if kind == "K" and lam in atypical:
+        return _res_k_atypical(lam, m, n).items()
     return _d_row(lam, lambda_f(lam, m, n), atypical, below)
 
 
-def _res_k_atypical(lab: AtypicalLabel, m: int, n: int) -> GrothVector:
+def _res_k_atypical(lam: Bipartition, m: int, n: int) -> GrothVector:
     """Restriction of the projective cover of an atypical label, derived
     from the D rows.
 
@@ -207,7 +203,7 @@ def _res_k_atypical(lab: AtypicalLabel, m: int, n: int) -> GrothVector:
     """
     atypical, below = atypical_set(m, n), _covers(m, n - 1)
     rest = GrothVector()
-    for nu in _covers(m, n)[atypical_bipartition(lab)]:
+    for nu in _covers(m, n)[lam]:
         for term, mult in _d_row(nu, lambda_f(nu, m, n), atypical, below):
             rest.add(term, mult)
     out = GrothVector()

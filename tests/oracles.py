@@ -1,5 +1,6 @@
 """Oracles that only the tests read: label enumerations, dimension and
 flattening helpers, the Loewy graph of a projective cover, the paper's
+three atypical label families and its column layout of the zig-zag, its
 tables of quantum labels (the semisimple (t, r)-table, the column tops and
 the extra vertex) and its restriction displays: the D displays of atypical
 labels, the re-gluing rows of typical labels and the K displays of
@@ -17,22 +18,18 @@ import mixedchain.bimod as bm
 import mixedchain.xcat as xc
 from mixedchain.bimod import SemisimplePair, _bar
 from mixedchain.fusion import GrothVector
-from mixedchain.labels import BarLabel, ZLabel, bar, dual, is_atypical
+from mixedchain.labels import BarLabel, ZLabel, bar, dual
 from mixedchain.partitions import (
-    AtypicalLabel,
     Bipartition,
     NotInLambda,
     Partition,
     add_boxes,
-    atyp,
-    atypical_bipartition,
-    atypical_set,
     gswap,
-    gswap_label,
     is_cross21,
     lambda_f,
     rem_boxes,
 )
+from mixedchain.tagged import TaggedTuple
 from mixedchain.uqmod import ExplicitRep, weight_multiset
 
 # ---------------------------------------------------------------------------
@@ -92,9 +89,99 @@ def cross_set(m: int, n: int) -> list[Bipartition]:
     return [lam for lam in lambda_all(m, n) if is_cross21(lam)]
 
 
+# ---------------------------------------------------------------------------
+# the paper's atypical families and its column layout of the zig-zag.
+# Unbarred labels live on the m >= n side:
+#   delta(a,s)   = ((a,1^s), (s))
+#   delta1(a,s)  = ((a,s), (1^s))
+#   delta2(a,s)  = ((s+1,a+1), (1^(s+2)))
+# and barred labels are their mirror images (left/right swapped).
+# ---------------------------------------------------------------------------
+
+FAMILIES = ("delta", "delta1", "delta2")
+
+
+class AtypicalLabel(TaggedTuple, fields="family bar a s"):
+    __slots__ = ()
+
+    def __repr__(self):
+        mark = {"delta": "d", "delta1": "d'", "delta2": "d''"}[self.family]
+        barmark = "~" if self.bar else ""
+        return f"{barmark}{mark}[{self.a},{self.s}]"
+
+
+def atyp(family: str, bar: bool, a: int, s: int) -> AtypicalLabel:
+    """Construct an atypical label in canonical form.
+
+    delta1(a,1) is identified with delta(a,1), delta2(0,0) with its mirror,
+    and delta(0,0) with its mirror.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family == "delta1" and s == 1:
+        family = "delta"
+    if family == "delta2" and (a, s) == (0, 0):
+        bar = False
+    if family == "delta" and (a, s) == (0, 0):
+        bar = False
+    return AtypicalLabel(family, bar, a, s)
+
+
+def atypical_bipartition(label: AtypicalLabel) -> Bipartition:
+    a, s = label.a, label.s
+    if label.family == "delta":
+        pair = ((a,) + _col(s), _row(s)) if a or s else ((), ())
+    elif label.family == "delta1":
+        pair = ((a, s) if s else (a,), _col(s))
+    else:
+        pair = ((s + 1, a + 1), _col(s + 2))
+    return gswap(pair) if label.bar else pair
+
+
+def gswap_label(label: AtypicalLabel) -> AtypicalLabel:
+    return atyp(label.family, not label.bar, label.a, label.s)
+
+
+def _columns(m: int, n: int):
+    """The paper's layout of the zig-zag, family by family: (columns,
+    extra, host), the ordered column labels, the extra vertex and the index
+    of the column that holds it (None when there are no columns); the
+    oracle for `partitions.label_classes`.  A mirror context (m < n) is
+    built from the layout of (n, m)."""
+    if m < n:
+        cols, extra, host = _columns(n, m)
+        return [gswap_label(c) for c in cols], gswap_label(extra), host
+    a = m - n
+    if n == 0:
+        return [], atyp("delta", False, m, 0), None
+    if m == n:
+        if m == 1:
+            return [], atyp("delta", False, 0, 0), None
+        cols = [atyp("delta2", True, 0, s) for s in range(m - 2, 0, -1)]
+        cols += [atyp("delta2", False, 0, s) for s in range(0, m - 1)]
+        return cols, atyp("delta", False, 0, 0), m - 2
+    cols = [atyp("delta", False, a, s) for s in range(n, 0, -1)]
+    cols += [atyp("delta1", False, a, s) for s in range(2, min(a, n) + 1)]
+    cols += [atyp("delta2", False, a, s) for s in range(a, n - 1)]
+    return cols, atyp("delta", False, a, 0), n - 1
+
+
+@lru_cache(maxsize=None)
+def _family_labels(m: int, n: int) -> dict:
+    """The family label of each atypical bipartition of the (m,n) context."""
+    cols, extra, _host = _columns(m, n)
+    return {atypical_bipartition(lab): lab for lab in cols + [extra]}
+
+
 def classify_atypical(lam: Bipartition, m: int, n: int) -> AtypicalLabel | None:
+    """The family label of lam in the (m,n) context, None when lam is
+    typical there."""
     lambda_f(lam, m, n)  # raises NotInLambda when out of context
-    return atypical_set(m, n).get(lam)
+    return _family_labels(m, n).get(lam)
+
+
+def is_atypical(z: ZLabel) -> bool:
+    return z.r in (0, z.s)
 
 
 # ---------------------------------------------------------------------------

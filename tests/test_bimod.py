@@ -22,21 +22,18 @@ from mixedchain.bimod import (
     verify_identities,
 )
 from mixedchain.fusion import GrothVector, chain_decompose, fuse_with_v
-from mixedchain.partitions import (
-    atyp,
-    atypical_bipartition,
-    atypical_columns,
-    atypical_set,
-    cross_labels,
-    gswap,
-)
+from mixedchain.partitions import atypical_set, cross_labels, gswap
 from mixedchain.labelctx import LabelContext, context
-from mixedchain.labels import bar, bar_to_plain, dual, is_atypical, plain_to_bar, simple_subquotients
+from mixedchain.labels import bar, bar_to_plain, dual, plain_to_bar, simple_subquotients
 from mixedchain.xcat import res_right_d, res_right_k
 from oracles import (
+    _columns,
+    atyp,
+    atypical_bipartition,
     column_top_label,
     cross_set,
     extra_vertex_label,
+    is_atypical,
     p_flattened,
     q_flattened,
     semisimple_table,
@@ -111,7 +108,7 @@ def test_quantum_label_equals_the_transcribed_tables():
                 assert is_atypical(z), (m, n, lam)
             labels += 1
         assert set(atypical) == set(cross_labels(m, n)) - set(typical), (m, n)
-        cols, extra, _host = atypical_columns(m, n)
+        cols, extra, _host = _columns(m, n)
         for lab in cols:
             assert quantum_label(bip(lab), m, n) == column_top_label(lab, m, n), (m, n, lab)
         assert quantum_label(bip(extra), m, n) == extra_vertex_label(m, n), (m, n)
@@ -260,7 +257,7 @@ def test_bimodule_labels_cover_cross_set():
         for m in range(0, total + 1):
             n = total - m
             ts = {lam for lam, _ in semisimple_part(m, n)}
-            cols, extra, _ = atypical_columns(m, n)
+            cols, extra, _ = _columns(m, n)
             at = {bip(c) for c in cols} | {bip(extra)}
             assert ts | at == set(cross_set(m, n))
             assert not ts & at
@@ -400,24 +397,24 @@ def _unglue_wall_rows():
     return "_d_row", planted
 
 
-def _bump_d_restriction_term(lab):
+def _bump_d_restriction_term(x):
     d_row = xc._d_row
 
     def planted(lam, f, atypical, below):
         out = d_row(lam, f, atypical, below)
-        if atypical.get(lam) == lab:
+        if lam == x and lam in atypical:
             (term, mult), *rest = out
             out = [(term, mult + 1), *rest]
         return out
     return "_d_row", planted
 
 
-def _extra_k_restriction_term(lab):
+def _extra_k_restriction_term(x):
     res_k = xc._res_k_atypical
 
-    def planted(label, m, n):
-        out = GrothVector(res_k(label, m, n))
-        if label == lab:
+    def planted(lam, m, n):
+        out = GrothVector(res_k(lam, m, n))
+        if lam == x:
             out.add(("D", ((), ())))
         return out
     return "_res_k_atypical", planted
@@ -438,8 +435,8 @@ def _bump_flattening_mult(lam):
     (lambda: _drop_generic_term(((2,), (2,))), "both"),
     (lambda: _bump_fusion_mult(semisimple_part(3, 2)[0][1]), "both"),
     (_unglue_wall_rows, "both"),
-    (lambda: _bump_d_restriction_term(atyp("delta", False, 2, 2)), "both"),
-    (lambda: _extra_k_restriction_term(atyp("delta", True, 2, 1)), "proj"),
+    (lambda: _bump_d_restriction_term(bip(atyp("delta", False, 2, 2))), "both"),
+    (lambda: _extra_k_restriction_term(bip(atyp("delta", True, 2, 1))), "proj"),
     (lambda: _bump_flattening_mult(((1,), (1, 1))), "tensor"),
 ], ids=["generic-term", "fusion-mult", "exceptional-row", "d-restriction-term",
         "k-restriction-term", "flattening-mult"])
@@ -590,13 +587,12 @@ def test_label_context_is_built_once_per_context(monkeypatch):
     # mirror context (m < n) is built uncached from (n, m), and a column
     # head (m, 0) is fused up from the trivial module, with no record of the
     # contexts (0, k).
-    import mixedchain.partitions as pa
     from mixedchain.cli import _sweep
 
     per_label = [fu._fused_with_v]
     assert context.cache_info().maxsize == 2
     # both flattenings are read off the atypical graph
-    per_side = ("atypical_columns", "semisimple_part", "atypical_part",
+    per_side = ("label_classes", "semisimple_part", "atypical_part",
                 "_q_atypical_items", "_p_atypical_items")
 
     def want_builds(suite, swept):
@@ -605,19 +601,16 @@ def test_label_context_is_built_once_per_context(monkeypatch):
             # the identities at (m,n) read (m,n) and (m,n+1), all with m >= 1
             reached = {(m, n) for m, n in swept | {(m, n + 1) for m, n in swept} if m >= 1}
             want = {(m, n, field) for m, n in reached for field in per_side}
-            # restrictions classify labels of the contexts with a right strand
-            want |= {(m, n, "atypical_set") for m, n in reached if n >= 1}
             # covers are read one strand below each restricted context, which
             # is each swept one, and where a projective is flattened or
             # restricted: wherever the context has columns
             return reached, want | {(m, n, "_covers") for m, n in reached
-                                    if (m, n) in swept or pa._columns(m, n)[0]}
+                                    if (m, n) in swept or _columns(m, n)[0]}
         want = {(m, n, field) for m, n in swept
                   for field in per_side + ("dims_for", "chain_content")}
-        # the dims audit classifies labels and reads covers only where the
-        # atypical part has columns, and restricts nothing
-        want |= {(m, n, field) for m, n in swept if pa._columns(m, n)[0]
-                 for field in ("atypical_set", "_covers")}
+        # the dims audit reads covers only where the atypical part has
+        # columns, and restricts nothing
+        want |= {(m, n, "_covers") for m, n in swept if _columns(m, n)[0]}
         # the content of (0, 1) looks up the empty chain (0, 0), which holds none
         return swept | {(0, 0)}, want
 

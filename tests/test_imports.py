@@ -266,13 +266,12 @@ def test_allowlisted_names_are_defined():
 def test_an_oracle_put_back_into_the_package_is_unreached():
     # every definition of the test oracles, and the deleted `dim_of_groth`,
     # planted at the end of a package module: each is flagged but
-    # `res_right_s`, which the benchmark's counter table names, and `_row`,
-    # whose spelling `partitions` also defines and reaches
+    # `res_right_s`, which the benchmark's counter table names
     oracles = [node for node in ast.parse(ORACLES.read_text()).body if hasattr(node, "name")]
     planted = "\n\n".join(ast.unparse(node) for node in oracles)
     planted += "\n\ndef dim_of_groth(v):\n    return v.total_dim()\n"
     sources = package_sources()
     sources["xcat"] += "\n\n" + planted
     want = sorted(f"xcat.{node.name}" for node in oracles
-                  if node.name not in ("res_right_s", "_row"))
+                  if node.name != "res_right_s")
     assert unreached(sources) == sorted(want + ["xcat.dim_of_groth"])

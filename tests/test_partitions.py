@@ -6,26 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedchain.partitions as pa
+from mixedchain.labelctx import context
 from mixedchain.partitions import (
-    AtypicalLabel,
     NotInLambda,
     add_boxes,
-    atyp,
-    atypical_bipartition,
     atypical_set,
     bip_str,
     cross_labels,
     gswap,
-    gswap_label,
     is_cross21,
     part_str,
     rem_boxes,
 )
 from oracles import (
+    AtypicalLabel,
     InvalidF,
+    _columns,
+    atyp,
+    atypical_bipartition,
     classify_atypical,
     count_partitions,
     cross_set,
+    gswap_label,
     lambda_all,
     lambda_set,
     partitions_of,
@@ -141,9 +144,9 @@ def test_gswap():
 def test_atypical_subset_of_cross():
     for m in range(0, 9):
         for n in range(0, 9 - m):
-            for lam, lab in atypical_set(m, n).items():
+            for lam in atypical_set(m, n):
                 assert is_cross21(lam), (m, n, lam)
-                assert classify_atypical(lam, m, n) == lab
+                assert atypical_bipartition(classify_atypical(lam, m, n)) == lam
 
 
 def _atypical_set_by_family(m, n):
@@ -175,14 +178,73 @@ def test_atypical_set_matches_family_enumeration():
     for total in range(1, 41):
         for m in range(total + 1):
             n = total - m
-            assert atypical_set(m, n) == _atypical_set_by_family(m, n), (m, n)
+            assert atypical_set(m, n) == set(_atypical_set_by_family(m, n)), (m, n)
 
 
 def test_classify_respects_gswap():
     for m in range(0, 9):
         for n in range(0, 9 - m):
-            for lam, lab in atypical_set(m, n).items():
+            for lam in atypical_set(m, n):
+                lab = classify_atypical(lam, m, n)
                 assert classify_atypical(gswap(lam), n, m) == gswap_label(lab)
+
+
+def test_label_classes_match_the_family_layout():
+    # the layout read off the barred (t, r) of each cross label: the atypical
+    # set, the extra vertex, the host and the column order equal the paper's
+    # family layout at every context with m+n <= 40, on both mirror sides,
+    # and at the far contexts of the identities
+    near = [(m, total - m) for total in range(41) for m in range(total + 1)]
+    for m, n in near + [(75, 75), (100, 50), (50, 100), (1, 149), (149, 0)]:
+        classes = pa.label_classes(m, n)
+        cols, extra, host = _columns(m, n)
+        columns = tuple(atypical_bipartition(lab) for lab in cols)
+        assert classes.columns == columns, (m, n)
+        assert classes.extra == atypical_bipartition(extra), (m, n)
+        assert classes.host == host, (m, n)
+        assert classes.atypical == {*columns, classes.extra}, (m, n)
+        assert len(classes.cells) + len(classes.atypical) == len(cross_labels(m, n)), (m, n)
+
+
+def _plant_two_extras(barred, lam, a):
+    # every label with R empty is atypical
+    t, r = barred(lam, a)
+    return (0, r) if not lam[1] else (t, r)
+
+
+def _plant_shared_keys(barred, lam, a):
+    # every column takes one (t, r)
+    t, r = barred(lam, a)
+    return (0, 1) if t * r == 0 and lam[1] else (t, r)
+
+
+def _plant_rival_host(barred, lam, a):
+    # the typical ((a+1), (1)) joins the columns, with the host's defect
+    return (0, -1) if lam == ((a + 1,), (1,)) else barred(lam, a)
+
+
+@pytest.mark.parametrize("plant, message", [
+    (_plant_two_extras, "have R empty, not one"),
+    (_plant_shared_keys, "share their barred"),
+    (_plant_rival_host, "largest defect of a column"),
+], ids=["two-extras", "shared-keys", "rival-host"])
+def test_label_classes_guard_a_planted_barred_fault(monkeypatch, plant, message):
+    # the classification itself raises, with no oracle to compare against:
+    # in some context, and not in every one
+    barred = pa._barred
+    monkeypatch.setattr(pa, "_barred", lambda lam, a: plant(barred, lam, a))
+    context.cache_clear()
+    raised, contexts = [], [(m, total - m) for total in range(1, 9) for m in range(total + 1)]
+    try:
+        for m, n in contexts:
+            try:
+                pa.label_classes(m, n)
+            except AssertionError as exc:
+                assert message in str(exc), (m, n, exc)
+                raised.append((m, n))
+    finally:
+        context.cache_clear()
+    assert 0 < len(raised) < len(contexts), raised
 
 
 def test_cross_set_closed_under_swap():

@@ -13,9 +13,10 @@ from mixedchain.bimod import dims_for
 from mixedchain.chainrep import ChainContext, endomorphism_algebra_dimension
 from mixedchain.fusion import chain_decompose
 from mixedchain.qarith import EvalPoint
-from mixedchain.labels import RLabel, ZLabel, is_atypical, proj_subquotients
+from mixedchain.labels import RLabel, ZLabel, proj_subquotients
 from mixedchain.partitions import cross_labels
 from mixedchain.xcat import proj_structure
+from oracles import is_atypical
 
 
 def hom_dim(x, y) -> int:

@@ -2,13 +2,14 @@ import inspect
 
 import pytest
 
-from mixedchain.partitions import AtypicalLabel
+from mixedchain.partitions import LabelClasses
 from mixedchain.tagged import TaggedTuple
 from mixedchain.labels import BarLabel, GL2Label, RLabel, ZLabel
+from oracles import AtypicalLabel
 
 
 def test_package_labels_carry_distinct_tags():
-    classes = (ZLabel, RLabel, BarLabel, GL2Label, AtypicalLabel)
+    classes = (ZLabel, RLabel, BarLabel, GL2Label, LabelClasses, AtypicalLabel)
     assert len({cls._tag for cls in classes}) == len(classes)
     for cls in classes:
         x = cls(*range(len(cls._fields)))

@@ -3,15 +3,7 @@ import pytest
 import mixedchain.xcat as xc
 from mixedchain.bimod import dims_for
 from mixedchain.fusion import GrothVector
-from mixedchain.partitions import (
-    atyp,
-    atypical_bipartition,
-    atypical_columns,
-    atypical_set,
-    cross_labels,
-    gswap,
-    gswap_label,
-)
+from mixedchain.partitions import atypical_set, cross_labels, gswap, label_classes
 from mixedchain.xcat import (
     NIsZero,
     NotCross,
@@ -22,18 +14,23 @@ from mixedchain.xcat import (
 )
 from oracles import (
     _col,
+    _columns,
     _hookp,
     _in_lambda,
     _pair,
     _row,
     _Rows,
     _two_row,
+    atyp,
+    atypical_bipartition,
     classify_atypical,
     cross_set,
     dim_simple_x,
     dim_term,
     exceptional_d_table,
     exceptional_keys,
+    gswap_label,
+    is_atypical,
     loewy_graph,
     partitions_of,
     q_expand,
@@ -346,7 +343,8 @@ def test_res_right_k_matches_the_transcribed_displays():
     for total in range(1, 41):
         for m in range(total):
             n = total - m
-            for lam, lab in atypical_set(m, n).items():
+            for lam in atypical_set(m, n):
+                lab = classify_atypical(lam, m, n)
                 labels += 1
                 want = k_table_row(lab, m, n)
                 if want != res_k_table(lab, m, n):
@@ -355,7 +353,7 @@ def test_res_right_k_matches_the_transcribed_displays():
     assert labels == 10821
     assert len(respelled) == 80
     no_columns = {(m, n) for total in range(1, 41) for m in range(total)
-                  for n in [total - m] if not atypical_columns(m, n - 1)[0]}
+                  for n in [total - m] if not _columns(m, n - 1)[0]}
     assert sorted(respelled) == sorted(no_columns)
     assert no_columns == ({(0, n) for n in range(1, 41)} | {(m, 1) for m in range(1, 40)}
                           | {(1, 2)})
@@ -408,7 +406,7 @@ def specht_atypical_factors(lam, m, n):
         return [lam]
     if lab.family != "delta":
         raise ValueError(f"Specht factors of {lab} are not modelled")
-    cols, extra, host = atypical_columns(m, n)
+    cols, extra, host = _columns(m, n)
     if lab == extra:
         return [lam] if host is None else [lam, bip(cols[host])]
     i = cols.index(lab)
@@ -522,17 +520,16 @@ def test_every_restriction_display_fires():
 
 
 def test_atypical_columns_shapes():
-    cols, extra, host = atypical_columns(5, 2)
-    assert [c for c in cols] == [atyp("delta", False, 3, 2), atyp("delta", False, 3, 1),
-                                 atyp("delta1", False, 3, 2)]
-    assert extra == atyp("delta", False, 3, 0) and host == 1
-    cols, extra, host = atypical_columns(4, 4)
-    assert cols[0] == atyp("delta2", True, 0, 2)
-    assert cols[-1] == atyp("delta2", False, 0, 2)
-    assert extra == atyp("delta", False, 0, 0)
-    assert cols[host] == atyp("delta2", False, 0, 0)
-    cols, extra, host = atypical_columns(3, 0)
-    assert cols == [] and host is None and extra == atyp("delta", False, 3, 0)
+    classes = label_classes(5, 2)
+    assert classes.columns == (((3, 1, 1), (2,)), ((3, 1), (1,)), ((3, 2), (1, 1)))
+    assert classes.extra == ((3,), ()) and classes.host == 1
+    classes = label_classes(4, 4)
+    assert classes.columns[0] == ((1, 1, 1, 1), (3, 1))
+    assert classes.columns[-1] == ((3, 1), (1, 1, 1, 1))
+    assert classes.extra == ((), ())
+    assert classes.columns[classes.host] == ((1, 1), (1, 1))
+    classes = label_classes(3, 0)
+    assert classes.columns == () and classes.host is None and classes.extra == ((3,), ())
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +568,6 @@ def test_every_regluing_key_is_a_typical_label():
     # D display.  Every in-context key of every context with m+n <= 26 is a
     # cross label that the rule finds typical
     from mixedchain.bimod import quantum_label
-    from mixedchain.labels import is_atypical
 
     keys = 0
     for total in range(1, 27):
@@ -596,8 +592,8 @@ def test_rows_match_the_transcribed_displays_at_far_contexts():
     reglued = {}
     for m, n in [(75, 75), (76, 74), (74, 76), (100, 50), (50, 100), (149, 1), (1, 149),
                  (40, 3), (3, 40)]:
-        atypical = atypical_set(m, n)
-        for lam, lab in atypical.items():
+        for lam in atypical_set(m, n):
+            lab = classify_atypical(lam, m, n)
             assert res_right_d(lam, m, n) == res_d_table(lab, m, n), (m, n, lab)
             assert res_right_k(lam, m, n) == k_table_row(lab, m, n), (m, n, lab)
         keys = exceptional_keys(m, n)
